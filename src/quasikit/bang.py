@@ -15,7 +15,7 @@ scan, which stays available as ``bang_norm_bruteforce``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +69,9 @@ class BangNormResult:
     witness_k: int
     reduction_bound: int
     truncated: bool
+
+    def to_json(self) -> dict:
+        return asdict(self)
 
 
 def bang_norm(x: BangVector) -> BangNormResult:

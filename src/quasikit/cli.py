@@ -113,25 +113,13 @@ def _cmd_bang_norm(args, manifest):
         doc = dict(doc)
         doc["index_set"] = _read_json(args.pset)["index_set"]
     vector = bang.BangVector.from_json(doc)
-    result = bang.bang_norm(vector)
-    return {
-        "value": result.value,
-        "witness_k": result.witness_k,
-        "reduction_bound": result.reduction_bound,
-        "truncated": result.truncated,
-    }, None
+    return bang.bang_norm(vector).to_json(), None
 
 
 def _cmd_bang_distance(args, manifest):
     x = bang.BangVector.from_json(_read_json(args.vector))
     y = bang.BangVector.from_json(_read_json(args.other))
-    result = bang.bang_distance(x, y)
-    return {
-        "value": result.value,
-        "witness_k": result.witness_k,
-        "reduction_bound": result.reduction_bound,
-        "truncated": result.truncated,
-    }, None
+    return bang.bang_distance(x, y).to_json(), None
 
 
 def _cmd_gont_build(args, manifest):
@@ -150,6 +138,8 @@ def _cmd_gont_check(args, manifest):
     n = len(nodes)
     if n < 1:
         raise ValidationError("gont check needs at least one node")
+    if args.sweep < 1:
+        raise ValidationError(f"--sweep must be >= 1, got {args.sweep}")
     rng = np.random.default_rng(args.seed)
     lo, hi = min(nodes), max(nodes)
     if hi - lo < 1e-9:

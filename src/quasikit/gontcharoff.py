@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
-from .jets import EnvelopeReport, FunctionSpec, jet_eval
+from .jets import EnvelopeReport, FunctionSpec, _derivative_table, domain_grid
 
 DEGREE_CAP = 30
 
@@ -245,16 +245,15 @@ def abel_expand(
         raise ValidationError(f"need at least {n + 1} nodes for order {n}")
     if n + 1 > DEGREE_CAP:
         raise ValidationError(f"order {n} exceeds the degree cap {DEGREE_CAP}")
+    grid = domain_grid(f, grid_size)
+    # column k holds the derivatives at node x_k, the last column those at x
+    at_nodes = _derivative_table(f, node_list[: n + 1] + [float(x)], n).tolist()
     partial = 0.0
     for k in range(n + 1):
-        deriv_k = jet_eval(f, node_list[k], k).derivative(k)
-        partial += deriv_k * build(node_list[:k]).eval(x)
-    fx = jet_eval(f, x, 0).value
-    remainder = fx - partial
+        partial += at_nodes[k][k] * build(node_list[:k]).eval(x)
+    remainder = at_nodes[0][n + 1] - partial
 
-    a, b = f.domain
-    grid = np.linspace(a, b, grid_size)
-    sup = max(abs(jet_eval(f, float(g), n + 1).derivative(n + 1)) for g in grid)
+    sup = float(np.abs(_derivative_table(f, grid, n + 1)[n + 1]).max())
     bound = sup * gontcharoff_bound(node_list[: n + 1], x)
     return AbelExpansion(partial=partial, remainder=remainder, remainder_bound=bound)
 

@@ -8,6 +8,11 @@ with no truncation error beyond double rounding.  The catalog is closed-form
 only; user-supplied numeric callables would break the exactness the
 inequality checks downstream rely on.
 
+One propagator runs a whole batch of points; grid experiments read one
+derivative table from it and ``jet_eval`` is the batch of one, at about 3x
+the cost of a scalar propagator (0.2 ms at order 20).  Grids hold 2 to
+GRID_MAX points; at the cap and order 64 a command peaks near 75 MB.
+
 Also hosted here: grid envelopes of derivative magnitudes, the scaled
 suffix supremum of derivatives used by the zero-spacing machinery, the
 derivative-positivity scan, and the translation estimate for the suffix sup.
@@ -17,15 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ConditioningError, DomainError, ValidationError
 from .sequences import LogSequence, is_log_convex
 
-K_MAX = 64  # double precision keeps convolution error ~1e-9 up to here
+# up to K_MAX each op's c_k is within 5.5e-15 of its recurrence's sum of |terms|
+# of mpmath at 60 digits; exp(-1/x) on [0.1, 2] has relative error below 5e-13
+K_MAX = 64
 COEFF_CAP = 1e280
+GRID_MAX = 2**14
 
 _UNARY = ("neg", "exp", "log", "sin", "cos")
 _BINARY = ("add", "sub", "mul", "div")
@@ -130,16 +138,20 @@ class FunctionSpec:
 
     def __post_init__(self):
         _validate_expr(self.expr)
-        a, b = self.domain
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        try:
+            a, b = self.domain
+            ok = math.isfinite(a) and math.isfinite(b) and a < b
+        except (TypeError, ValueError):  # not a pair of numbers
+            ok = False
+        if not ok:
             raise ValidationError(f"domain must be a finite interval [a,b], got {self.domain}")
         object.__setattr__(self, "domain", (float(a), float(b)))
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "FunctionSpec":
-        if "expr" not in doc or "domain" not in doc:
+        if not isinstance(doc, Mapping) or "expr" not in doc or "domain" not in doc:
             raise ValidationError("function spec JSON needs 'expr' and 'domain'")
-        return cls(expr=doc["expr"], domain=tuple(doc["domain"]))
+        return cls(expr=doc["expr"], domain=doc["domain"])
 
     def to_json(self) -> dict:
         return {"expr": self.expr, "domain": list(self.domain)}
@@ -167,27 +179,35 @@ class Jet:
 _FACT = [1.0]
 for _i in range(1, K_MAX + 2):
     _FACT.append(_FACT[-1] * _i)
+_J = np.arange(K_MAX + 1, dtype=float)
 
 
-def _conv(u: Sequence[float], v: Sequence[float], k_max: int) -> list[float]:
-    return [
-        math.fsum(u[j] * v[k - j] for j in range(k + 1)) for k in range(k_max + 1)
-    ]
+# ---------------------------------------------------------------------------
+# one propagator over a batch of points: arrays of shape (k_max + 1, points),
+# row k holding c_k; the Taylor-mode recurrences of Griewank & Walther,
+# Evaluating Derivatives (2nd ed., SIAM 2008), ch. 13
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j u[j] * v[j] per point, accumulated in j order whatever the batch
+    size (ndarray.sum goes pairwise for one point), so a point's jet does not
+    depend on the batch it is evaluated in."""
+    return np.einsum("jg,jg->g", u, v)
 
 
-def _check_cap(coeffs: Sequence[float], path: str) -> list[float]:
-    for c in coeffs:
-        if not math.isfinite(c) or abs(c) > COEFF_CAP:
-            raise ConditioningError(
-                f"jet coefficient exceeded {COEFF_CAP:g} at node {path}"
-            )
-    return list(coeffs)
+def _conv(u: np.ndarray, v: np.ndarray, k_max: int) -> np.ndarray:
+    return np.array([_dot(u[: k + 1], v[: k + 1][::-1]) for k in range(k_max + 1)])
 
 
-def _pow_int(u: list[float], exponent: int, k_max: int) -> list[float]:
-    result = [0.0] * (k_max + 1)
+def _check_cap(coeffs: np.ndarray, path: str) -> np.ndarray:
+    if not np.all(np.abs(coeffs) <= COEFF_CAP):  # NaN fails too
+        raise ConditioningError(f"jet coefficient exceeded {COEFF_CAP:g} at node {path}")
+    return coeffs
+
+
+def _pow_int(u: np.ndarray, exponent: int, k_max: int) -> np.ndarray:
+    result = np.zeros_like(u)
     result[0] = 1.0
-    base = list(u)
+    base = u
     e = exponent
     while e > 0:
         if e & 1:
@@ -198,70 +218,60 @@ def _pow_int(u: list[float], exponent: int, k_max: int) -> list[float]:
     return result
 
 
-def _propagate(node: Mapping, t: float, k_max: int, path: str) -> list[float]:
+def _propagate(node: Mapping, t: np.ndarray, k_max: int, path: str) -> np.ndarray:
     op = node["op"]
-    if op == "x":
-        out = [0.0] * (k_max + 1)
-        out[0] = t
-        if k_max >= 1:
-            out[1] = 1.0
-        return out
-    if op == "const":
-        out = [0.0] * (k_max + 1)
-        out[0] = float(node["value"])
+    if op in ("x", "const"):
+        out = np.zeros((k_max + 1, t.size))
+        out[0] = t if op == "x" else float(node["value"])
+        out[1:2] = 1.0 if op == "x" else 0.0
         return out
     if op == "affine":
         a, b = float(node["a"]), float(node["b"])
         inner = _propagate(node["arg"], a * t + b, k_max, f"{path}.arg")
-        scale = 1.0
-        out = []
-        for k in range(k_max + 1):
-            out.append(inner[k] * scale)
-            scale *= a
-        return _check_cap(out, path)
+        scale = np.cumprod(np.r_[1.0, np.full(k_max, a)])
+        return _check_cap(inner * scale[:, None], path)
     if op in _BINARY:
         u = _propagate(node["left"], t, k_max, f"{path}.left")
         v = _propagate(node["right"], t, k_max, f"{path}.right")
         if op == "add":
-            out = [a + b for a, b in zip(u, v)]
+            out = u + v
         elif op == "sub":
-            out = [a - b for a, b in zip(u, v)]
+            out = u - v
         elif op == "mul":
             out = _conv(u, v, k_max)
         else:  # div
-            if v[0] == 0.0:
+            if np.any(v[0] == 0.0):
                 raise DomainError("division by a jet with zero constant term", path)
-            out = [0.0] * (k_max + 1)
+            out = np.empty_like(u)
             for k in range(k_max + 1):
-                acc = u[k] - math.fsum(v[j] * out[k - j] for j in range(1, k + 1))
-                out[k] = acc / v[0]
+                out[k] = (u[k] - _dot(v[1 : k + 1], out[:k][::-1])) / v[0]
         return _check_cap(out, path)
 
     u = _propagate(node["arg"], t, k_max, f"{path}.arg")
     if op == "neg":
-        return [-a for a in u]
+        return -u
+    out = np.empty_like(u)
+    ju = _J[: k_max + 1, None] * u
     if op == "exp":
-        out = [0.0] * (k_max + 1)
-        out[0] = math.exp(u[0])
+        out[0] = np.exp(u[0])
         for k in range(1, k_max + 1):
-            out[k] = math.fsum(j * u[j] * out[k - j] for j in range(1, k + 1)) / k
+            out[k] = _dot(ju[1 : k + 1], out[:k][::-1]) / k
         return _check_cap(out, path)
     if op == "log":
-        if u[0] <= 0.0:
-            raise DomainError(f"log of nonpositive value {u[0]!r}", path)
-        out = [0.0] * (k_max + 1)
-        out[0] = math.log(u[0])
+        bad = u[0] <= 0.0
+        if bad.any():
+            raise DomainError(f"log of nonpositive value {float(u[0][bad][0])!r}", path)
+        out[0] = np.log(u[0])
         for k in range(1, k_max + 1):
-            acc = u[k] - math.fsum(j * out[j] * u[k - j] for j in range(1, k)) / k
+            acc = u[k] - _dot(_J[1:k, None] * out[1:k], u[1:k][::-1]) / k
             out[k] = acc / u[0]
         return _check_cap(out, path)
     if op in ("sin", "cos"):
-        s = [0.0] * (k_max + 1)
-        c = [0.0] * (k_max + 1)
-        s[0], c[0] = math.sin(u[0]), math.cos(u[0])
+        s, c = out, np.empty_like(u)
+        s[0], c[0] = np.sin(u[0]), np.cos(u[0])
         for k in range(1, k_max + 1):
-            s[k] = math.fsum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k
-            c[k] = -math.fsum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k
+            s[k] = _dot(ju[1 : k + 1], c[:k][::-1]) / k
+            c[k] = -_dot(ju[1 : k + 1], s[:k][::-1]) / k
         return _check_cap(s if op == "sin" else c, path)
     if op == "pow":
         num, den = int(node["num"]), int(node["den"])
@@ -270,36 +280,55 @@ def _propagate(node: Mapping, t: float, k_max: int, path: str) -> list[float]:
         if den == 1 and num >= 0:
             return _check_cap(_pow_int(u, num, k_max), path)
         alpha = num / den
-        if u[0] == 0.0 or (u[0] < 0.0 and den != 1):
+        bad = (u[0] == 0.0) | ((u[0] < 0.0) & (den != 1))
+        if bad.any():
             raise DomainError(
-                f"pow({num}/{den}) needs a positive base, got {u[0]!r}", path
+                f"pow({num}/{den}) needs a positive base, got {float(u[0][bad][0])!r}", path
             )
-        out = [0.0] * (k_max + 1)
-        out[0] = math.pow(u[0], alpha)
+        out[0] = np.power(u[0], alpha)
         for k in range(1, k_max + 1):
-            acc = math.fsum(
-                (j * (alpha + 1.0) - k) * u[j] * out[k - j] for j in range(1, k + 1)
-            )
-            out[k] = acc / (k * u[0])
+            weighted = (_J[1 : k + 1] * (alpha + 1.0) - k)[:, None] * u[1 : k + 1]
+            out[k] = _dot(weighted, out[:k][::-1]) / (k * u[0])
         return _check_cap(out, path)
     raise ValidationError(f"unknown op {op!r} at {path}")  # pragma: no cover
 
 
-def jet_eval(f: FunctionSpec, t: float, order: int) -> Jet:
-    """Exact Taylor coefficients of f at t up to ``order``."""
+def _taylor_table(f: FunctionSpec, points, order: int) -> np.ndarray:
+    """Taylor coefficients c_k of f, k = 0..order, at every point: shape
+    (order + 1, len(points)).  A failing node reports its first failing point."""
     if not (0 <= order <= K_MAX):
         raise ValidationError(f"jet order must be in [0, {K_MAX}], got {order}")
+    t = np.asarray(points, dtype=float)
     a, b = f.domain
-    if not (a - 1e-12 <= t <= b + 1e-12):
-        raise ValidationError(f"evaluation point {t} outside domain [{a}, {b}]")
-    coeffs = _propagate(f.expr, float(t), order, "root")
-    return Jet(center=float(t), order=order, coeffs=tuple(coeffs))
+    outside = t[~((a - 1e-12 <= t) & (t <= b + 1e-12))]
+    if outside.size:
+        raise ValidationError(f"evaluation point {outside[0]} outside domain [{a}, {b}]")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _propagate(f.expr, t, order, "root")
+
+
+def _derivative_table(f: FunctionSpec, points, order: int) -> np.ndarray:
+    """f^{(n)} for n = 0..order at every point: shape (order + 1, len(points))."""
+    return np.array(_FACT[: order + 1])[:, None] * _taylor_table(f, points, order)
+
+
+def jet_eval(f: FunctionSpec, t: float, order: int) -> Jet:
+    """Exact Taylor coefficients of f at t up to ``order``."""
+    coeffs = _taylor_table(f, [t], order)[:, 0]
+    return Jet(center=float(t), order=order, coeffs=tuple(coeffs.tolist()))
 
 
 def jet_derivatives(f: FunctionSpec, t: float, order: int) -> np.ndarray:
     """Vector f(t), f'(t), ..., f^{(order)}(t)."""
-    jet = jet_eval(f, t, order)
-    return np.array([_FACT[n] * jet.coeffs[n] for n in range(order + 1)])
+    return _derivative_table(f, [t], order)[:, 0]
+
+
+def domain_grid(f: FunctionSpec, grid_size: int) -> np.ndarray:
+    """The uniform grid on f's domain that every grid experiment scans."""
+    if not (2 <= grid_size <= GRID_MAX):
+        raise ValidationError(f"grid_size must be in [2, {GRID_MAX}], got {grid_size}")
+    a, b = f.domain
+    return np.linspace(a, b, grid_size)
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +361,12 @@ def derivative_envelope(
     f: FunctionSpec, nmax: int, grid_size: int = 256
 ) -> EnvelopeReport:
     """Grid maxima of |f^{(n)}|, n = 0..nmax, over a uniform grid."""
-    if grid_size < 2:
-        raise ValidationError("grid_size must be >= 2")
-    a, b = f.domain
-    grid = np.linspace(a, b, grid_size)
-    best = [-math.inf] * (nmax + 1)
-    for x in grid:
-        jet = jet_eval(f, float(x), nmax)
-        for n in range(nmax + 1):
-            value = abs(_FACT[n] * jet.coeffs[n])
-            if value > 0.0:
-                best[n] = max(best[n], math.log(value))
-    return EnvelopeReport(grid=tuple(float(v) for v in grid), m_est_log=tuple(best))
+    grid = domain_grid(f, grid_size)
+    peaks = np.abs(_derivative_table(f, grid, nmax)).max(axis=1)
+    return EnvelopeReport(
+        grid=tuple(grid.tolist()),
+        m_est_log=tuple(math.log(m) if m > 0.0 else -math.inf for m in peaks.tolist()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,66 +494,59 @@ def monotonicity_check(
         raise ValidationError(f"nmax must be in [0, {K_MAX}]")
     if weights.length >= 3 and not is_log_convex(weights):
         raise ValidationError("weight sequence must be log-convex")
-    a, _ = f.domain
-    at_a = jet_derivatives(f, a, nmax)
-    bad = [n for n in range(nmax + 1) if not (at_a[n] > 0.0)]
+    grid = domain_grid(f, grid_size)
+    table = _derivative_table(f, grid, nmax)  # column 0 is the left endpoint
+    bad = np.flatnonzero(~(table[:, 0] > 0.0)).tolist()
     if bad:
         raise ValidationError(
             f"derivative positivity fails at the left endpoint for n = {bad}"
         )
-    grid = np.linspace(f.domain[0], f.domain[1], grid_size)
-    table = np.empty((grid_size, nmax + 1))
-    for i, x in enumerate(grid):
-        table[i] = jet_derivatives(f, float(x), nmax)
-    for n in range(nmax + 1):
-        for i in range(grid_size):
-            if not (table[i, n] > 0.0):
-                return MonotonicityResult(holds=False, witness=(n, float(grid[i])))
-    return MonotonicityResult(holds=True, witness=None)
+    violations = ~(table > 0.0)
+    if not violations.any():
+        return MonotonicityResult(holds=True, witness=None)
+    n, i = np.unravel_index(np.argmax(violations), violations.shape)
+    return MonotonicityResult(holds=False, witness=(int(n), float(grid[i])))
 
 
-def _refine_zero(f: FunctionSpec, n: int, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Bisect a sign change of f^{(n)} down to ``tol`` in x."""
-    f_lo = jet_eval(f, lo, n).derivative(n)
-    if f_lo == 0.0:
-        return lo
+def _zeros_by_order(
+    f: FunctionSpec, grid: np.ndarray, table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros of every f^{(n)} in the table as (n, x) pairs in (n, then x)
+    order: grid points where it vanishes, and sign changes between
+    neighbouring points bisected to 1e-12 in x (or to an exact zero at a
+    midpoint); a zero within 1e-9 of the last one kept is dropped.  Rejects a
+    table with an order that has none."""
+    exact = table == 0.0
+    pos = table > 0.0
+    found = exact.copy()
+    found[:, :-1] |= ~exact[:, :-1] & ~exact[:, 1:] & (pos[:, :-1] != pos[:, 1:])
+    missing = ~found.any(axis=1)
+    if missing.any():
+        raise ValidationError(f"no zero found for derivative order {np.argmax(missing)}")
+    rows, cols = np.nonzero(found)
+    z = grid[cols]
+    # every sign change at once: one table per step over the live brackets
+    live = np.flatnonzero(~exact[rows, cols])
+    lo, hi, f_lo = grid[cols[live]], grid[cols[live] + 1], table[rows[live], cols[live]]
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = jet_eval(f, mid, n).derivative(n)
-        if f_mid == 0.0 or (hi - lo) < tol:
-            return mid
-        if (f_lo > 0) == (f_mid > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        if not live.size:
+            break
+        z[live] = mid = 0.5 * (lo + hi)
+        f_mid = _derivative_table(f, mid, len(table) - 1)[rows[live], np.arange(live.size)]
+        going = (f_mid != 0.0) & (hi - lo >= 1e-12)
+        same = (f_lo > 0) == (f_mid > 0)
+        lo, hi = np.where(same, mid, lo)[going], np.where(same, hi, mid)[going]
+        f_lo = np.where(same, f_mid, f_lo)[going]
+        live = live[going]
+    z[live] = 0.5 * (lo + hi)
 
-
-def _zeros_from_values(
-    f: FunctionSpec, n: int, grid: np.ndarray, values: np.ndarray
-) -> list[float]:
-    zeros: list[float] = []
-    for i in range(len(grid)):
-        if values[i] == 0.0:
-            if not zeros or abs(zeros[-1] - grid[i]) > 1e-9:
-                zeros.append(float(grid[i]))
-        elif (
-            i + 1 < len(grid)
-            and values[i + 1] != 0.0
-            and (values[i] > 0) != (values[i + 1] > 0)
-        ):
-            z = _refine_zero(f, n, float(grid[i]), float(grid[i + 1]))
-            if not zeros or abs(zeros[-1] - z) > 1e-9:
-                zeros.append(z)
-    return zeros
-
-
-def derivative_zeros(f: FunctionSpec, n: int, grid_size: int = 1024) -> list[float]:
-    """All zeros of f^{(n)} found by sign-change scan plus bisection."""
-    a, b = f.domain
-    grid = np.linspace(a, b, grid_size)
-    values = np.array([jet_eval(f, float(x), n).derivative(n) for x in grid])
-    return _zeros_from_values(f, n, grid, values)
+    keep = np.r_[True, (np.diff(z) > 1e-9) | (np.diff(rows) != 0)]
+    last = 0.0
+    for m in np.flatnonzero(~keep):  # zeros closer than 1e-9 to their neighbour
+        if keep[m - 1]:
+            last = z[m - 1]
+        keep[m] = z[m] - last > 1e-9
+    return rows[keep], z[keep]
 
 
 @dataclass(frozen=True)
@@ -568,41 +584,29 @@ def zero_spacing_experiment(
     if weights.length >= 3 and not is_log_convex(weights):
         raise ValidationError("weight sequence must be log-convex")
 
-    a, b = f.domain
-    grid = np.linspace(a, b, grid_size)
-    table = np.empty((grid_size, nmax + 1))
-    for i, x in enumerate(grid):
-        table[i] = jet_derivatives(f, float(x), nmax)
-
-    if not np.any(table[:, 0]):
+    grid = domain_grid(f, grid_size)
+    table = _derivative_table(f, grid, nmax)
+    if not np.any(table[0]):
         raise ValidationError("f vanishes at every grid point; nothing to chain")
+    grid_max = np.abs(table).max(axis=1).tolist()
     for n in range(nmax + 1):
-        grid_max = float(np.max(np.abs(table[:, n])))
-        if grid_max > math.exp(weights.logs[n]) * (1.0 + 1e-9):
+        if grid_max[n] > math.exp(weights.logs[n]) * (1.0 + 1e-9):
             raise ValidationError(
                 f"|f^({n})| exceeds M_{n} on the grid; the spacing bound needs "
                 "the envelope hypothesis"
             )
+    rows, zeros = _zeros_by_order(f, grid, table)
+    chain = [float(zeros[0])]
+    for n in range(1, nmax + 1):
+        # nearest zero; ties resolved toward the smaller abscissa (argmin
+        # takes the first of equal distances, and zeros are in x order)
+        z = zeros[rows == n]
+        chain.append(float(z[np.argmin(np.abs(z - chain[-1]))]))
 
-    chain: list[float] = []
-    for n in range(nmax + 1):
-        zeros = _zeros_from_values(f, n, grid, table[:, n])
-        if not zeros:
-            raise ValidationError(f"no zero found for derivative order {n}")
-        if n == 0:
-            chain.append(zeros[0])
-        else:
-            prev = chain[-1]
-            # nearest zero; ties resolved toward the smaller abscissa
-            best = min(zeros, key=lambda z: (abs(z - prev), z))
-            chain.append(best)
-
-    lhs = [0.0]
-    for j in range(nmax):
-        lhs.append(lhs[-1] + abs(chain[j] - chain[j + 1]))
-    rhs = [0.0]
-    for j in range(1, nmax + 1):
-        rhs.append(rhs[-1] + math.exp(weights.logs[j - 1] - weights.logs[j]) / math.e)
+    lhs = np.cumsum(np.r_[0.0, np.abs(np.diff(chain))])
+    logs = weights.logs
+    steps = [math.exp(logs[j - 1] - logs[j]) / math.e for j in range(1, nmax + 1)]
+    rhs = np.cumsum([0.0, *steps])
     return SpacingResult(
-        x=tuple(chain), lhs_partial=tuple(lhs), rhs_partial=tuple(rhs)
+        x=tuple(chain), lhs_partial=tuple(lhs.tolist()), rhs_partial=tuple(rhs.tolist())
     )

@@ -263,3 +263,38 @@ class TestMoreValidation:
         res = run_cli("weight", "analyze", "--mu", "power", "--t0", "2")
         assert res.returncode == 2
         assert "alpha" in res.stderr
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize(
+        "command,grid",
+        [("monotonic", "0"), ("monotonic", "-3"), ("envelope", "1"), ("spacing", str(2**14 + 1))],
+    )
+    def test_lab_grid_outside_bounds_exits_2(self, tmp_path, sin_fn, command, grid):
+        seq = tmp_path / "geom.json"
+        seq.write_text(json.dumps({"family": "explicit", "logs": [float(n) for n in range(8)]}))
+        argv = ["lab", command, "--fn", sin_fn, "--nmax", "2", "--grid", grid]
+        if command != "envelope":
+            argv += ["--seq", str(seq)]
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert "grid_size" in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("domain", [[0], 5, ["a", 1], [0, 1, 2], [1, 0], "ab"])
+    def test_malformed_domain_exits_2(self, tmp_path, domain):
+        fn = tmp_path / "fn.json"
+        fn.write_text(json.dumps({"expr": {"op": "x"}, "domain": domain}))
+        res = run_cli("lab", "envelope", "--fn", str(fn), "--nmax", "2")
+        assert res.returncode == 2
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert "domain" in res.stderr
+
+    @pytest.mark.parametrize("sweep", ["-5", "0"])
+    def test_gont_check_without_samples_exits_2(self, tmp_path, sweep):
+        nodes = tmp_path / "nodes.json"
+        nodes.write_text(json.dumps({"nodes": [0.0, 0.5]}))
+        res = run_cli("gont", "check", "--nodes", str(nodes), "--sweep", sweep)
+        assert res.returncode == 2
+        assert "--sweep" in res.stderr
+        assert res.stdout == ""

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .jets import FunctionSpec, jet_derivatives
+from .jets import FunctionSpec, _derivative_table
 from .sequences import RegularizedSequence
 
 
@@ -52,13 +52,16 @@ class BangVector:
 
     @classmethod
     def from_json(cls, doc) -> "BangVector":
-        if "entries" not in doc:
+        if not isinstance(doc, Mapping) or "entries" not in doc:
             raise ValidationError("bang vector JSON needs an 'entries' field")
-        entries = tuple(float(v) for v in doc["entries"])
         index_set = doc.get("index_set")
-        if index_set is None:
-            index_set = tuple(range(len(entries)))
-        return cls(entries=entries, index_set=tuple(int(k) for k in index_set))
+        try:
+            entries = tuple(float(v) for v in doc["entries"])
+            index_set = range(len(entries)) if index_set is None else index_set
+            index_set = tuple(int(k) for k in index_set)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError("entries and index_set must be lists of numbers") from None
+        return cls(entries=entries, index_set=index_set)
 
 
 @dataclass(frozen=True)
@@ -150,16 +153,19 @@ def function_sequence(
 ) -> BangVector:
     """Entries x_n = f^{(n)}(t) / (M^c_n e^n), with P defaulting to the
     principal indices of the regularized sequence."""
+    return _scaled_vectors(f, [t], reg, pset, jet_order)[0]
+
+
+def _scaled_vectors(f, points, reg, pset, jet_order) -> list[BangVector]:
+    """function_sequence at every point, from one derivative table."""
     n_len = reg.length
     order = n_len - 1 if jet_order is None else jet_order
     if order < n_len - 1:
         raise ValidationError("jet order must cover the sequence horizon")
-    derivs = jet_derivatives(f, t, order)[:n_len]
-    logs_c = reg.as_array()
-    scale = np.exp(-logs_c - np.arange(n_len))
-    entries = tuple(float(d * s) for d, s in zip(derivs, scale))
-    index_set = tuple(pset) if pset is not None else tuple(reg.principal)
-    return BangVector(entries=entries, index_set=index_set)
+    table = _derivative_table(f, points, order)[:n_len]
+    scaled = table * np.exp(-reg.logs_c - np.arange(n_len))[:, None]
+    index_set = tuple(pset) if pset is not None else reg.principal
+    return [BangVector(entries=tuple(x), index_set=index_set) for x in scaled.T.tolist()]
 
 
 @dataclass(frozen=True)
@@ -186,8 +192,7 @@ def growth_estimate_check(
     with l the smallest norm-achieving index >= 1 in P.  Rejected when the
     base vector is zero on the horizon or no achieving index >= 1 exists.
     """
-    base = function_sequence(f, t, reg, pset=pset, jet_order=jet_order)
-    shifted = function_sequence(f, t + tau, reg, pset=pset, jet_order=jet_order)
+    base, shifted = _scaled_vectors(f, [t, t + tau], reg, pset, jet_order)
     if all(v == 0.0 for v in base.entries):
         raise ValidationError("zero scaled-derivative vector; estimate undefined")
     base_norm = bang_norm(base)

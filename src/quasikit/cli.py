@@ -9,6 +9,7 @@ input digests, version, seed) reproduces byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -28,6 +29,9 @@ log = logging.getLogger("quasikit")
 
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
+# Largest --samples for ``weight analyze``.
+SAMPLES_MAX = 2**14
+
 
 def _configure_logging() -> None:
     level = _LOG_LEVELS.get(os.environ.get("QUASIKIT_LOG", "quiet"), logging.ERROR)
@@ -44,6 +48,14 @@ def _read_json(path: str) -> dict:
         raise ValidationError(f"malformed JSON in {path}: {exc}")
 
 
+def _read_field(path: str, key: str):
+    """The ``key`` field of the JSON object in ``path``."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValidationError(f"{path} must hold a JSON object with a '{key}' field")
+    return doc[key]
+
+
 def _write_json(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if out:
@@ -52,21 +64,13 @@ def _write_json(doc: dict, out: str | None) -> None:
         print(text)
 
 
-def emit_plotdata(rows: list[tuple[float, str, float]], path: str) -> None:
-    """Write flat (x, series, value) rows; construction order is preserved."""
-    lines = ["x,series,value"]
-    for x, series, value in rows:
-        lines.append(f"{x!r},{series},{value!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _series_rows(name: str, report) -> list[tuple[float, str, float]]:
-    rows = []
-    for i, term in enumerate(report.terms, start=1):
-        rows.append((float(i), f"{name}.term", term))
-    for i, total in enumerate(report.partial_sums, start=1):
-        rows.append((float(i), f"{name}.partial_sum", total))
-    return rows
+def emit_plotdata(blocks, path: str) -> None:
+    """Write flat (x, series, value) rows from (series, xs, values) column
+    blocks of Python floats, one block after another, streamed to the file."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("x,series,value\n")
+        for series, xs, values in blocks:
+            handle.write("".join(f"{x!r},{series},{v!r}\n" for x, v in zip(xs, values)))
 
 
 def _load_sequence(args, attr: str = "spec") -> sequences.LogSequence:
@@ -78,13 +82,14 @@ def _load_sequence(args, attr: str = "spec") -> sequences.LogSequence:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns the result document plus optional CSV rows)
+# subcommand handlers (each returns the result document plus the CSV column
+# blocks, built from the document's own lists)
 
 def _cmd_seq_make(args, manifest):
     seq = _load_sequence(args)
     return {
         "length": seq.length,
-        "logs": list(seq.logs),
+        "logs": seq.logs.tolist(),
         "generator": seq.generator,
         "filled": list(seq.filled),
     }, None
@@ -98,20 +103,20 @@ def _cmd_seq_regularize(args, manifest):
 
 def _cmd_seq_analyze(args, manifest):
     seq = _load_sequence(args)
-    report = qa.analyze(seq, sigma_div=args.sigma_div, eps_conv=args.eps_conv)
-    rows = (
-        _series_rows("carleman", report.carleman)
-        + _series_rows("root_c", report.root_c)
-        + _series_rows("ratio_c", report.ratio_c)
-    )
-    return report.to_json(), rows
+    doc = qa.analyze(seq, sigma_div=args.sigma_div, eps_conv=args.eps_conv).to_json()
+    blocks = [
+        (f"{name}.{row}", itertools.count(1.0), doc[name][key])
+        for name in ("carleman", "root_c", "ratio_c")
+        for row, key in (("term", "terms"), ("partial_sum", "partial_sums"))
+    ]
+    return doc, blocks
 
 
 def _cmd_bang_norm(args, manifest):
     doc = _read_json(args.vector)
     if args.pset:
         doc = dict(doc)
-        doc["index_set"] = _read_json(args.pset)["index_set"]
+        doc["index_set"] = _read_field(args.pset, "index_set")
     vector = bang.BangVector.from_json(doc)
     return bang.bang_norm(vector).to_json(), None
 
@@ -123,18 +128,17 @@ def _cmd_bang_distance(args, manifest):
 
 
 def _cmd_gont_build(args, manifest):
-    nodes = _read_json(args.nodes)["nodes"]
-    return gontcharoff.build(nodes).to_json(), None
+    return gontcharoff.build(_read_field(args.nodes, "nodes")).to_json(), None
 
 
 def _cmd_gont_eval(args, manifest):
-    nodes = _read_json(args.nodes)["nodes"]
-    poly = gontcharoff.build(nodes)
+    poly = gontcharoff.build(_read_field(args.nodes, "nodes"))
     return {"degree": poly.degree, "x": args.x, "value": poly.eval(args.x)}, None
 
 
 def _cmd_gont_check(args, manifest):
-    nodes = [float(v) for v in _read_json(args.nodes)["nodes"]]
+    # build applies the node checks every gont command shares
+    nodes = list(gontcharoff.build(_read_field(args.nodes, "nodes")).nodes)
     n = len(nodes)
     if n < 1:
         raise ValidationError("gont check needs at least one node")
@@ -197,13 +201,9 @@ def _cmd_gont_check(args, manifest):
 
 def _cmd_lab_envelope(args, manifest):
     f = jets.FunctionSpec.from_json(_read_json(args.fn))
-    report = jets.derivative_envelope(f, args.nmax, grid_size=args.grid)
-    rows = [
-        (float(n), "m_est_log", value) for n, value in enumerate(report.m_est_log)
-    ]
-    doc = report.to_json()
+    doc = jets.derivative_envelope(f, args.nmax, grid_size=args.grid).to_json()
     doc["note"] = "grid maxima are lower bounds of the true sup"
-    return doc, rows
+    return doc, [("m_est_log", itertools.count(0.0), doc["m_est_log"])]
 
 
 def _cmd_lab_monotonic(args, manifest):
@@ -219,40 +219,32 @@ def _cmd_lab_monotonic(args, manifest):
 def _cmd_lab_spacing(args, manifest):
     f = jets.FunctionSpec.from_json(_read_json(args.fn))
     seq = _load_sequence(args, attr="seq")
-    result = jets.zero_spacing_experiment(f, seq, args.nmax, grid_size=args.grid)
-    rows = [(float(k), "x", v) for k, v in enumerate(result.x)]
-    rows += [(float(k), "lhs_partial", v) for k, v in enumerate(result.lhs_partial)]
-    rows += [(float(k), "rhs_partial", v) for k, v in enumerate(result.rhs_partial)]
-    return result.to_json(), rows
+    doc = jets.zero_spacing_experiment(f, seq, args.nmax, grid_size=args.grid).to_json()
+    return doc, [
+        (name, itertools.count(0.0), doc[name]) for name in ("x", "lhs_partial", "rhs_partial")
+    ]
 
 
 def _cmd_weight_analyze(args, manifest):
+    if not 1 <= args.samples <= SAMPLES_MAX:
+        raise ValidationError(f"--samples must be in [1, {SAMPLES_MAX}], got {args.samples}")
     w = weights.make_weight(args.mu, args.t0, alpha=args.alpha)
     slope_at_origin = weights.m_eval(w, w.t0 + 1.0).m1
     r_start = 1.01 * np.exp(slope_at_origin)
     if args.rmax <= r_start * 2:
         raise ValidationError(f"--rmax must exceed {r_start * 2:g} for this t0")
     grid = np.exp(np.linspace(np.log(r_start), np.log(args.rmax), args.samples))
-    r_values, lam_log, om, lam_int_log = [], [], [], []
-    for r in grid:
-        r = float(r)
-        r_values.append(r)
-        lam_log.append(weights.weight_inf(w, r).log_value)
-        om.append(weights.omega(w, r))
-        lam_int_log.append(weights.weight_inf_integer(w, r))
+    r_values = grid.tolist()
     doc = {
         "mu": args.mu,
         "t0": w.t0,
         "delta": w.delta,
         "r": r_values,
-        "Lambda_log": lam_log,
-        "omega": om,
-        "lambda_log": lam_int_log,
+        "Lambda_log": [weights.weight_inf(w, r).log_value for r in r_values],
+        "omega": [weights.omega(w, r) for r in r_values],
+        "lambda_log": [weights.weight_inf_integer(w, r) for r in r_values],
     }
-    rows = [(r, "Lambda_log", v) for r, v in zip(r_values, lam_log)]
-    rows += [(r, "omega", v) for r, v in zip(r_values, om)]
-    rows += [(r, "lambda_log", v) for r, v in zip(r_values, lam_int_log)]
-    return doc, rows
+    return doc, [(name, r_values, doc[name]) for name in ("Lambda_log", "omega", "lambda_log")]
 
 
 def _cmd_weight_check(args, manifest):
@@ -425,7 +417,7 @@ def dispatch(argv: list[str]) -> int:
 
     started = time.monotonic()
     try:
-        doc, rows = args.handler(args, manifest)
+        doc, blocks = args.handler(args, manifest)
     except ValidationError as exc:
         print(f"quasikit: {exc}", file=sys.stderr)
         return 2
@@ -443,7 +435,7 @@ def dispatch(argv: list[str]) -> int:
     _write_json(output, getattr(args, "out", None))
     csv_path = getattr(args, "csv", None)
     if csv_path:
-        emit_plotdata(rows or [], csv_path)
+        emit_plotdata(blocks or [], csv_path)
     return 0
 
 

@@ -80,7 +80,10 @@ def build(nodes: Sequence[float]) -> GontcharoffPoly:
     and fixes the constant term so the value at the newly prepended node
     vanishes.
     """
-    node_list = [float(v) for v in nodes]
+    try:
+        node_list = [float(v) for v in nodes]
+    except (TypeError, ValueError):
+        raise ValidationError("nodes must be a list of numbers") from None
     n = len(node_list)
     if n > DEGREE_CAP:
         raise ValidationError(

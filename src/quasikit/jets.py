@@ -403,13 +403,14 @@ def derivative_tail_sup(
         jet = jet_eval(f, t, horizon)
     elif jet.order < horizon:
         raise ValidationError("supplied jet order is below the horizon")
+    logs = weights.logs[: horizon + 1].tolist()
     best = -math.inf
     arg = -1
     for j in range(n, horizon + 1):
         deriv = _FACT[j] * jet.coeffs[j]
         if deriv == 0.0:
             continue
-        term = math.log(abs(deriv)) - j - weights.logs[j]
+        term = math.log(abs(deriv)) - j - logs[j]
         if term > best:
             best = term
             arg = j
@@ -454,8 +455,11 @@ def translation_estimate_check(
         raise ValidationError("q exceeds weight sequence length")
     if weights.length >= 3 and not is_log_convex(weights):
         raise ValidationError("weight sequence must be log-convex")
-    base = derivative_tail_sup(f, t, n, weights, horizon)
-    shifted = derivative_tail_sup(f, t + tau, n, weights, horizon)
+    columns = _taylor_table(f, [t, t + tau], horizon).T.tolist()
+    base, shifted = (
+        derivative_tail_sup(f, p, n, weights, horizon, jet=Jet(float(p), horizon, tuple(c)))
+        for p, c in zip((t, t + tau), columns)
+    )
     if base.arg_j < 0 or shifted.arg_j < 0:
         raise ValidationError("suffix sup vanished on the horizon; nothing to check")
     ratio = math.exp(weights.logs[q] - weights.logs[q - 1])

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .sequences import LogSequence, RegularizedSequence, convex_regularize
+from .sequences import LogSequence, RegularizedSequence, _frozen, convex_regularize
 from .series import EPS_CONV, SIGMA_DIV, SeriesReport, diagnose_series
 
 # Flag threshold for the trivial quasianalytic case: the sequence's n-th
@@ -33,14 +33,15 @@ def beta_sequence(seq: LogSequence) -> np.ndarray:
     """log beta_n = min_{n <= k < N} L_k / k for n = 1..N-1 (suffix minimum)."""
     if seq.length < 2:
         raise ValidationError("beta_sequence needs at least 2 entries")
-    logs = seq.logs
-    n_len = seq.length
-    out = np.empty(n_len - 1, dtype=float)
-    running = math.inf
-    for k in range(n_len - 1, 0, -1):
-        running = min(running, logs[k] / k)
-        out[k - 1] = running
-    return out
+    ratios = (seq.logs[1:] / np.arange(1, seq.length))[::-1]
+    out = np.minimum.accumulate(ratios)
+    # of two equal values a running min() keeps the first it met, the ufunc
+    # the last; only 0.0 and -0.0 tell them apart, and once the minimum
+    # reaches zero the first zero met stays until a negative value
+    zero = out == 0.0
+    if zero.any():
+        out[zero] = ratios[np.argmax(ratios == 0.0)]
+    return out[::-1]
 
 
 def carleman_series(
@@ -49,8 +50,7 @@ def carleman_series(
     eps_conv: float = EPS_CONV,
 ) -> SeriesReport:
     """Terms 1/beta_n for n = 1..N-1, with the trend verdict."""
-    log_beta = beta_sequence(seq)
-    terms = np.exp(-log_beta)
+    terms = np.exp(-beta_sequence(seq))
     return diagnose_series(terms, sigma_div=sigma_div, eps_conv=eps_conv)
 
 
@@ -62,9 +62,7 @@ def root_series(
     """Terms exp(-L^c_n / n) for n = 1..N-1."""
     if reg.length < 2:
         raise ValidationError("root_series needs at least 2 entries")
-    logs_c = reg.as_array()
-    n = np.arange(1, reg.length, dtype=float)
-    terms = np.exp(-logs_c[1:] / n)
+    terms = np.exp(-reg.logs_c[1:] / np.arange(1, reg.length, dtype=float))
     return diagnose_series(terms, sigma_div=sigma_div, eps_conv=eps_conv)
 
 
@@ -76,7 +74,7 @@ def ratio_series(
     """Terms exp(L^c_{n-1} - L^c_n) for n = 1..N-1."""
     if reg.length < 2:
         raise ValidationError("ratio_series needs at least 2 entries")
-    logs_c = reg.as_array()
+    logs_c = reg.logs_c
     terms = np.exp(logs_c[:-1] - logs_c[1:])
     return diagnose_series(terms, sigma_div=sigma_div, eps_conv=eps_conv)
 
@@ -94,18 +92,15 @@ def carleman_inequality_check(a: Sequence[float]) -> CarlemanCheck:
     The left side accumulates running log-sums so products of thousands of
     factors never overflow.
     """
-    values = [float(v) for v in a]
-    if not values:
+    values = _frozen(a, "a")
+    if not values.size:
         raise ValidationError("carleman_inequality_check needs a nonempty input")
-    for k, v in enumerate(values):
-        if not (v > 0) or not math.isfinite(v):
-            raise ValidationError(f"entry a[{k}] = {v!r} is not a positive real")
-    lhs = 0.0
-    log_prod = 0.0
-    for k, v in enumerate(values, start=1):
-        log_prod += math.log(v)
-        lhs += math.exp(log_prod / k)
-    rhs = math.e * math.fsum(values)
+    bad = np.flatnonzero(~(values > 0))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"entry a[{i}] = {values[i].item()!r} is not a positive real")
+    lhs = float(np.exp(np.cumsum(np.log(values)) / np.arange(1, values.size + 1)).sum())
+    rhs = math.e * math.fsum(values.tolist())
     return CarlemanCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs)
 
 
@@ -117,17 +112,16 @@ def liminf_check(seq: LogSequence, cap: float = LIMINF_CAP) -> bool:
     """
     if seq.length < 8:
         raise ValidationError("liminf_check needs at least 8 entries")
-    logs = seq.logs
     half = seq.length // 2
-    tail_min = min(logs[n] / n for n in range(half, seq.length))
+    tail_min = float((seq.logs[half:] / np.arange(half, seq.length)).min())
     return tail_min < cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QAReport:
     """Aggregate of the three criterion series for one sequence."""
 
-    beta: tuple[float, ...]
+    beta: np.ndarray
     carleman: SeriesReport
     root_c: SeriesReport
     ratio_c: SeriesReport
@@ -139,7 +133,7 @@ class QAReport:
 
     def to_json(self) -> dict:
         return {
-            "beta": list(self.beta),
+            "beta": self.beta.tolist(),
             "carleman": self.carleman.to_json(),
             "root_c": self.root_c.to_json(),
             "ratio_c": self.ratio_c.to_json(),
@@ -180,11 +174,12 @@ def analyze(
         raise ValidationError("analyze needs at least 8 entries")
     reg = convex_regularize(seq)
     log_beta = beta_sequence(seq)
-    rep_c = diagnose_series(np.exp(-log_beta), sigma_div=sigma_div, eps_conv=eps_conv)
+    log_beta.flags.writeable = False
+    rep_c = carleman_series(seq, sigma_div=sigma_div, eps_conv=eps_conv)
     rep_root = root_series(reg, sigma_div=sigma_div, eps_conv=eps_conv)
     rep_ratio = ratio_series(reg, sigma_div=sigma_div, eps_conv=eps_conv)
     return QAReport(
-        beta=tuple(float(v) for v in log_beta),
+        beta=log_beta,
         carleman=rep_c,
         root_c=rep_root,
         ratio_c=rep_ratio,

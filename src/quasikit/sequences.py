@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,8 +26,28 @@ _EQ_RTOL = 1e-12
 
 FAMILIES = ("explicit", "factorial", "power_nn", "gevrey", "denjoy1", "denjoy2")
 
+# Largest horizon; a catalog horizon is checked before anything is allocated.
+HORIZON_MAX = 2**22
 
-@dataclass(frozen=True)
+
+def _frozen(values, name: str = "logs") -> np.ndarray:
+    """A read-only float64 copy of ``values``, which must be a flat list of
+    finite numbers."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a list of numbers") from None
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be a flat list of numbers")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        n = int(bad[0])
+        raise ValidationError(f"{name}[{n}] = {arr[n].item()!r} is not finite")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class LogSequence:
     """A finite positive weight sequence, stored as log values.
 
@@ -36,30 +56,26 @@ class LogSequence:
     validity threshold whose entries were padded with the normalization 0.
     """
 
-    logs: tuple[float, ...]
+    logs: np.ndarray
     generator: str = "explicit"
     filled: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if len(self.logs) < 1:
+        logs = _frozen(self.logs)
+        if logs.size < 1:
             raise ValidationError("LogSequence needs at least one entry")
-        if self.logs[0] != 0.0:
+        if logs[0] != 0.0:
             raise ValidationError(
-                f"normalization requires logs[0] == 0, got {self.logs[0]!r}"
+                f"normalization requires logs[0] == 0, got {logs[0].item()!r}"
             )
-        for n, value in enumerate(self.logs):
-            if not math.isfinite(value):
-                raise ValidationError(f"logs[{n}] = {value!r} is not finite")
+        object.__setattr__(self, "logs", logs)
 
     @property
     def length(self) -> int:
         return len(self.logs)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.logs, dtype=float)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularizedSequence:
     """Largest convex minorant of a LogSequence, with its principal indices.
 
@@ -67,28 +83,28 @@ class RegularizedSequence:
     ``principal``; between consecutive hull vertices the minorant is affine.
     """
 
-    logs_c: tuple[float, ...]
+    logs_c: np.ndarray
     principal: tuple[int, ...]
 
     @property
     def length(self) -> int:
         return len(self.logs_c)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.logs_c, dtype=float)
-
     def to_json(self) -> dict:
-        return {"logs_c": list(self.logs_c), "principal": list(self.principal)}
+        return {"logs_c": self.logs_c.tolist(), "principal": list(self.principal)}
 
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Recipe for a catalog weight sequence (or an explicit log vector)."""
+    """Recipe for a catalog weight sequence (or an explicit log vector).
+
+    Two specs are equal when their JSON forms are.
+    """
 
     family: str
     horizon: int = 0
     params: Mapping[str, float] = field(default_factory=dict)
-    logs: tuple[float, ...] | None = None
+    logs: np.ndarray | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -98,18 +114,20 @@ class SequenceSpec:
         if self.family == "explicit":
             if self.logs is None:
                 raise ValidationError("explicit family requires 'logs'")
-            object.__setattr__(self, "logs", tuple(float(v) for v in self.logs))
+            object.__setattr__(self, "logs", _frozen(self.logs))
             object.__setattr__(self, "horizon", len(self.logs))
-        if self.horizon < 3:
-            raise ValidationError(f"horizon must be >= 3, got {self.horizon}")
-        if self.family == "gevrey":
-            s = self.params.get("s")
-            if s is None or not (s > 0):
-                raise ValidationError("gevrey requires parameter s > 0")
-        if self.family in ("denjoy1", "denjoy2"):
-            c = self.params.get("C")
-            if c is None or not (c > 0):
-                raise ValidationError(f"{self.family} requires parameter C > 0")
+        if not 3 <= self.horizon <= HORIZON_MAX:
+            raise ValidationError(f"horizon must be in [3, {HORIZON_MAX}], got {self.horizon}")
+        key = {"gevrey": "s", "denjoy1": "C", "denjoy2": "C"}.get(self.family)
+        if key is not None:
+            value = self.params.get(key)
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ValidationError(f"{self.family} requires parameter {key} > 0")
+
+    def __eq__(self, other):
+        if not isinstance(other, SequenceSpec):
+            return NotImplemented
+        return self.to_json() == other.to_json()
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SequenceSpec":
@@ -117,16 +135,16 @@ class SequenceSpec:
             raise ValidationError("sequence spec JSON needs a 'family' field")
         family = doc["family"]
         if family == "explicit":
-            return cls(family="explicit", logs=tuple(doc.get("logs", ())))
-        return cls(
-            family=family,
-            horizon=int(doc.get("horizon", 0)),
-            params=dict(doc.get("params", {})),
-        )
+            return cls(family="explicit", logs=doc.get("logs", ()))
+        try:
+            horizon, params = int(doc.get("horizon", 0)), dict(doc.get("params", {}))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError("spec needs an integer horizon and object params") from None
+        return cls(family=family, horizon=horizon, params=params)
 
     def to_json(self) -> dict:
         if self.family == "explicit":
-            return {"family": "explicit", "logs": list(self.logs or ())}
+            return {"family": "explicit", "logs": self.logs.tolist()}
         return {
             "family": self.family,
             "params": dict(self.params),
@@ -141,51 +159,38 @@ def make_sequence(spec: SequenceSpec, horizon: int | None = None) -> LogSequence
     Entries below a family's validity threshold are set to the
     normalization value 0 and reported through ``filled``.
     """
-    n_total = spec.horizon if horizon is None else int(horizon)
-    if spec.family != "explicit" and horizon is not None and n_total < 3:
-        raise ValidationError(f"horizon must be >= 3, got {n_total}")
-
-    filled: list[int] = []
     if spec.family == "explicit":
-        logs = list(spec.logs or ())
+        logs = spec.logs.copy()
         logs[0] = 0.0
-        return LogSequence(logs=tuple(logs), generator="explicit")
+        return LogSequence(logs=logs, generator="explicit")
 
-    logs = [0.0] * n_total
+    n_total = spec.horizon if horizon is None else int(horizon)
+    if not 3 <= n_total <= HORIZON_MAX:
+        raise ValidationError(f"horizon must be in [3, {HORIZON_MAX}], got {n_total}")
+    # math per index: np.log differs from math.log in the last ulp at some n
     if spec.family == "factorial":
-        for n in range(n_total):
-            logs[n] = math.lgamma(n + 1)
-        tag = "factorial"
+        first, term, tag = 0, lambda n: math.lgamma(n + 1), "factorial"
     elif spec.family == "power_nn":
-        for n in range(2, n_total):
-            logs[n] = n * math.log(n)
-        tag = "power_nn"
+        first, term, tag = 2, lambda n: n * math.log(n), "power_nn"
     elif spec.family == "gevrey":
         s = float(spec.params["s"])
-        for n in range(n_total):
-            logs[n] = s * math.lgamma(n + 1)
-        tag = f"gevrey(s={s:g})"
+        first, term, tag = 0, lambda n: s * math.lgamma(n + 1), f"gevrey(s={s:g})"
     elif spec.family == "denjoy1":
         c = float(spec.params["C"])
-        for n in range(n_total):
-            if n >= 2:
-                logs[n] = n * math.log(c * n * math.log(n))
-            else:
-                filled.append(n)
-        tag = f"denjoy1(C={c:g})"
+        first, tag = 2, f"denjoy1(C={c:g})"
+        term = lambda n: n * math.log(c * n * math.log(n))
     elif spec.family == "denjoy2":
         c = float(spec.params["C"])
-        for n in range(n_total):
-            if n >= 3:  # validity requires n > e
-                logs[n] = n * math.log(c * n * math.log(n) * math.log(math.log(n)))
-            else:
-                filled.append(n)
-        tag = f"denjoy2(C={c:g})"
+        first, tag = 3, f"denjoy2(C={c:g})"  # validity requires n > e
+        term = lambda n: n * math.log(c * n * math.log(n) * math.log(math.log(n)))
     else:  # pragma: no cover - guarded by SequenceSpec
         raise ValidationError(f"unknown family {spec.family!r}")
 
+    logs = np.zeros(n_total)
+    logs[first:] = np.fromiter(map(term, range(first, n_total)), float, n_total - first)
     logs[0] = 0.0
-    return LogSequence(logs=tuple(logs), generator=tag, filled=tuple(filled))
+    filled = tuple(range(first)) if spec.family.startswith("denjoy") else ()
+    return LogSequence(logs=logs, generator=tag, filled=filled)
 
 
 def _lower_hull_vertices(logs: Sequence[float]) -> list[int]:
@@ -217,19 +222,22 @@ def convex_regularize(seq: LogSequence) -> RegularizedSequence:
     if seq.length < 2:
         raise ValidationError("convex_regularize needs at least 2 entries")
     logs = seq.logs
-    vertices = _lower_hull_vertices(logs)
+    vertices = np.array(_lower_hull_vertices(logs.tolist()))
 
-    hull = list(logs)
-    for a, b in zip(vertices, vertices[1:]):
-        ya, yb = logs[a], logs[b]
-        slope = (yb - ya) / (b - a)
-        for n in range(a + 1, b):
-            hull[n] = ya + slope * (n - a)
+    # each point between two vertices a < n < b sits on the chord a -> b
+    inner = np.ones(seq.length, dtype=bool)
+    inner[vertices] = False
+    n = np.flatnonzero(inner)
+    k = np.searchsorted(vertices, n)
+    a, b = vertices[k - 1], vertices[k]
+    ya = logs[a]
+    hull = logs.copy()
+    hull[n] = ya + (logs[b] - ya) / (b - a) * (n - a)
+    hull.flags.writeable = False
 
-    scale = max(1.0, max(abs(v) for v in logs))
-    tol = _EQ_RTOL * scale
-    principal = tuple(n for n in range(len(logs)) if hull[n] >= logs[n] - tol)
-    return RegularizedSequence(logs_c=tuple(hull), principal=principal)
+    tol = _EQ_RTOL * max(1.0, float(np.abs(logs).max()))
+    principal = tuple(np.flatnonzero(hull >= logs - tol).tolist())
+    return RegularizedSequence(logs_c=hull, principal=principal)
 
 
 def is_log_convex(seq: LogSequence, tol: float = TOL_CONVEX) -> bool:
@@ -237,10 +245,7 @@ def is_log_convex(seq: LogSequence, tol: float = TOL_CONVEX) -> bool:
     if seq.length < 3:
         raise ValidationError("is_log_convex needs at least 3 entries")
     logs = seq.logs
-    return all(
-        2.0 * logs[n] <= logs[n - 1] + logs[n + 1] + tol
-        for n in range(1, len(logs) - 1)
-    )
+    return bool(np.all(2.0 * logs[1:-1] <= logs[:-2] + logs[2:] + tol))
 
 
 def ratio_sequence(seq: LogSequence) -> np.ndarray:
@@ -251,14 +256,11 @@ def ratio_sequence(seq: LogSequence) -> np.ndarray:
     """
     if seq.length < 2:
         raise ValidationError("ratio_sequence needs at least 2 entries")
-    logs = seq.as_array()
-    return logs[:-1] - logs[1:]
+    return seq.logs[:-1] - seq.logs[1:]
 
 
 def root_sequence(seq: LogSequence) -> np.ndarray:
     """rho_n = L_n / n (log of M_n^{1/n}), n = 1..N-1."""
     if seq.length < 2:
         raise ValidationError("root_sequence needs at least 2 entries")
-    logs = seq.as_array()
-    n = np.arange(1, seq.length, dtype=float)
-    return logs[1:] / n
+    return seq.logs[1:] / np.arange(1, seq.length, dtype=float)

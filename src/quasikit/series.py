@@ -32,25 +32,19 @@ SIGMA_DIV = 0.01
 EPS_CONV = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesReport:
     """First K terms of a nonnegative series plus a trend verdict."""
 
-    terms: tuple[float, ...]
-    partial_sums: tuple[float, ...]
+    terms: np.ndarray
+    partial_sums: np.ndarray
     verdict: str
     slope_estimate: float
 
-    def terms_array(self) -> np.ndarray:
-        return np.asarray(self.terms, dtype=float)
-
-    def partial_array(self) -> np.ndarray:
-        return np.asarray(self.partial_sums, dtype=float)
-
     def to_json(self) -> dict:
         return {
-            "terms": list(self.terms),
-            "partial_sums": list(self.partial_sums),
+            "terms": self.terms.tolist(),
+            "partial_sums": self.partial_sums.tolist(),
             "verdict": self.verdict,
             "slope_estimate": self.slope_estimate,
         }
@@ -82,7 +76,7 @@ def diagnose_series(
 
     ``xs`` are the fit abscissae; by default log of the 1-based ordinal.
     """
-    t = np.asarray(terms, dtype=float)
+    t = np.array(terms, dtype=float)
     if t.size < 2:
         raise ValidationError("diagnose_series needs at least 2 terms")
     if np.any(t < 0):
@@ -103,9 +97,10 @@ def diagnose_series(
         verdict = CONVERGING
     else:
         verdict = INCONCLUSIVE
+    t.flags.writeable = sums.flags.writeable = False
     return SeriesReport(
-        terms=tuple(float(v) for v in t),
-        partial_sums=tuple(float(v) for v in sums),
+        terms=t,
+        partial_sums=sums,
         verdict=verdict,
         slope_estimate=slope,
     )

@@ -213,3 +213,16 @@ def test_from_json_defaults_to_full_index_set():
     assert v.index_set == (0, 1, 2)
     with pytest.raises(qk.ValidationError):
         qk.BangVector.from_json({"index_set": [0]})
+
+
+def test_growth_check_reads_one_table(reg_factorial_40):
+    # both vectors come from one two-point table, bit for bit the one-point ones
+    f = sin_spec()
+    for t, tau in ((0.2, 0.5), (0.8, -0.3)):
+        chk = qk.growth_estimate_check(f, t, tau, reg_factorial_40, jet_order=48)
+        base = qk.function_sequence(f, t, reg_factorial_40, jet_order=48)
+        shifted = qk.function_sequence(f, t + tau, reg_factorial_40, jet_order=48)
+        assert chk.lhs == qk.bang_norm(shifted).value
+        logs_c = reg_factorial_40.logs_c
+        ratio = math.exp(logs_c[chk.witness_l] - logs_c[chk.witness_l - 1])
+        assert chk.rhs == qk.bang_norm(base).value * math.exp(math.e * abs(tau) * ratio)

@@ -298,3 +298,73 @@ class TestInputBounds:
         assert res.returncode == 2
         assert "--sweep" in res.stderr
         assert res.stdout == ""
+
+
+MALFORMED_INPUTS = {
+    "horizon-not-int": ("seq make --spec", {"family": "factorial", "horizon": "abc"}),
+    "param-is-string": ("seq make --spec", {"family": "gevrey", "params": {"s": "2"}, "horizon": 9}),
+    "params-not-object": ("seq make --spec", {"family": "factorial", "params": 5, "horizon": 9}),
+    "logs-with-string": ("seq make --spec", {"family": "explicit", "logs": [0, "a", 1]}),
+    "logs-nested": ("seq make --spec", {"family": "explicit", "logs": [[0, 1], [2, 3]]}),
+    "logs-ragged": ("seq analyze --spec", {"family": "explicit", "logs": [[0], [1, 2]]}),
+    "logs-scalar": ("seq regularize --spec", {"family": "explicit", "logs": 5}),
+    "spec-not-object": ("seq make --spec", [0, 1, 2]),
+    "horizon-over-cap": (
+        "seq make --spec", {"family": "factorial", "horizon": qk.sequences.HORIZON_MAX + 1}
+    ),
+    "horizon-flag-over-cap": (
+        f"seq make --horizon {qk.sequences.HORIZON_MAX + 1} --spec",
+        {"family": "factorial", "horizon": 9},
+    ),
+    "entries-scalar": ("bang norm --vector", {"entries": 5}),
+    "entries-with-string": ("bang norm --vector", {"entries": [1.0, "a"]}),
+    "index-set-with-string": ("bang norm --vector", {"entries": [1.0, 2.0], "index_set": ["x"]}),
+    "vector-not-object": ("bang norm --vector", [1.0, 2.0]),
+    "nodes-bare-list": ("gont build --nodes", [0.0, 1.0]),
+    "nodes-with-string": ("gont eval --x 0.5 --nodes", {"nodes": [0.0, "a"]}),
+    "check-nodes-bare-list": ("gont check --nodes", [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
+    from quasikit.cli import dispatch
+
+    command, doc = MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code = dispatch([*command.split(), str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("quasikit: ")
+    assert "internal" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", str(2**14 + 1)])
+def test_weight_samples_outside_bounds_exit_2(capsys, samples):
+    from quasikit.cli import dispatch
+
+    code = dispatch(["weight", "analyze", "--mu", "loglog", "--samples", samples])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "--samples" in err and len(err.strip().splitlines()) == 1
+
+
+def test_pset_without_index_set_exits_2(tmp_path, capsys):
+    from quasikit.cli import dispatch
+
+    vec = tmp_path / "v.json"
+    vec.write_text(json.dumps({"entries": [0.5, 0.0]}))
+    pset = tmp_path / "p.json"
+    pset.write_text(json.dumps({"indices": [0]}))
+    assert dispatch(["bang", "norm", "--vector", str(vec), "--pset", str(pset)]) == 2
+    assert "index_set" in capsys.readouterr().err
+
+
+def test_plotdata_streams_column_blocks(tmp_path):
+    from quasikit.cli import emit_plotdata
+
+    path = tmp_path / "blocks.csv"
+    emit_plotdata([("a", [1.0, 2.0], [0.5, -math.inf]), ("b", [3.0], [1e-300])], str(path))
+    assert path.read_text() == "x,series,value\n1.0,a,0.5\n2.0,a,-inf\n3.0,b,1e-300\n"

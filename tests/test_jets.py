@@ -274,6 +274,22 @@ class TestTranslationEstimate:
         with pytest.raises(qk.ValidationError):
             qk.translation_estimate_check(zero, ones_sequence(40), 0.2, 0.1, 0, 2, 39)
 
+    def test_two_column_table_matches_one_point_jets(self):
+        # both suffix sups come from one two-point table, bit for bit the
+        # values two one-point jets give
+        seq = qk.make_sequence(qk.SequenceSpec(family="factorial", horizon=40))
+        for f in (flat_spec(), sin_spec()):
+            for t, tau in ((0.3, 0.25), (0.9, -0.4)):
+                chk = qk.translation_estimate_check(f, seq, t, tau, 2, 5, 39)
+                base = qk.derivative_tail_sup(f, t, 2, seq, 39)
+                shifted = qk.derivative_tail_sup(f, t + tau, 2, seq, 39)
+                assert chk.lhs_log == shifted.log_value
+                rhs = max(base.log_value, -5.0) + math.e * abs(tau) * math.exp(
+                    seq.logs[5] - seq.logs[4]
+                )
+                assert chk.rhs_log == rhs
+                assert type(chk.ok) is bool and type(chk.lhs_log) is float
+
 
 class TestMonotonicity:
     def test_exp_holds(self):

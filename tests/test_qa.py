@@ -47,9 +47,9 @@ class TestSeriesReports:
         rng = np.random.default_rng(5)
         terms = rng.uniform(0, 3, 500)
         rep = diagnose_series(terms)
-        sums = rep.partial_array()
+        sums = rep.partial_sums
         assert np.all(np.diff(sums) >= -1e-15)
-        recomputed = np.cumsum(rep.terms_array())
+        recomputed = np.cumsum(rep.terms)
         assert np.allclose(sums, recomputed, rtol=1e-12)
 
     def test_constant_terms_diverge(self):
@@ -74,22 +74,22 @@ class TestSeriesReports:
         reg = qk.convex_regularize(seq)
         a = qk.carleman_series(seq)
         b = qk.root_series(reg)
-        assert np.allclose(a.terms_array(), b.terms_array(), rtol=1e-12)
+        assert np.allclose(a.terms, b.terms, rtol=1e-12)
 
     def test_ratio_series_closed_forms(self, catalog_2000):
         reg_f = qk.convex_regularize(catalog_2000["factorial"])
-        terms = qk.ratio_series(reg_f).terms_array()
+        terms = qk.ratio_series(reg_f).terms
         n = np.arange(1, 2000)
         assert np.allclose(terms, 1.0 / n, rtol=1e-9)
         reg_g = qk.convex_regularize(catalog_2000["gevrey2"])
-        terms = qk.ratio_series(reg_g).terms_array()
+        terms = qk.ratio_series(reg_g).terms
         assert np.allclose(terms, 1.0 / n**2, rtol=1e-9)
 
     def test_constant_sequence_reports(self):
         seq = ones_sequence(64)
         reg = qk.convex_regularize(seq)
         for rep in (qk.carleman_series(seq), qk.root_series(reg), qk.ratio_series(reg)):
-            assert np.allclose(rep.terms_array(), 1.0)
+            assert np.allclose(rep.terms, 1.0)
             assert rep.verdict == DIVERGING
 
 
@@ -170,9 +170,9 @@ class TestAnalyze:
         for _ in range(20):
             seq = random_logsequence(rng, int(rng.integers(8, 60)))
             reg = qk.convex_regularize(seq)
-            root = qk.root_series(reg).terms_array()
+            root = qk.root_series(reg).terms
             beta = np.exp(-qk.beta_sequence(seq))
-            ratio = qk.ratio_series(reg).terms_array()
+            ratio = qk.ratio_series(reg).terms
             assert np.all(root >= beta * (1 - 1e-12))
             assert np.all(beta >= ratio * (1 - 1e-12))
 

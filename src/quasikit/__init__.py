@@ -63,6 +63,7 @@ from .gontcharoff import (
     cn_membership_bound,
     decomposition_residual,
     gontcharoff_bound,
+    identity_sweep,
     integral_oracle,
     null_test_bound,
     swap_identity_residual,
@@ -78,6 +79,7 @@ from .weights import (
     omega,
     ratio_series_weight,
     shift_bound_check,
+    transforms,
     weight_inf,
     weight_inf_integer,
 )

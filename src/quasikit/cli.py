@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -133,70 +134,21 @@ def _cmd_gont_build(args, manifest):
 
 def _cmd_gont_eval(args, manifest):
     poly = gontcharoff.build(_read_field(args.nodes, "nodes"))
-    return {"degree": poly.degree, "x": args.x, "value": poly.eval(args.x)}, None
+    if not math.isfinite(args.x):
+        raise ValidationError(f"--x must be finite, got {args.x!r}")
+    value = poly.eval(args.x)
+    if not math.isfinite(value):
+        raise ValidationError(f"Q_{poly.degree}({args.x!r}) leaves the float range")
+    return {"degree": poly.degree, "x": args.x, "value": value}, None
 
 
 def _cmd_gont_check(args, manifest):
-    # build applies the node checks every gont command shares
-    nodes = list(gontcharoff.build(_read_field(args.nodes, "nodes")).nodes)
-    n = len(nodes)
-    if n < 1:
-        raise ValidationError("gont check needs at least one node")
-    if args.sweep < 1:
-        raise ValidationError(f"--sweep must be >= 1, got {args.sweep}")
-    rng = np.random.default_rng(args.seed)
-    lo, hi = min(nodes), max(nodes)
-    if hi - lo < 1e-9:
-        lo, hi = lo - 1.0, hi + 1.0
-    tol = args.tolerance
-    max_swap = 0.0
-    max_decomp = 0.0
-    bound_violations = 0
-    derivative_violations = 0
-    for _ in range(args.sweep):
-        draw = rng.uniform(lo, hi, size=2 * n + 2)
-        rand_nodes = [float(v) for v in draw[:n]]
-        ys = [float(v) for v in draw[n : 2 * n]]
-        x, y = float(draw[2 * n]), float(draw[2 * n + 1])
-        k = int(rng.integers(0, n))
-        poly = gontcharoff.build(rand_nodes)
-        # residuals are judged against the cancellation headroom of the
-        # evaluation, not the node magnitude
-        scale = max(1.0, poly.eval_magnitude(x))
-        max_swap = max(
-            max_swap,
-            gontcharoff.swap_identity_residual(rand_nodes, k, y, x) / scale,
+    if not 1 <= args.sweep <= gontcharoff.SWEEP_MAX:
+        raise ValidationError(
+            f"--sweep must be in [1, {gontcharoff.SWEEP_MAX}], got {args.sweep}"
         )
-        max_decomp = max(
-            max_decomp,
-            gontcharoff.decomposition_residual(rand_nodes, ys, x) / scale,
-        )
-        noise = 1e-13 * scale
-        if abs(poly.eval(x)) > gontcharoff.gontcharoff_bound(rand_nodes, x) * (
-            1.0 + 1e-9
-        ) + noise:
-            bound_violations += 1
-        shifted = gontcharoff.build(rand_nodes[1:])
-        diff = max(
-            abs(a - b)
-            for a, b in zip(poly.derivative(1).scaled_coeffs, shifted.scaled_coeffs)
-        )
-        if diff > 1e-12 * max(1.0, max(abs(c) for c in shifted.scaled_coeffs)):
-            derivative_violations += 1
-    ok = (
-        max_swap <= tol
-        and max_decomp <= tol
-        and bound_violations == 0
-        and derivative_violations == 0
-    )
-    return {
-        "sweep": args.sweep,
-        "max_swap_residual_rel": max_swap,
-        "max_decomposition_residual_rel": max_decomp,
-        "bound_violations": bound_violations,
-        "derivative_violations": derivative_violations,
-        "ok": ok,
-    }, None
+    nodes = _read_field(args.nodes, "nodes")
+    return gontcharoff.identity_sweep(nodes, args.sweep, args.seed, args.tolerance), None
 
 
 def _cmd_lab_envelope(args, manifest):
@@ -235,14 +187,15 @@ def _cmd_weight_analyze(args, manifest):
         raise ValidationError(f"--rmax must exceed {r_start * 2:g} for this t0")
     grid = np.exp(np.linspace(np.log(r_start), np.log(args.rmax), args.samples))
     r_values = grid.tolist()
+    lam, omega, lam_int = (list(col) for col in zip(*(weights.transforms(w, r) for r in r_values)))
     doc = {
         "mu": args.mu,
         "t0": w.t0,
         "delta": w.delta,
         "r": r_values,
-        "Lambda_log": [weights.weight_inf(w, r).log_value for r in r_values],
-        "omega": [weights.omega(w, r) for r in r_values],
-        "lambda_log": [weights.weight_inf_integer(w, r) for r in r_values],
+        "Lambda_log": lam,
+        "omega": omega,
+        "lambda_log": lam_int,
     }
     return doc, [(name, r_values, doc[name]) for name in ("Lambda_log", "omega", "lambda_log")]
 
@@ -253,11 +206,9 @@ def _cmd_weight_check(args, manifest):
     grid = np.exp(np.linspace(np.log(r_lo), np.log(max(args.rmax, 4 * r_lo)), 100))
     sandwich_ok = True
     omega_values = []
-    for r in grid:
-        r = float(r)
-        lam = weights.weight_inf(w, r).log_value
-        lam_int = weights.weight_inf_integer(w, r)
-        omega_values.append(weights.omega(w, r))
+    for r in grid.tolist():
+        lam, omega, lam_int = weights.transforms(w, r)
+        omega_values.append(omega)
         if not (lam_int - w.delta - 1e-9 <= lam <= lam_int + 1e-9):
             sandwich_ok = False
     omega_increasing = all(b > a for a, b in zip(omega_values, omega_values[1:]))

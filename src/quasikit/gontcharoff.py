@@ -7,6 +7,11 @@ O(1) up to the degree cap; plain monomial coefficients would grow
 factorially.  The construction runs the antidifferentiate-and-anchor
 recurrence; the defining iterated integral stays available as an independent
 quadrature oracle for cross-checking.
+
+The recurrence and Horner evaluation take each node as a Python float or as
+a float64 column over a block of samples.  numpy's float64 ``+``, ``*`` and
+``/`` round each element as Python floats do, so a sample's column gives the
+scalar result bit for bit; the identity sweep relies on this.
 """
 
 from __future__ import annotations
@@ -21,6 +26,13 @@ from .errors import ConditioningError, ValidationError
 from .jets import EnvelopeReport, FunctionSpec, _derivative_table, domain_grid
 
 DEGREE_CAP = 30
+
+# Samples per block of the identity sweep: enough to spread numpy's per-call
+# cost thin, few enough to keep the block's arrays near 1 MB at the degree cap.
+SWEEP_BLOCK = 256
+
+# Largest sample count of the identity sweep.
+SWEEP_MAX = 2**20
 
 
 @dataclass(frozen=True)
@@ -66,39 +78,60 @@ class GontcharoffPoly:
         }
 
 
-def _horner_scaled(coeffs: Sequence[float], x: float) -> float:
+def _horner_scaled(coeffs: Sequence, x):
     acc = coeffs[-1]
     for i in range(len(coeffs) - 2, -1, -1):
         acc = coeffs[i] + acc * x / (i + 1)
     return acc
 
 
-def build(nodes: Sequence[float]) -> GontcharoffPoly:
-    """Construct Q_n for the given nodes by antidifferentiate-and-anchor.
+def _anchor_chain(nodes: Sequence, start: Sequence = (1.0,)) -> list[list]:
+    """Run antidifferentiate-and-anchor over ``nodes``, last node first.
 
     Each step shifts the scaled coefficients up one slot (antiderivative)
     and fixes the constant term so the value at the newly prepended node
-    vanishes.
+    vanishes.  Entry j of the result holds the coefficients after j steps;
+    from the default start that is Q_j(.; nodes[n-j:]), so one chain holds
+    every suffix polynomial of the node list.
     """
+    states = [list(start)]
+    for anchor in reversed(nodes):
+        coeffs = [0.0] + states[-1]
+        coeffs[0] = -_horner_scaled(coeffs, anchor)
+        states.append(coeffs)
+    return states
+
+
+def _node_list(nodes: Sequence[float]) -> list[float]:
     try:
         node_list = [float(v) for v in nodes]
     except (TypeError, ValueError):
         raise ValidationError("nodes must be a list of numbers") from None
-    n = len(node_list)
-    if n > DEGREE_CAP:
+    if len(node_list) > DEGREE_CAP:
         raise ValidationError(
-            f"degree {n} exceeds the cap {DEGREE_CAP}; scaled coefficients "
+            f"degree {len(node_list)} exceeds the cap {DEGREE_CAP}; scaled coefficients "
             "would leave the well-conditioned range"
         )
     for v in node_list:
         if not math.isfinite(v):
             raise ValidationError("nodes must be finite")
-    coeffs = [1.0]
-    for m in range(1, n + 1):
-        anchor = node_list[n - m]
-        coeffs = [0.0] + coeffs
-        coeffs[0] = -_horner_scaled(coeffs, anchor)
-    return GontcharoffPoly(degree=n, nodes=tuple(node_list), scaled_coeffs=tuple(coeffs))
+    return node_list
+
+
+def build(nodes: Sequence[float]) -> GontcharoffPoly:
+    """Construct Q_n for the given nodes by antidifferentiate-and-anchor.
+
+    Rejects nodes whose scaled coefficients leave the float range.
+    """
+    node_list = _node_list(nodes)
+    coeffs = _anchor_chain(node_list)[-1]
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValidationError(
+            "the scaled coefficients overflow the float range; the nodes are too large"
+        )
+    return GontcharoffPoly(
+        degree=len(node_list), nodes=tuple(node_list), scaled_coeffs=tuple(coeffs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +200,22 @@ def swap_identity_residual(
         Q_n(x; nodes) - Q_n(x; nodes with x_k := y)
             = Q_k(x; x_0..x_{k-1}) * Q_{n-k}(y; x_k..x_{n-1}).
     """
-    node_list = [float(v) for v in nodes]
+    node_list = _node_list(nodes)
     n = len(node_list)
     if not (0 <= k < n):
         raise ValidationError(f"need 0 <= k < n, got k={k}, n={n}")
-    swapped = list(node_list)
-    swapped[k] = float(y)
-    lhs = build(node_list).eval(x) - build(swapped).eval(x)
-    rhs = build(node_list[:k]).eval(x) * build(node_list[k:]).eval(y)
+    (y,) = _node_list([y])  # the swapped-in node passes the node checks too
+    return _swap_residual(node_list, k, y, x, _anchor_chain(node_list))
+
+
+def _swap_residual(nodes: list, k: int, y, x, states):
+    """The swap residual from the chain of ``nodes``: ``states[j]`` holds
+    Q_j(.; nodes[n-j:]) for j in (n-k-1, n-k, n).  The swapped polynomial
+    shares the chain up to the swapped node."""
+    n = len(nodes)
+    swapped = _anchor_chain(nodes[:k] + [y], states[n - k - 1])[-1]
+    lhs = _horner_scaled(states[n], x) - _horner_scaled(swapped, x)
+    rhs = _horner_scaled(_anchor_chain(nodes[:k])[-1], x) * _horner_scaled(states[n - k], y)
     return abs(lhs - rhs)
 
 
@@ -188,19 +229,27 @@ def decomposition_residual(
 
     With ys = 0 this is the standard form of the polynomial.
     """
-    node_list = [float(v) for v in nodes]
-    y_list = [float(v) for v in ys]
-    n = len(node_list)
-    if len(y_list) != n:
+    node_list = _node_list(nodes)
+    y_list = _node_list(ys)
+    if len(y_list) != len(node_list):
         raise ValidationError("ys must have the same length as nodes")
-    total = build(y_list).eval(x)
+    return _decomposition_residual(y_list, x, _anchor_chain(node_list))
+
+
+def _decomposition_residual(ys: list, x, states: list):
+    """The decomposition residual from the chain of the nodes."""
+    n = len(ys)
+    total = _horner_scaled(_anchor_chain(ys)[-1], x)
     for i in range(n):
-        total += build(y_list[:i]).eval(x) * build(node_list[i:]).eval(y_list[i])
-    return abs(build(node_list).eval(x) - total)
+        total = total + (
+            _horner_scaled(_anchor_chain(ys[:i])[-1], x) * _horner_scaled(states[n - i], ys[i])
+        )
+    return abs(_horner_scaled(states[n], x) - total)
 
 
 def gontcharoff_bound(nodes: Sequence[float], x: float) -> float:
-    """(|x - x_0| + sum_j |x_j - x_{j+1}|)^n / n!, computed via logs.
+    """(|x - x_0| + sum_j |x_j - x_{j+1}|)^n / n!, computed via logs;
+    math.inf past the float range.
 
     The node-difference chain runs over consecutive pairs; the property
     sweeps confirm the bound dominates |Q_n| under this reading.
@@ -209,12 +258,110 @@ def gontcharoff_bound(nodes: Sequence[float], x: float) -> float:
     n = len(node_list)
     if n < 1:
         raise ValidationError("bound needs at least one node")
-    spread = abs(x - node_list[0])
-    for j in range(n - 1):
-        spread += abs(node_list[j] - node_list[j + 1])
+    return _power_over_factorial(_spread(node_list, x), n)
+
+
+def _spread(nodes: list, x):
+    spread = abs(x - nodes[0])
+    for j in range(len(nodes) - 1):
+        spread = spread + abs(nodes[j] - nodes[j + 1])
+    return spread
+
+
+def _power_over_factorial(spread: float, n: int) -> float:
     if spread == 0.0:
         return 0.0
-    return math.exp(n * math.log(spread) - math.lgamma(n + 1))
+    try:
+        return math.exp(n * math.log(spread) - math.lgamma(n + 1))
+    except OverflowError:
+        return math.inf
+
+
+def identity_sweep(
+    nodes: Sequence[float], sweep: int, seed: int | None, tolerance: float = 1e-10
+) -> dict:
+    """Randomized check of the swap and decomposition identities and of the
+    bound, over ``sweep`` random node sets drawn from the range of ``nodes``.
+
+    Per sample the generator draws 2n + 2 uniforms (nodes, ys, x, y) and
+    then the swapped index k.  Samples run in blocks of ``SWEEP_BLOCK``
+    columns; every polynomial of a sample comes from the recurrence on its
+    columns, so the report equals that of a per-sample loop bit for bit.
+    Residuals are judged relative to max(1, sum_i |c_i| |x|^i / i!), the
+    cancellation headroom of evaluating Q_n at x.  The derivative identity
+    Q_n' = Q_{n-1}(.; x_1..x_{n-1}) holds exactly, since the derivative is an
+    index shift and both sides are states of one chain, so
+    ``derivative_violations`` is 0.  A sample whose value or residual leaves
+    the float range is a ValidationError, not a pass.
+    """
+    node_list = list(build(nodes).nodes)
+    n = len(node_list)
+    if n < 1:
+        raise ValidationError("the identity sweep needs at least one node")
+    if not 1 <= sweep <= SWEEP_MAX:
+        raise ValidationError(f"sweep must be in [1, {SWEEP_MAX}], got {sweep}")
+    rng = np.random.default_rng(seed)
+    lo, hi = min(node_list), max(node_list)
+    if hi - lo < 1e-9:
+        lo, hi = lo - 1.0, hi + 1.0
+    max_swap = max_decomp = 0.0
+    bound_violations = 0
+    for start in range(0, sweep, SWEEP_BLOCK):
+        size = min(SWEEP_BLOCK, sweep - start)
+        draws = np.empty((size, 2 * n + 2))
+        ks = np.empty(size, dtype=np.intp)
+        for s in range(size):
+            draws[s] = rng.uniform(lo, hi, size=2 * n + 2)
+            ks[s] = rng.integers(0, n)
+        # samples sorted by k make each swap group a slice
+        order = np.argsort(ks, kind="stable")
+        with np.errstate(over="ignore", invalid="ignore"):
+            swap, decomp, value, magnitude, bound = _sweep_block(
+                list(np.ascontiguousarray(draws[order].T)), ks[order], n
+            )
+        bad = ~np.isfinite([swap, decomp, value, magnitude]).all(axis=0)
+        if bad.any():
+            raise ValidationError(
+                f"sample {start + int(order[bad].min())} of the sweep leaves the float "
+                "range; the nodes are too large"
+            )
+        scale = np.maximum(1.0, magnitude)
+        max_swap = max(max_swap, float((swap / scale).max()))
+        max_decomp = max(max_decomp, float((decomp / scale).max()))
+        bound_violations += int(
+            np.count_nonzero(np.abs(value) > bound * (1.0 + 1e-9) + 1e-13 * scale)
+        )
+    return {
+        "sweep": sweep,
+        "max_swap_residual_rel": max_swap,
+        "max_decomposition_residual_rel": max_decomp,
+        "bound_violations": bound_violations,
+        "derivative_violations": 0,
+        "ok": max_swap <= tolerance and max_decomp <= tolerance and bound_violations == 0,
+    }
+
+
+def _sweep_block(columns: list, ks: np.ndarray, n: int) -> tuple:
+    """Swap and decomposition residuals, Q_n(x), sum_i |c_i| |x|^i / i! and
+    the bound for a block of samples sorted by k; ``columns`` holds the
+    nodes, the ys, x and y, one column per sample."""
+    nodes, ys, x, y = columns[:n], columns[n : 2 * n], columns[2 * n], columns[2 * n + 1]
+    states = _anchor_chain(nodes, [np.ones(len(ks))])
+    poly = states[n]
+    swap = np.empty(len(ks))
+    cuts = np.searchsorted(ks, np.arange(n + 1))
+    for k in range(n):
+        group = slice(cuts[k], cuts[k + 1])
+        if group.start == group.stop:
+            continue
+        swap[group] = _swap_residual(
+            [c[group] for c in nodes], k, y[group], x[group],
+            {j: [c[group] for c in states[j]] for j in (n - k - 1, n - k, n)},
+        )
+    decomp = _decomposition_residual(ys, x, states)
+    magnitude = _horner_scaled([abs(c) for c in poly], abs(x))
+    bound = np.array([_power_over_factorial(s, n) for s in _spread(nodes, x).tolist()])
+    return swap, decomp, _horner_scaled(poly, x), magnitude, bound
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ MU_FAMILIES = ("zero", "loglog", "log", "power")
 _VALIDATION_GRID = 64
 _VALIDATION_SPAN = 2.0**20
 
+# relative tolerance of omega's parametric cross-checks
+_OMEGA_CHECK_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -118,20 +121,12 @@ def make_weight(mu: str, t0: float, alpha: float | None = None) -> WeightFunctio
     if m_at_t0 > 0.0:
         positive_from = w.t0
     else:
-        lo, hi = w.t0, w.t0 * 2.0
+        hi = w.t0 * 2.0
         while _m_parts(w, hi)[0] <= 0.0:
             hi *= 2.0
             if hi > w.t0 * 1e6:
                 raise ValidationError("m never turns positive past t0")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            if _m_parts(w, mid)[0] > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        positive_from = hi
+        _, positive_from = _bisect(lambda t: _m_parts(w, t)[0] > 0.0, w.t0, hi)
     return WeightFunction(
         mu=w.mu, t0=w.t0, alpha=w.alpha, delta=delta, m_positive_from=positive_from
     )
@@ -152,9 +147,22 @@ def m_eval(w: WeightFunction, t: float) -> MEval:
     return MEval(m=m, m1=m1, m2=m2)
 
 
+def _bisect(above, lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi] around the point where ``above`` turns true, for at
+    most 200 steps or until the midpoint of 0 < lo < hi hits an end."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def _solve_stationary(w: WeightFunction, log_r: float) -> float:
     """Bisect m'(t) = log_r; m' is increasing and unbounded."""
-    lo = w.t0
     hi = 2.0 * w.t0
     doublings = 0
     while _m_parts(w, hi)[1] <= log_r:
@@ -162,14 +170,7 @@ def _solve_stationary(w: WeightFunction, log_r: float) -> float:
         doublings += 1
         if doublings > 200:
             raise ValidationError("bracket failure: m' never reached log r")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _m_parts(w, mid)[1] < log_r:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda t: not _m_parts(w, t)[1] < log_r, w.t0, hi)
     return 0.5 * (lo + hi)
 
 
@@ -199,10 +200,13 @@ def weight_inf(w: WeightFunction, r: float) -> WeightInf:
     return WeightInf(log_value=m - t_star * log_r, t_star=t_star)
 
 
-def omega(w: WeightFunction, r: float, check_rtol: float = 1e-9) -> float:
+def omega(w: WeightFunction, r: float, check_rtol: float = _OMEGA_CHECK_RTOL) -> float:
     """omega(r) = -log Lambda(r), cross-checked against the parametric forms
     t m'(t) - m(t) and t + t^2 mu'(t) at the stationary point."""
-    inf_result = weight_inf(w, r)
+    return _checked_omega(w, weight_inf(w, r), check_rtol)
+
+
+def _checked_omega(w: WeightFunction, inf_result: WeightInf, check_rtol: float) -> float:
     value = -inf_result.log_value
     t = inf_result.t_star
     m, m1, _ = _m_parts(w, t)
@@ -226,8 +230,11 @@ def weight_inf_integer(w: WeightFunction, r: float) -> float:
     The continuous objective is unimodal with minimizer t*, so scanning
     integers within two of t* (clipped to >= t0) suffices.
     """
-    log_r = math.log(r)
     t_star = weight_inf(w, r).t_star
+    return _integer_inf(w, math.log(r), t_star)
+
+
+def _integer_inf(w: WeightFunction, log_r: float, t_star: float) -> float:
     lo = max(math.ceil(w.t0), math.floor(t_star) - 2)
     hi = math.ceil(t_star) + 2
     if hi < lo:
@@ -236,6 +243,17 @@ def weight_inf_integer(w: WeightFunction, r: float) -> float:
     for n in range(int(lo), int(hi) + 1):
         best = min(best, _m_parts(w, float(n))[0] - n * log_r)
     return best
+
+
+def transforms(w: WeightFunction, r: float) -> tuple[float, float, float]:
+    """(log Lambda(r), omega(r), log lambda(r)) from one stationary-point
+    solve; each equals what weight_inf, omega and weight_inf_integer return."""
+    inf_result = weight_inf(w, r)
+    return (
+        inf_result.log_value,
+        _checked_omega(w, inf_result, _OMEGA_CHECK_RTOL),
+        _integer_inf(w, math.log(r), inf_result.t_star),
+    )
 
 
 @dataclass(frozen=True)
@@ -341,11 +359,12 @@ def _extended_m(w: WeightFunction, t: float) -> float:
 def algebra_check(w: WeightFunction, n_max: int, slack: float = 1e-9) -> bool:
     """Check M(n-j) M(j) <= M(n) for 0 <= j <= n <= n_max, in the log domain,
     using the convex zero-extension of m (normalized to vanish at t0)."""
+    ext = [_extended_m(w, float(t)) for t in range(n_max + 1)]
     for n in range(n_max + 1):
-        m_n = _extended_m(w, float(n))
+        m_n = ext[n]
         tol = slack * max(1.0, abs(m_n))
         for j in range(n + 1):
-            if _extended_m(w, float(j)) + _extended_m(w, float(n - j)) > m_n + tol:
+            if ext[j] + ext[n - j] > m_n + tol:
                 return False
     return True
 

@@ -290,7 +290,7 @@ class TestInputBounds:
         assert len(res.stderr.strip().splitlines()) == 1
         assert "domain" in res.stderr
 
-    @pytest.mark.parametrize("sweep", ["-5", "0"])
+    @pytest.mark.parametrize("sweep", ["-5", "0", str(qk.gontcharoff.SWEEP_MAX + 1)])
     def test_gont_check_without_samples_exits_2(self, tmp_path, sweep):
         nodes = tmp_path / "nodes.json"
         nodes.write_text(json.dumps({"nodes": [0.0, 0.5]}))
@@ -337,6 +337,35 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("quasikit: ")
+    assert "internal" not in err
+
+
+OVERFLOWING_GONT = {
+    # the scaled coefficients leave the float range
+    "build": ("gont build --nodes", [1e120, -1e120, 3e119]),
+    "eval": ("gont eval --x 1e119 --nodes", [1e120, -1e120, 3e119]),
+    "check": ("gont check --nodes", [1e120, -1e120, 3e119]),
+    # finite coefficients, but a value past the float range
+    "eval-value": ("gont eval --x 1e200 --nodes", [0.0, 0.0]),
+    "eval-nan-x": ("gont eval --x nan --nodes", []),
+    "check-samples": ("gont check --sweep 20 --nodes", [1e154, 1e154]),
+    "check-samples-n3": ("gont check --sweep 20 --nodes", [1e103, 1e103, 1e103]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_GONT))
+def test_gont_past_float_range_exits_2(tmp_path, capsys, case):
+    # a report never carries Infinity or NaN, and a sweep whose residuals are
+    # all NaN is not a pass
+    from quasikit.cli import dispatch
+
+    command, nodes = OVERFLOWING_GONT[case]
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps({"nodes": nodes}))
+    code = dispatch([*command.split(), str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("quasikit: ")
     assert "internal" not in err
 

@@ -78,6 +78,11 @@ class TestInfimumTransform:
         with pytest.raises(qk.ValidationError):
             qk.weight_inf(w_loglog, 1.01 * math.exp(qk.m_eval(w_loglog, 10.0).m1) / 2)
 
+    @pytest.mark.parametrize("fn", [qk.weight_inf, qk.omega, qk.weight_inf_integer, qk.transforms])
+    def test_nonpositive_r_rejected(self, w_zero, fn):
+        with pytest.raises(qk.ValidationError, match="positive"):
+            fn(w_zero, -1.0)
+
     def test_inf_below_boundary_value(self, w_loglog):
         for r in (1e3, 1e5):
             res = qk.weight_inf(w_loglog, r)

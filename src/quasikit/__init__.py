@@ -73,12 +73,14 @@ from .weights import (
     algebra_check,
     analytic_criterion,
     integral_test,
+    invariant_battery,
     loglog_asymptotics_check,
     m_eval,
     make_weight,
     omega,
     ratio_series_weight,
     shift_bound_check,
+    transform_grid,
     transforms,
     weight_inf,
     weight_inf_integer,

@@ -22,45 +22,52 @@ import numpy as np
 
 from .errors import ValidationError
 from .jets import FunctionSpec, _derivative_table
-from .sequences import RegularizedSequence
+from .sequences import RegularizedSequence, _frozen
+
+# e^{-k} for k = 0..746 from math.exp, whose rounding the reports carry
+# (numpy's exp differs in the last ulp at some k); from k = 746 on e^{-k}
+# rounds to 0.0, the table's last entry
+_DECAY = np.array([math.exp(-k) for k in range(747)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BangVector:
-    """Real entries plus the index set P (sorted, contains 0)."""
+    """Real entries plus the index set P (sorted, contains 0).
 
-    entries: tuple[float, ...]
+    ``entries`` is a read-only float64 array; ``index_set`` a tuple of ints.
+    """
+
+    entries: np.ndarray
     index_set: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.entries:
+        entries = _frozen(self.entries, "entries")
+        if entries.size < 1:
             raise ValidationError("BangVector needs at least one entry")
-        pset = self.index_set
-        if not pset or pset[0] != 0 or 0 not in pset:
+        pset = _frozen(self.index_set, "index_set")
+        if pset.size == 0 or pset[0] != 0:
             raise ValidationError("index_set must be sorted and contain 0")
-        if list(pset) != sorted(set(pset)):
+        if not (np.diff(pset) > 0).all():
             raise ValidationError("index_set must be strictly increasing")
-        if pset[-1] >= len(self.entries):
+        if pset[-1] >= entries.size:
             raise ValidationError("index_set exceeds the entry horizon")
-        for n, v in enumerate(self.entries):
-            if not math.isfinite(v):
-                raise ValidationError(f"entries[{n}] = {v!r} is not finite")
+        if (pset != np.floor(pset)).any():
+            raise ValidationError("index_set entries must be integers")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "index_set", tuple(pset.astype(np.intp).tolist()))
 
     @property
     def horizon(self) -> int:
-        return len(self.entries)
+        return self.entries.size
 
     @classmethod
     def from_json(cls, doc) -> "BangVector":
         if not isinstance(doc, Mapping) or "entries" not in doc:
             raise ValidationError("bang vector JSON needs an 'entries' field")
+        entries = _frozen(doc["entries"], "entries")
         index_set = doc.get("index_set")
-        try:
-            entries = tuple(float(v) for v in doc["entries"])
-            index_set = range(len(entries)) if index_set is None else index_set
-            index_set = tuple(int(k) for k in index_set)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError("entries and index_set must be lists of numbers") from None
+        if index_set is None:
+            index_set = np.arange(entries.size)
         return cls(entries=entries, index_set=index_set)
 
 
@@ -77,52 +84,43 @@ class BangNormResult:
         return asdict(self)
 
 
-def bang_norm(x: BangVector) -> BangNormResult:
-    """Reduced evaluation: scan P only up to the sound reduction bound."""
-    entries = x.entries
-    pset = x.index_set
-    n0 = next((i for i, v in enumerate(entries) if v != 0.0), None)
+def _scan(x: BangVector) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """P as an integer array, the prefix max m_n = max_{i <= n} |x_i|, and
+    e^{-k} and the candidate max(e^{-k}, m_k) for every k in P."""
+    pset = np.array(x.index_set)
+    prefix = np.maximum.accumulate(np.abs(x.entries))
+    decay = _DECAY[np.minimum(pset, _DECAY.size - 1)]
+    return pset, prefix, decay, np.maximum(decay, prefix[pset])
 
-    if n0 is None:
-        reduction = len(entries) - 1
-        k = pset[-1]
+
+def bang_norm(x: BangVector) -> BangNormResult:
+    """Reduced evaluation: minimize over P only up to the sound reduction bound."""
+    pset, prefix, decay, values = _scan(x)
+    last = x.horizon - 1
+    if prefix[-1] == 0.0:
         return BangNormResult(
-            value=math.exp(-k), witness_k=k, reduction_bound=reduction, truncated=True
+            value=float(decay[-1]), witness_k=int(pset[-1]), reduction_bound=last, truncated=True
         )
 
-    # smallest k in P with k >= n0 and e^{-k} < |x_{n0}|: beyond it the
-    # window max dominates and is nondecreasing, so the scan may stop
-    threshold = abs(entries[n0])
-    reduction = len(entries) - 1
-    for k in pset:
-        if k >= n0 and math.exp(-k) < threshold:
-            reduction = k
-            break
-
-    best = math.inf
-    witness = pset[0]
-    running = 0.0
-    idx = 0
-    for k in pset:
-        if k > reduction:
-            break
-        while idx <= k:
-            running = max(running, abs(entries[idx]))
-            idx += 1
-        value = max(math.exp(-k), running)
-        if value < best:
-            best = value
-            witness = k
-    window_max = max(abs(v) for v in entries[: witness + 1])
-    truncated = witness == pset[-1] and math.exp(-witness) > window_max
+    # smallest k in P with k >= n0 (the first nonzero entry, so m_k > 0) and
+    # e^{-k} < |x_{n0}|: beyond it the window max dominates and is
+    # nondecreasing, so the minimum lies at or before it
+    threshold = prefix[np.argmax(prefix > 0.0)]
+    past = np.flatnonzero((prefix[pset] > 0.0) & (decay < threshold))
+    count = past[0] + 1 if past.size else pset.size
+    best = int(np.argmin(values[:count]))  # the first minimizer
+    witness = int(pset[best])
     return BangNormResult(
-        value=best, witness_k=witness, reduction_bound=reduction, truncated=truncated
+        value=float(values[best]),
+        witness_k=witness,
+        reduction_bound=int(pset[past[0]]) if past.size else last,
+        truncated=bool(best == pset.size - 1 and decay[best] > prefix[witness]),
     )
 
 
 def bang_norm_bruteforce(x: BangVector) -> float:
     """Unreduced oracle: minimize over every k in P on the horizon."""
-    entries = x.entries
+    entries = x.entries.tolist()
     best = math.inf
     running = 0.0
     idx = 0
@@ -140,7 +138,8 @@ def bang_distance(x: BangVector, y: BangVector) -> BangNormResult:
         raise ValidationError("bang_distance needs matching horizons")
     if x.index_set != y.index_set:
         raise ValidationError("bang_distance needs matching index sets")
-    diff = tuple(a - b for a, b in zip(x.entries, y.entries))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = x.entries - y.entries
     return bang_norm(BangVector(entries=diff, index_set=x.index_set))
 
 
@@ -164,8 +163,16 @@ def _scaled_vectors(f, points, reg, pset, jet_order) -> list[BangVector]:
         raise ValidationError("jet order must cover the sequence horizon")
     table = _derivative_table(f, points, order)[:n_len]
     scaled = table * np.exp(-reg.logs_c - np.arange(n_len))[:, None]
-    index_set = tuple(pset) if pset is not None else reg.principal
-    return [BangVector(entries=tuple(x), index_set=index_set) for x in scaled.T.tolist()]
+    index_set = reg.principal if pset is None else pset
+    return [BangVector(entries=x, index_set=index_set) for x in scaled.T]
+
+
+def _achieving_index(x: BangVector, value: float) -> int | None:
+    """The smallest k >= 1 in P whose candidate max(e^{-k}, m_k) reaches
+    ``value`` to within 1e-15 relative, or None."""
+    pset, _, _, values = _scan(x)
+    hits = np.flatnonzero((pset >= 1) & (values <= value * (1.0 + 1e-15)))
+    return int(pset[hits[0]]) if hits.size else None
 
 
 @dataclass(frozen=True)
@@ -193,20 +200,10 @@ def growth_estimate_check(
     base vector is zero on the horizon or no achieving index >= 1 exists.
     """
     base, shifted = _scaled_vectors(f, [t, t + tau], reg, pset, jet_order)
-    if all(v == 0.0 for v in base.entries):
+    if not base.entries.any():
         raise ValidationError("zero scaled-derivative vector; estimate undefined")
     base_norm = bang_norm(base)
-
-    witness_l = None
-    running = 0.0
-    idx = 0
-    for k in base.index_set:
-        while idx <= k:
-            running = max(running, abs(base.entries[idx]))
-            idx += 1
-        if k >= 1 and max(math.exp(-k), running) <= base_norm.value * (1.0 + 1e-15):
-            witness_l = k
-            break
+    witness_l = _achieving_index(base, base_norm.value)
     if witness_l is None:
         raise ValidationError(
             "no norm-achieving index >= 1 in P; the estimate's witness is undefined"

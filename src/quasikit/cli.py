@@ -1,6 +1,6 @@
 """Command-line front end: every analysis as a subcommand with JSON/CSV I/O.
 
-Exit codes: 0 success, 2 validation/usage error, 1 internal error.  The
+Exit codes: 0 success, 2 validation, usage or I/O error, 1 internal error.  The
 QUASIKIT_LOG environment variable ({quiet, info, debug}) controls stderr
 logging.  Outputs embed a run manifest; a fixed manifest (command line,
 input digests, version, seed) reproduces byte-identical output files.
@@ -16,9 +16,8 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .errors import QuasikitError, ValidationError
@@ -39,30 +38,48 @@ def _configure_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s: %(message)s")
 
 
-def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        raise ValidationError(f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path}: {exc}")
+class InputFile(str):
+    """The path given to an input-file option.  ``dispatch`` reads the file
+    once, records the digest of its bytes in the manifest and sets ``doc``
+    to the JSON document they hold."""
 
 
-def _read_field(path: str, key: str):
+def _load_inputs(args, manifest: RunManifest) -> None:
+    """Read, digest and parse each InputFile option of ``args``, once per file."""
+    docs = {}
+    for path in vars(args).values():
+        if not isinstance(path, InputFile):
+            continue
+        if path not in docs:
+            try:
+                data = Path(path).read_bytes()
+            except FileNotFoundError:
+                raise ValidationError(f"input file not found: {path}") from None
+            except OSError as exc:
+                raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+            manifest.add_input(path, data)
+            try:
+                docs[path] = json.loads(data.decode("utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ValidationError(f"malformed JSON in {path}: {exc}") from None
+        path.doc = docs[path]
+
+
+def _field(path: InputFile, key: str):
     """The ``key`` field of the JSON object in ``path``."""
-    doc = _read_json(path)
-    if not isinstance(doc, dict) or key not in doc:
+    if not isinstance(path.doc, dict) or key not in path.doc:
         raise ValidationError(f"{path} must hold a JSON object with a '{key}' field")
-    return doc[key]
+    return path.doc[key]
 
 
-def _write_json(doc: dict, out: str | None) -> None:
+def _write_outputs(doc: dict, out: str | None, csv_path: str | None, blocks) -> None:
+    """Write the CSV rows, then the JSON report.  The report's file is opened
+    first and written last, so no report comes out when either fails."""
     text = json.dumps(doc, indent=2)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
+        if csv_path:
+            emit_plotdata(blocks or [], csv_path)
+        handle.write(text + "\n")
 
 
 def emit_plotdata(blocks, path: str) -> None:
@@ -74,20 +91,19 @@ def emit_plotdata(blocks, path: str) -> None:
             handle.write("".join(f"{x!r},{series},{v!r}\n" for x, v in zip(xs, values)))
 
 
-def _load_sequence(args, attr: str = "spec") -> sequences.LogSequence:
-    spec = sequences.SequenceSpec.from_json(_read_json(getattr(args, attr)))
-    horizon = getattr(args, "horizon", None)
-    if spec.family == "explicit" and horizon is not None:
+def _load_sequence(spec: InputFile, horizon: int | None) -> sequences.LogSequence:
+    parsed = sequences.SequenceSpec.from_json(spec.doc)
+    if parsed.family == "explicit" and horizon is not None:
         raise ValidationError("--horizon cannot override an explicit log vector")
-    return sequences.make_sequence(spec, horizon=horizon)
+    return sequences.make_sequence(parsed, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns the result document plus the CSV column
 # blocks, built from the document's own lists)
 
-def _cmd_seq_make(args, manifest):
-    seq = _load_sequence(args)
+def _cmd_seq_make(args):
+    seq = _load_sequence(args.spec, args.horizon)
     return {
         "length": seq.length,
         "logs": seq.logs.tolist(),
@@ -96,14 +112,14 @@ def _cmd_seq_make(args, manifest):
     }, None
 
 
-def _cmd_seq_regularize(args, manifest):
-    seq = _load_sequence(args)
+def _cmd_seq_regularize(args):
+    seq = _load_sequence(args.spec, args.horizon)
     reg = sequences.convex_regularize(seq)
     return reg.to_json(), None
 
 
-def _cmd_seq_analyze(args, manifest):
-    seq = _load_sequence(args)
+def _cmd_seq_analyze(args):
+    seq = _load_sequence(args.spec, args.horizon)
     doc = qa.analyze(seq, sigma_div=args.sigma_div, eps_conv=args.eps_conv).to_json()
     blocks = [
         (f"{name}.{row}", itertools.count(1.0), doc[name][key])
@@ -113,27 +129,26 @@ def _cmd_seq_analyze(args, manifest):
     return doc, blocks
 
 
-def _cmd_bang_norm(args, manifest):
-    doc = _read_json(args.vector)
-    if args.pset:
-        doc = dict(doc)
-        doc["index_set"] = _read_field(args.pset, "index_set")
+def _cmd_bang_norm(args):
+    doc = args.vector.doc
+    if args.pset and isinstance(doc, dict):
+        doc = {**doc, "index_set": _field(args.pset, "index_set")}
     vector = bang.BangVector.from_json(doc)
     return bang.bang_norm(vector).to_json(), None
 
 
-def _cmd_bang_distance(args, manifest):
-    x = bang.BangVector.from_json(_read_json(args.vector))
-    y = bang.BangVector.from_json(_read_json(args.other))
+def _cmd_bang_distance(args):
+    x = bang.BangVector.from_json(args.vector.doc)
+    y = bang.BangVector.from_json(args.other.doc)
     return bang.bang_distance(x, y).to_json(), None
 
 
-def _cmd_gont_build(args, manifest):
-    return gontcharoff.build(_read_field(args.nodes, "nodes")).to_json(), None
+def _cmd_gont_build(args):
+    return gontcharoff.build(_field(args.nodes, "nodes")).to_json(), None
 
 
-def _cmd_gont_eval(args, manifest):
-    poly = gontcharoff.build(_read_field(args.nodes, "nodes"))
+def _cmd_gont_eval(args):
+    poly = gontcharoff.build(_field(args.nodes, "nodes"))
     if not math.isfinite(args.x):
         raise ValidationError(f"--x must be finite, got {args.x!r}")
     value = poly.eval(args.x)
@@ -142,25 +157,25 @@ def _cmd_gont_eval(args, manifest):
     return {"degree": poly.degree, "x": args.x, "value": value}, None
 
 
-def _cmd_gont_check(args, manifest):
+def _cmd_gont_check(args):
     if not 1 <= args.sweep <= gontcharoff.SWEEP_MAX:
         raise ValidationError(
             f"--sweep must be in [1, {gontcharoff.SWEEP_MAX}], got {args.sweep}"
         )
-    nodes = _read_field(args.nodes, "nodes")
+    nodes = _field(args.nodes, "nodes")
     return gontcharoff.identity_sweep(nodes, args.sweep, args.seed, args.tolerance), None
 
 
-def _cmd_lab_envelope(args, manifest):
-    f = jets.FunctionSpec.from_json(_read_json(args.fn))
+def _cmd_lab_envelope(args):
+    f = jets.FunctionSpec.from_json(args.fn.doc)
     doc = jets.derivative_envelope(f, args.nmax, grid_size=args.grid).to_json()
     doc["note"] = "grid maxima are lower bounds of the true sup"
     return doc, [("m_est_log", itertools.count(0.0), doc["m_est_log"])]
 
 
-def _cmd_lab_monotonic(args, manifest):
-    f = jets.FunctionSpec.from_json(_read_json(args.fn))
-    seq = _load_sequence(args, attr="seq")
+def _cmd_lab_monotonic(args):
+    f = jets.FunctionSpec.from_json(args.fn.doc)
+    seq = _load_sequence(args.seq, args.horizon)
     result = jets.monotonicity_check(f, seq, args.nmax, grid_size=args.grid)
     return {
         "holds": result.holds,
@@ -168,64 +183,29 @@ def _cmd_lab_monotonic(args, manifest):
     }, None
 
 
-def _cmd_lab_spacing(args, manifest):
-    f = jets.FunctionSpec.from_json(_read_json(args.fn))
-    seq = _load_sequence(args, attr="seq")
+def _cmd_lab_spacing(args):
+    f = jets.FunctionSpec.from_json(args.fn.doc)
+    seq = _load_sequence(args.seq, args.horizon)
     doc = jets.zero_spacing_experiment(f, seq, args.nmax, grid_size=args.grid).to_json()
     return doc, [
         (name, itertools.count(0.0), doc[name]) for name in ("x", "lhs_partial", "rhs_partial")
     ]
 
 
-def _cmd_weight_analyze(args, manifest):
+def _cmd_weight_analyze(args):
     if not 1 <= args.samples <= SAMPLES_MAX:
         raise ValidationError(f"--samples must be in [1, {SAMPLES_MAX}], got {args.samples}")
     w = weights.make_weight(args.mu, args.t0, alpha=args.alpha)
-    slope_at_origin = weights.m_eval(w, w.t0 + 1.0).m1
-    r_start = 1.01 * np.exp(slope_at_origin)
-    if args.rmax <= r_start * 2:
-        raise ValidationError(f"--rmax must exceed {r_start * 2:g} for this t0")
-    grid = np.exp(np.linspace(np.log(r_start), np.log(args.rmax), args.samples))
-    r_values = grid.tolist()
-    lam, omega, lam_int = (list(col) for col in zip(*(weights.transforms(w, r) for r in r_values)))
-    doc = {
-        "mu": args.mu,
-        "t0": w.t0,
-        "delta": w.delta,
-        "r": r_values,
-        "Lambda_log": lam,
-        "omega": omega,
-        "lambda_log": lam_int,
-    }
-    return doc, [(name, r_values, doc[name]) for name in ("Lambda_log", "omega", "lambda_log")]
+    doc = {"mu": args.mu, "t0": w.t0, "delta": w.delta}
+    doc.update(weights.transform_grid(w, args.rmax, args.samples))
+    return doc, [(name, doc["r"], doc[name]) for name in ("Lambda_log", "omega", "lambda_log")]
 
 
-def _cmd_weight_check(args, manifest):
+def _cmd_weight_check(args):
     w = weights.make_weight(args.mu, args.t0, alpha=args.alpha)
-    r_lo = 1.05 * float(np.exp(weights.m_eval(w, w.t0 + 1.5).m1))
-    grid = np.exp(np.linspace(np.log(r_lo), np.log(max(args.rmax, 4 * r_lo)), 100))
-    sandwich_ok = True
-    omega_values = []
-    for r in grid.tolist():
-        lam, omega, lam_int = weights.transforms(w, r)
-        omega_values.append(omega)
-        if not (lam_int - w.delta - 1e-9 <= lam <= lam_int + 1e-9):
-            sandwich_ok = False
-    omega_increasing = all(b > a for a, b in zip(omega_values, omega_values[1:]))
-    shift_ok = all(
-        weights.shift_bound_check(w, j, int(w.t0) + 1, 1000) for j in (0, 1, 2, 3)
-    )
-    algebra_ok = weights.algebra_check(w, 200)
-    return {
-        "mu": args.mu,
-        "t0": w.t0,
-        "delta": w.delta,
-        "sandwich_ok": sandwich_ok,
-        "omega_increasing": omega_increasing,
-        "shift_ok": shift_ok,
-        "algebra_ok": algebra_ok,
-        "ok": sandwich_ok and omega_increasing and shift_ok and algebra_ok,
-    }, None
+    doc = {"mu": args.mu, "t0": w.t0, "delta": w.delta}
+    doc.update(weights.invariant_battery(w, args.rmax))
+    return doc, None
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +228,17 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="command", required=True
     )
     p = seq.add_parser("make", help="materialize a catalog sequence")
-    p.add_argument("--spec", required=True)
+    p.add_argument("--spec", type=InputFile, required=True)
     p.add_argument("--horizon", type=int)
     add_common(p)
     p.set_defaults(handler=_cmd_seq_make)
     p = seq.add_parser("regularize", help="convex regularization")
-    p.add_argument("--spec", required=True)
+    p.add_argument("--spec", type=InputFile, required=True)
     p.add_argument("--horizon", type=int)
     add_common(p)
     p.set_defaults(handler=_cmd_seq_regularize)
     p = seq.add_parser("analyze", help="criterion series and verdicts")
-    p.add_argument("--spec", required=True)
+    p.add_argument("--spec", type=InputFile, required=True)
     p.add_argument("--horizon", type=int)
     p.add_argument("--sigma-div", type=float, default=SIGMA_DIV, dest="sigma_div")
     p.add_argument("--eps-conv", type=float, default=EPS_CONV, dest="eps_conv")
@@ -269,13 +249,13 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="command", required=True
     )
     p = bang_group.add_parser("norm", help="norm of a vector")
-    p.add_argument("--vector", required=True)
-    p.add_argument("--pset", help="JSON file overriding the index set")
+    p.add_argument("--vector", type=InputFile, required=True)
+    p.add_argument("--pset", type=InputFile, help="JSON file overriding the index set")
     add_common(p)
     p.set_defaults(handler=_cmd_bang_norm)
     p = bang_group.add_parser("distance", help="norm of the difference")
-    p.add_argument("--vector", required=True)
-    p.add_argument("--other", required=True)
+    p.add_argument("--vector", type=InputFile, required=True)
+    p.add_argument("--other", type=InputFile, required=True)
     add_common(p)
     p.set_defaults(handler=_cmd_bang_distance)
 
@@ -283,16 +263,16 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="command", required=True
     )
     p = gont.add_parser("build", help="construct the polynomial")
-    p.add_argument("--nodes", required=True)
+    p.add_argument("--nodes", type=InputFile, required=True)
     add_common(p)
     p.set_defaults(handler=_cmd_gont_build)
     p = gont.add_parser("eval", help="evaluate at a point")
-    p.add_argument("--nodes", required=True)
+    p.add_argument("--nodes", type=InputFile, required=True)
     p.add_argument("--x", type=float, required=True)
     add_common(p)
     p.set_defaults(handler=_cmd_gont_eval)
     p = gont.add_parser("check", help="randomized identity sweep")
-    p.add_argument("--nodes", required=True)
+    p.add_argument("--nodes", type=InputFile, required=True)
     p.add_argument("--sweep", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-10)
@@ -303,22 +283,22 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="command", required=True
     )
     p = lab.add_parser("envelope", help="derivative magnitude envelope")
-    p.add_argument("--fn", required=True)
+    p.add_argument("--fn", type=InputFile, required=True)
     p.add_argument("--nmax", type=int, default=16)
     p.add_argument("--grid", type=int, default=256)
     add_common(p, csv=True)
     p.set_defaults(handler=_cmd_lab_envelope)
     p = lab.add_parser("monotonic", help="derivative positivity scan")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--seq", required=True)
+    p.add_argument("--fn", type=InputFile, required=True)
+    p.add_argument("--seq", type=InputFile, required=True)
     p.add_argument("--horizon", type=int)
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--grid", type=int, default=256)
     add_common(p)
     p.set_defaults(handler=_cmd_lab_monotonic)
     p = lab.add_parser("spacing", help="zero-spacing experiment")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--seq", required=True)
+    p.add_argument("--fn", type=InputFile, required=True)
+    p.add_argument("--seq", type=InputFile, required=True)
     p.add_argument("--horizon", type=int)
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--grid", type=int, default=1024)
@@ -357,18 +337,10 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
 
     manifest = RunManifest(command=["quasikit", *argv], seed=getattr(args, "seed", None))
-    for attr in ("spec", "seq", "vector", "other", "nodes", "fn", "pset"):
-        path = getattr(args, attr, None)
-        if path:
-            try:
-                manifest.add_input(path)
-            except FileNotFoundError:
-                print(f"quasikit: input file not found: {path}", file=sys.stderr)
-                return 2
-
     started = time.monotonic()
     try:
-        doc, blocks = args.handler(args, manifest)
+        _load_inputs(args, manifest)
+        doc, blocks = args.handler(args)
     except ValidationError as exc:
         print(f"quasikit: {exc}", file=sys.stderr)
         return 2
@@ -383,10 +355,11 @@ def dispatch(argv: list[str]) -> int:
 
     output = {"manifest": manifest.to_json()}
     output.update(doc)
-    _write_json(output, getattr(args, "out", None))
-    csv_path = getattr(args, "csv", None)
-    if csv_path:
-        emit_plotdata(blocks or [], csv_path)
+    try:
+        _write_outputs(output, getattr(args, "out", None), getattr(args, "csv", None), blocks)
+    except OSError as exc:
+        print(f"quasikit: cannot write {exc.filename or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -300,6 +300,8 @@ def identity_sweep(
         raise ValidationError("the identity sweep needs at least one node")
     if not 1 <= sweep <= SWEEP_MAX:
         raise ValidationError(f"sweep must be in [1, {SWEEP_MAX}], got {sweep}")
+    if not math.isfinite(tolerance):
+        raise ValidationError(f"tolerance must be finite, got {tolerance!r}")
     rng = np.random.default_rng(seed)
     lo, hi = min(node_list), max(node_list)
     if hi - lo < 1e-9:

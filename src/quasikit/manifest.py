@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import __version__
 
@@ -24,9 +23,9 @@ class RunManifest:
     seed: int | None = None
     duration_s: float | None = None  # logged, never serialized
 
-    def add_input(self, path: str | Path) -> None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.inputs[str(path)] = digest
+    def add_input(self, path: str, data: bytes) -> None:
+        """Record the digest of ``data``, the bytes read from ``path``."""
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
 
     def to_json(self) -> dict:
         return {

@@ -35,7 +35,7 @@ def _frozen(values, name: str = "logs") -> np.ndarray:
     finite numbers."""
     try:
         arr = np.array(values, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a list of numbers") from None
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be a flat list of numbers")

@@ -76,6 +76,9 @@ def diagnose_series(
 
     ``xs`` are the fit abscissae; by default log of the 1-based ordinal.
     """
+    for name, value in (("sigma_div", sigma_div), ("eps_conv", eps_conv)):
+        if not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     t = np.array(terms, dtype=float)
     if t.size < 2:
         raise ValidationError("diagnose_series needs at least 2 terms")

@@ -256,6 +256,50 @@ def transforms(w: WeightFunction, r: float) -> tuple[float, float, float]:
     )
 
 
+def transform_grid(w: WeightFunction, r_max: float, samples: int) -> dict:
+    """log Lambda, omega and log lambda at ``samples`` log-spaced radii from
+    1.01 e^{m'(t0 + 1)} up to ``r_max``."""
+    r_start = 1.01 * np.exp(m_eval(w, w.t0 + 1.0).m1)
+    if not r_start * 2 < r_max < math.inf:
+        raise ValidationError(f"r_max must be finite and exceed {r_start * 2:g} for this t0")
+    r_values = np.exp(np.linspace(np.log(r_start), np.log(r_max), samples)).tolist()
+    lam, omega_values, lam_int = (list(col) for col in zip(*(transforms(w, r) for r in r_values)))
+    return {"r": r_values, "Lambda_log": lam, "omega": omega_values, "lambda_log": lam_int}
+
+
+def invariant_battery(w: WeightFunction, r_max: float) -> dict:
+    """The sandwich lambda - delta <= Lambda <= lambda and the growth of omega
+    on 100 log-spaced radii up to max(r_max, 4 r_lo), the shift bound for
+    j <= 3 and the algebra property up to n = 200.
+
+    The sandwich allows 1e-9 + 1e-12 |Lambda| on each side: Lambda is
+    m(t*) - t* log r and carries the rounding of m(t*), whose ulp exceeds
+    1e-9 at large r.
+    """
+    if not math.isfinite(r_max):
+        raise ValidationError(f"r_max must be finite, got {r_max!r}")
+    r_lo = 1.05 * float(np.exp(m_eval(w, w.t0 + 1.5).m1))
+    grid = np.exp(np.linspace(np.log(r_lo), np.log(max(r_max, 4 * r_lo)), 100))
+    sandwich_ok = True
+    omega_values = []
+    for r in grid.tolist():
+        lam, omega_r, lam_int = transforms(w, r)
+        omega_values.append(omega_r)
+        tol = 1e-9 + 1e-12 * abs(lam)
+        if not (lam_int - w.delta - tol <= lam <= lam_int + tol):
+            sandwich_ok = False
+    omega_increasing = all(b > a for a, b in zip(omega_values, omega_values[1:]))
+    shift_ok = all(shift_bound_check(w, j, int(w.t0) + 1, 1000) for j in (0, 1, 2, 3))
+    algebra_ok = algebra_check(w, 200)
+    return {
+        "sandwich_ok": sandwich_ok,
+        "omega_increasing": omega_increasing,
+        "shift_ok": shift_ok,
+        "algebra_ok": algebra_ok,
+        "ok": sandwich_ok and omega_increasing and shift_ok and algebra_ok,
+    }
+
+
 @dataclass(frozen=True)
 class IntegralTrend:
     integral: float

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quasikit as qk
@@ -226,3 +226,114 @@ def test_growth_check_reads_one_table(reg_factorial_40):
         logs_c = reg_factorial_40.logs_c
         ratio = math.exp(logs_c[chk.witness_l] - logs_c[chk.witness_l - 1])
         assert chk.rhs == qk.bang_norm(base).value * math.exp(math.e * abs(tau) * ratio)
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles: the per-entry loops that the prefix-max scan replaced
+
+
+def scalar_bang_norm(entries, pset):
+    """(value, witness_k, reduction_bound, truncated) by the reduced scalar scan."""
+    n0 = next((i for i, v in enumerate(entries) if v != 0.0), None)
+    if n0 is None:
+        return math.exp(-pset[-1]), pset[-1], len(entries) - 1, True
+    threshold = abs(entries[n0])
+    reduction = len(entries) - 1
+    for k in pset:
+        if k >= n0 and math.exp(-k) < threshold:
+            reduction = k
+            break
+    best = math.inf
+    witness = pset[0]
+    running = 0.0
+    idx = 0
+    for k in pset:
+        if k > reduction:
+            break
+        while idx <= k:
+            running = max(running, abs(entries[idx]))
+            idx += 1
+        value = max(math.exp(-k), running)
+        if value < best:
+            best = value
+            witness = k
+    window_max = max(abs(v) for v in entries[: witness + 1])
+    truncated = witness == pset[-1] and math.exp(-witness) > window_max
+    return best, witness, reduction, truncated
+
+
+def scalar_witness(entries, pset, value):
+    """The smallest k >= 1 in P whose candidate reaches ``value``, or None."""
+    running = 0.0
+    idx = 0
+    for k in pset:
+        while idx <= k:
+            running = max(running, abs(entries[idx]))
+            idx += 1
+        if k >= 1 and max(math.exp(-k), running) <= value * (1.0 + 1e-15):
+            return k
+    return None
+
+
+@st.composite
+def oracle_vectors(draw):
+    # a zero prefix of signed zeros (up to past k = 746, where e^{-k} becomes
+    # 0.0), then any finite entries, tiny and huge included
+    n_zero = draw(st.one_of(st.integers(0, 8), st.integers(730, 760)))
+    signs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n_zero) < 0.5
+    zeros = [-0.0 if negative else 0.0 for negative in signs]
+    # entries equal to or within 1e-13 of some e^{-k} make the comparisons tie
+    tail = draw(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(0, 760).map(lambda k: math.exp(-k)),
+        st.tuples(st.integers(0, 30), st.sampled_from([1 - 1e-13, 1 + 1e-13])).map(
+            lambda kr: math.exp(-kr[0]) * kr[1]
+        ),
+    ), max_size=24))
+    entries = zeros + tail or [0.0]
+    if draw(st.booleans()):
+        pset = range(len(entries))
+    else:
+        pset = {0} | draw(st.sets(st.integers(0, len(entries) - 1), max_size=12))
+    return entries, sorted(pset)
+
+
+class TestScalarOracle:
+    @given(oracle_vectors())
+    @example(([0.0, math.exp(-3), 0.0, 0.0, 0.0], [0, 1, 2, 3, 4]))  # e^{-k} = |x_{n0}|
+    @example(([math.exp(-2), 0.0, 0.0], [0, 2]))  # e^{-k} = window max at the end of P
+    @example(([0.0, 0.0, 0.0, math.exp(-2) * (1 - 1e-13)], [0, 1, 2, 3]))  # near-tie
+    @settings(max_examples=500, deadline=None)
+    def test_norm_and_witness_match_scalar_scan(self, vec):
+        entries, pset = vec
+        v = qk.BangVector(entries=entries, index_set=pset)
+        res = qk.bang_norm(v)
+        value, witness, reduction, truncated = scalar_bang_norm(entries, pset)
+        assert (res.value, res.witness_k, res.reduction_bound, res.truncated) == (
+            value, witness, reduction, truncated
+        )
+        assert qk.bang._achieving_index(v, res.value) == scalar_witness(entries, pset, value)
+
+    def test_decay_rounds_like_math_exp(self):
+        # numpy's exp differs from math.exp in the last ulp at some k
+        for k in range(800):
+            v = qk.BangVector(entries=np.zeros(k + 1), index_set=sorted({0, k}))
+            assert qk.bang_norm(v).value == math.exp(-k)
+
+    def test_growth_witness_matches_scalar_scan(self, reg_factorial_40, reg_ones_40):
+        rng = np.random.default_rng(20)
+        for f, reg in ((sin_spec(), reg_factorial_40), (exp_spec(), reg_ones_40)):
+            for _ in range(20):
+                t = float(rng.uniform(0, 0.9))
+                chk = qk.growth_estimate_check(f, t, 0.1, reg, jet_order=48)
+                base = qk.function_sequence(f, t, reg, jet_order=48)
+                entries, pset = base.entries.tolist(), list(base.index_set)
+                value = scalar_bang_norm(entries, pset)[0]
+                assert chk.witness_l == scalar_witness(entries, pset, value)
+
+    def test_entries_are_read_only(self):
+        v = qk.BangVector.from_json({"entries": [0.5, 1.0, 0.0], "index_set": [0, 2]})
+        assert v.entries.dtype == np.float64
+        assert v.index_set == (0, 2) and all(type(k) is int for k in v.index_set)
+        with pytest.raises(ValueError):
+            v.entries[0] = 2.0

@@ -319,7 +319,9 @@ MALFORMED_INPUTS = {
     "entries-scalar": ("bang norm --vector", {"entries": 5}),
     "entries-with-string": ("bang norm --vector", {"entries": [1.0, "a"]}),
     "index-set-with-string": ("bang norm --vector", {"entries": [1.0, 2.0], "index_set": ["x"]}),
+    "index-set-not-integer": ("bang norm --vector", {"entries": [1.0, 2.0], "index_set": [0, 1.7]}),
     "vector-not-object": ("bang norm --vector", [1.0, 2.0]),
+    "vector-not-object-with-pset": ("bang norm --pset {} --vector", [1.0, 2.0]),
     "nodes-bare-list": ("gont build --nodes", [0.0, 1.0]),
     "nodes-with-string": ("gont eval --x 0.5 --nodes", {"nodes": [0.0, "a"]}),
     "check-nodes-bare-list": ("gont check --nodes", [0.0, 1.0]),
@@ -333,7 +335,7 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     command, doc = MALFORMED_INPUTS[case]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    code = dispatch([*command.split(), str(path)])
+    code = dispatch([*command.format(path).split(), str(path)])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
@@ -397,3 +399,56 @@ def test_plotdata_streams_column_blocks(tmp_path):
     path = tmp_path / "blocks.csv"
     emit_plotdata([("a", [1.0, 2.0], [0.5, -math.inf]), ("b", [3.0], [1e-300])], str(path))
     assert path.read_text() == "x,series,value\n1.0,a,0.5\n2.0,a,-inf\n3.0,b,1e-300\n"
+
+
+IO_FAILURES = ("input-is-directory", "input-not-utf8", "out-dir-missing", "csv-dir-missing",
+               "csv-dir-missing-stdout")
+
+
+@pytest.mark.parametrize("case", IO_FAILURES)
+def test_io_errors_exit_2_with_one_line(tmp_path, capsys, case):
+    # no report comes out, neither to --out nor to stdout
+    from quasikit.cli import dispatch
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "factorial", "horizon": 9}))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"family": "factorial", "horizon": 9, "note": "\u00e9"}'.encode("latin-1"))
+    out, missing = tmp_path / "o.json", tmp_path / "missing"
+    argv = {
+        "input-is-directory": ["seq", "make", "--spec", str(tmp_path)],
+        "input-not-utf8": ["seq", "make", "--spec", str(latin1)],
+        "out-dir-missing": ["seq", "make", "--spec", str(spec), "--out", str(missing / "o.json")],
+        "csv-dir-missing": ["seq", "analyze", "--spec", str(spec), "--out", str(out),
+                            "--csv", str(missing / "x.csv")],
+        "csv-dir-missing-stdout": ["seq", "analyze", "--spec", str(spec),
+                                   "--csv", str(missing / "x.csv")],
+    }[case]
+    code = dispatch(argv)
+    stdout, err = capsys.readouterr()
+    assert code == 2 and stdout == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("quasikit: ")
+    assert "internal" not in err
+    assert not out.exists() or out.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [("seq analyze --spec {spec} --sigma-div=nan", "sigma_div"),
+     ("seq analyze --spec {spec} --sigma-div=inf", "sigma_div"),
+     ("seq analyze --spec {spec} --eps-conv=nan", "eps_conv"),
+     ("seq analyze --spec {spec} --eps-conv=-inf", "eps_conv"),
+     ("gont check --sweep 4 --nodes {nodes} --tolerance=nan", "tolerance"),
+     ("weight analyze --mu zero --samples 4 --rmax=inf", "r_max"),
+     ("weight check --mu zero --rmax=nan", "r_max")],
+)
+def test_non_finite_thresholds_exit_2(tmp_path, capsys, command, name):
+    from quasikit.cli import dispatch
+
+    spec, nodes = tmp_path / "spec.json", tmp_path / "nodes.json"
+    spec.write_text(json.dumps({"family": "factorial", "horizon": 50}))
+    nodes.write_text(json.dumps({"nodes": [0.0, 0.5]}))
+    code = dispatch(command.format(spec=spec, nodes=nodes).split())
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and name in err

@@ -227,3 +227,11 @@ class TestOmegaGrowthProxy:
         for r in (100.0, 1e4):
             inc = qk.omega(w_zero, 2.0 * r) - qk.omega(w_zero, r)
             assert inc == pytest.approx(r / math.e, rel=1e-9)
+
+
+@pytest.mark.parametrize("mu", ["zero", "loglog"])
+def test_invariant_battery_holds_at_large_rmax(mu):
+    # at r ~ 1e7 Lambda exceeds lambda by 16 ulps of |Lambda|, far below an
+    # ulp of the m(t*) that the subtraction cancels
+    report = qk.invariant_battery(qk.make_weight(mu, 10.0), 1e9)
+    assert report["sandwich_ok"] and report["ok"]

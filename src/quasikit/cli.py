@@ -74,8 +74,13 @@ def _field(path: InputFile, key: str):
 
 def _write_outputs(doc: dict, out: str | None, csv_path: str | None, blocks) -> None:
     """Write the CSV rows, then the JSON report.  The report's file is opened
-    first and written last, so no report comes out when either fails."""
-    text = json.dumps(doc, indent=2)
+    first and written last, so no report comes out when either fails.  A
+    report holding Infinity or NaN, which JSON (RFC 8259) has no token for,
+    is rejected before anything is written."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValidationError("a report value leaves the float range") from None
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
         if csv_path:
             emit_plotdata(blocks or [], csv_path)
@@ -170,7 +175,9 @@ def _cmd_lab_envelope(args):
     f = jets.FunctionSpec.from_json(args.fn.doc)
     doc = jets.derivative_envelope(f, args.nmax, grid_size=args.grid).to_json()
     doc["note"] = "grid maxima are lower bounds of the true sup"
-    return doc, [("m_est_log", itertools.count(0.0), doc["m_est_log"])]
+    logs = doc["m_est_log"]
+    orders = [n for n, v in enumerate(logs) if v is not None]  # a vanishing order has no row
+    return doc, [("m_est_log", map(float, orders), [logs[n] for n in orders])]
 
 
 def _cmd_lab_monotonic(args):
@@ -357,6 +364,9 @@ def dispatch(argv: list[str]) -> int:
     output.update(doc)
     try:
         _write_outputs(output, getattr(args, "out", None), getattr(args, "csv", None), blocks)
+    except ValidationError as exc:
+        print(f"quasikit: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"quasikit: cannot write {exc.filename or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -35,9 +35,10 @@ SWEEP_BLOCK = 256
 SWEEP_MAX = 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GontcharoffPoly:
-    """Degree-n polynomial in the scaled basis, with its node list.
+    """Degree-n polynomial in the scaled basis, with its node list; both are
+    read-only float64 arrays.
 
     ``scaled_coeffs[i]`` multiplies x^i / i!; the leading coefficient is 1.
     The basis is anchored at 0, so absolute evaluation error grows like
@@ -48,17 +49,17 @@ class GontcharoffPoly:
     """
 
     degree: int
-    nodes: tuple[float, ...]
-    scaled_coeffs: tuple[float, ...]
+    nodes: np.ndarray
+    scaled_coeffs: np.ndarray
 
     def eval(self, x: float) -> float:
         """Horner evaluation in the scaled basis; exact for degree 0."""
-        return _horner_scaled(self.scaled_coeffs, x)
+        return _horner_scaled(self.scaled_coeffs.tolist(), x)
 
     def eval_magnitude(self, x: float) -> float:
         """sum_i |c_i| |x|^i / i!: the scale against which cancellation in
         eval() should be judged."""
-        return _horner_scaled([abs(c) for c in self.scaled_coeffs], abs(x))
+        return _horner_scaled(np.abs(self.scaled_coeffs).tolist(), abs(x))
 
     def derivative(self, k: int) -> "GontcharoffPoly":
         """k-th derivative: an index shift dropping the first k nodes."""
@@ -73,8 +74,8 @@ class GontcharoffPoly:
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
-            "nodes": list(self.nodes),
-            "scaled_coeffs": list(self.scaled_coeffs),
+            "nodes": self.nodes.tolist(),
+            "scaled_coeffs": self.scaled_coeffs.tolist(),
         }
 
 
@@ -124,14 +125,14 @@ def build(nodes: Sequence[float]) -> GontcharoffPoly:
     Rejects nodes whose scaled coefficients leave the float range.
     """
     node_list = _node_list(nodes)
-    coeffs = _anchor_chain(node_list)[-1]
-    if not all(math.isfinite(c) for c in coeffs):
+    coeffs = np.array(_anchor_chain(node_list)[-1])
+    if not np.isfinite(coeffs).all():
         raise ValidationError(
             "the scaled coefficients overflow the float range; the nodes are too large"
         )
-    return GontcharoffPoly(
-        degree=len(node_list), nodes=tuple(node_list), scaled_coeffs=tuple(coeffs)
-    )
+    node_arr = np.array(node_list)
+    node_arr.flags.writeable = coeffs.flags.writeable = False
+    return GontcharoffPoly(degree=len(node_list), nodes=node_arr, scaled_coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def identity_sweep(
     ``derivative_violations`` is 0.  A sample whose value or residual leaves
     the float range is a ValidationError, not a pass.
     """
-    node_list = list(build(nodes).nodes)
+    node_list = build(nodes).nodes.tolist()
     n = len(node_list)
     if n < 1:
         raise ValidationError("the identity sweep needs at least one node")
@@ -302,6 +303,8 @@ def identity_sweep(
         raise ValidationError(f"sweep must be in [1, {SWEEP_MAX}], got {sweep}")
     if not math.isfinite(tolerance):
         raise ValidationError(f"tolerance must be finite, got {tolerance!r}")
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     lo, hi = min(node_list), max(node_list)
     if hi - lo < 1e-9:
@@ -461,20 +464,3 @@ def null_test_bound(
         - math.lgamma(ms + 2)
         + (ms + 1) * math.log(inner)
     )
-
-
-def vanishing_taylor_bounds(
-    envelope: EnvelopeReport, nbar: Sequence[int], dist: float
-) -> np.ndarray:
-    """Log bounds (A * dist)^{n_k} for |f| near a flat point, where A is the
-    smallest constant with M_est[n_k] <= A^{n_k} n_k! along the subsequence.
-
-    The bounds decrease to -inf when dist < 1/A.
-    """
-    ks = [int(v) for v in nbar]
-    if dist <= 0:
-        raise ValidationError("dist must be positive")
-    log_a = max(
-        (envelope.m_est_log[nk] - math.lgamma(nk + 1)) / nk for nk in ks if nk >= 1
-    )
-    return np.array([nk * (log_a + math.log(dist)) for nk in ks])

@@ -157,23 +157,24 @@ class FunctionSpec:
         return {"expr": self.expr, "domain": list(self.domain)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Jet:
-    """Taylor coefficients c_k = f^{(k)}(center)/k! up to ``order``."""
+    """Taylor coefficients c_k = f^{(k)}(center)/k! up to ``order``, a
+    read-only float64 array."""
 
     center: float
     order: int
-    coeffs: tuple[float, ...]
+    coeffs: np.ndarray
 
     def derivative(self, n: int) -> float:
         """f^{(n)}(center) = n! * c_n."""
         if not (0 <= n <= self.order):
             raise ValidationError(f"derivative order {n} outside jet order {self.order}")
-        return _FACT[n] * self.coeffs[n]
+        return _FACT[n] * float(self.coeffs[n])
 
     @property
     def value(self) -> float:
-        return self.coeffs[0]
+        return float(self.coeffs[0])
 
 
 _FACT = [1.0]
@@ -274,7 +275,7 @@ def _propagate(node: Mapping, t: np.ndarray, k_max: int, path: str) -> np.ndarra
             c[k] = -_dot(ju[1 : k + 1], s[:k][::-1]) / k
         return _check_cap(s if op == "sin" else c, path)
     if op == "pow":
-        num, den = int(node["num"]), int(node["den"])
+        num, den = int(node["num"]), int(node.get("den", 1))
         if den < 0:
             num, den = -num, -den
         if den == 1 and num >= 0:
@@ -315,7 +316,8 @@ def _derivative_table(f: FunctionSpec, points, order: int) -> np.ndarray:
 def jet_eval(f: FunctionSpec, t: float, order: int) -> Jet:
     """Exact Taylor coefficients of f at t up to ``order``."""
     coeffs = _taylor_table(f, [t], order)[:, 0]
-    return Jet(center=float(t), order=order, coeffs=tuple(coeffs.tolist()))
+    coeffs.flags.writeable = False
+    return Jet(center=float(t), order=order, coeffs=coeffs)
 
 
 def jet_derivatives(f: FunctionSpec, t: float, order: int) -> np.ndarray:
@@ -334,16 +336,17 @@ def domain_grid(f: FunctionSpec, grid_size: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # derivative envelopes
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvelopeReport:
-    """Grid maxima of |f^{(n)}| on the domain, stored as log values.
+    """Grid maxima of |f^{(n)}| on the domain, stored as log values in
+    read-only float64 arrays.
 
     A grid max is a lower bound for the true sup; -inf marks a derivative
-    that vanished at every grid point.
+    that vanished at every grid point, and is ``null`` in the JSON.
     """
 
-    grid: tuple[float, ...]
-    m_est_log: tuple[float, ...]
+    grid: np.ndarray
+    m_est_log: np.ndarray
 
     @property
     def nmax(self) -> int:
@@ -354,7 +357,10 @@ class EnvelopeReport:
         return math.exp(self.m_est_log[n]) if self.m_est_log[n] > -math.inf else 0.0
 
     def to_json(self) -> dict:
-        return {"grid": list(self.grid), "m_est_log": list(self.m_est_log)}
+        return {
+            "grid": self.grid.tolist(),
+            "m_est_log": [v if v > -math.inf else None for v in self.m_est_log.tolist()],
+        }
 
 
 def derivative_envelope(
@@ -363,10 +369,9 @@ def derivative_envelope(
     """Grid maxima of |f^{(n)}|, n = 0..nmax, over a uniform grid."""
     grid = domain_grid(f, grid_size)
     peaks = np.abs(_derivative_table(f, grid, nmax)).max(axis=1)
-    return EnvelopeReport(
-        grid=tuple(grid.tolist()),
-        m_est_log=tuple(math.log(m) if m > 0.0 else -math.inf for m in peaks.tolist()),
-    )
+    m_est_log = np.array([math.log(m) if m > 0.0 else -math.inf for m in peaks.tolist()])
+    grid.flags.writeable = m_est_log.flags.writeable = False
+    return EnvelopeReport(grid=grid, m_est_log=m_est_log)
 
 
 # ---------------------------------------------------------------------------
@@ -386,42 +391,38 @@ class TailSup:
     truncated: bool
 
 
-def derivative_tail_sup(
-    f: FunctionSpec,
-    t: float,
-    n: int,
-    weights: LogSequence,
-    horizon: int,
-    jet: Jet | None = None,
-) -> TailSup:
-    """Suffix supremum of |f^{(j)}(t)| / (e^j M_j) over n <= j <= horizon."""
+def _check_horizon(n: int, horizon: int, weights: LogSequence) -> None:
     if not (0 <= n <= horizon):
         raise ValidationError(f"need 0 <= n <= horizon, got n={n}, horizon={horizon}")
     if horizon >= weights.length:
         raise ValidationError("horizon exceeds weight sequence length")
-    if jet is None:
-        jet = jet_eval(f, t, horizon)
-    elif jet.order < horizon:
-        raise ValidationError("supplied jet order is below the horizon")
-    logs = weights.logs[: horizon + 1].tolist()
-    best = -math.inf
-    arg = -1
-    for j in range(n, horizon + 1):
-        deriv = _FACT[j] * jet.coeffs[j]
-        if deriv == 0.0:
-            continue
-        term = math.log(abs(deriv)) - j - logs[j]
-        if term > best:
-            best = term
-            arg = j
-    if arg < 0:
+
+
+def _tail_sup(derivs: np.ndarray, n: int, logs: np.ndarray) -> TailSup:
+    """The suffix sup from n over ``derivs``, the column f^{(j)}(t) for j up
+    to the horizon, with ``logs[j]`` = log M_j.  Vanishing derivatives are
+    skipped and the first of equal maxima is the argument."""
+    js = np.flatnonzero(derivs[n:]) + n
+    if not js.size:
         return TailSup(value=0.0, log_value=-math.inf, arg_j=-1, truncated=False)
+    # math.log, not np.log: the two differ in the last bit for some arguments
+    terms = np.fromiter(map(math.log, np.abs(derivs[js]).tolist()), float) - js - logs[js]
+    i = int(np.argmax(terms))
+    best, arg = float(terms[i]), int(js[i])
     return TailSup(
         value=math.exp(best) if best < 700 else math.inf,
         log_value=best,
         arg_j=arg,
-        truncated=(arg == horizon),
+        truncated=(arg == len(derivs) - 1),
     )
+
+
+def derivative_tail_sup(
+    f: FunctionSpec, t: float, n: int, weights: LogSequence, horizon: int
+) -> TailSup:
+    """Suffix supremum of |f^{(j)}(t)| / (e^j M_j) over n <= j <= horizon."""
+    _check_horizon(n, horizon, weights)
+    return _tail_sup(jet_derivatives(f, t, horizon), n, weights.logs)
 
 
 @dataclass(frozen=True)
@@ -455,11 +456,9 @@ def translation_estimate_check(
         raise ValidationError("q exceeds weight sequence length")
     if weights.length >= 3 and not is_log_convex(weights):
         raise ValidationError("weight sequence must be log-convex")
-    columns = _taylor_table(f, [t, t + tau], horizon).T.tolist()
-    base, shifted = (
-        derivative_tail_sup(f, p, n, weights, horizon, jet=Jet(float(p), horizon, tuple(c)))
-        for p, c in zip((t, t + tau), columns)
-    )
+    _check_horizon(n, horizon, weights)
+    table = _derivative_table(f, [t, t + tau], horizon)
+    base, shifted = (_tail_sup(table[:, i], n, weights.logs) for i in (0, 1))
     if base.arg_j < 0 or shifted.arg_j < 0:
         raise ValidationError("suffix sup vanished on the horizon; nothing to check")
     ratio = math.exp(weights.logs[q] - weights.logs[q - 1])
@@ -553,19 +552,20 @@ def _zeros_by_order(
     return rows[keep], z[keep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpacingResult:
-    """Zero chain of successive derivatives with both partial-sum curves."""
+    """Zero chain of successive derivatives with both partial-sum curves,
+    each a read-only float64 array."""
 
-    x: tuple[float, ...]
-    lhs_partial: tuple[float, ...]
-    rhs_partial: tuple[float, ...]
+    x: np.ndarray
+    lhs_partial: np.ndarray
+    rhs_partial: np.ndarray
 
     def to_json(self) -> dict:
         return {
-            "x": list(self.x),
-            "lhs_partial": list(self.lhs_partial),
-            "rhs_partial": list(self.rhs_partial),
+            "x": self.x.tolist(),
+            "lhs_partial": self.lhs_partial.tolist(),
+            "rhs_partial": self.rhs_partial.tolist(),
         }
 
 
@@ -607,10 +607,10 @@ def zero_spacing_experiment(
         z = zeros[rows == n]
         chain.append(float(z[np.argmin(np.abs(z - chain[-1]))]))
 
-    lhs = np.cumsum(np.r_[0.0, np.abs(np.diff(chain))])
+    x = np.array(chain)
+    lhs = np.cumsum(np.r_[0.0, np.abs(np.diff(x))])
     logs = weights.logs
     steps = [math.exp(logs[j - 1] - logs[j]) / math.e for j in range(1, nmax + 1)]
     rhs = np.cumsum([0.0, *steps])
-    return SpacingResult(
-        x=tuple(chain), lhs_partial=tuple(lhs.tolist()), rhs_partial=tuple(rhs.tolist())
-    )
+    x.flags.writeable = lhs.flags.writeable = rhs.flags.writeable = False
+    return SpacingResult(x=x, lhs_partial=lhs, rhs_partial=rhs)

@@ -439,6 +439,7 @@ def test_io_errors_exit_2_with_one_line(tmp_path, capsys, case):
      ("seq analyze --spec {spec} --eps-conv=nan", "eps_conv"),
      ("seq analyze --spec {spec} --eps-conv=-inf", "eps_conv"),
      ("gont check --sweep 4 --nodes {nodes} --tolerance=nan", "tolerance"),
+     ("gont check --sweep 4 --nodes {nodes} --seed -1", "seed"),
      ("weight analyze --mu zero --samples 4 --rmax=inf", "r_max"),
      ("weight check --mu zero --rmax=nan", "r_max")],
 )
@@ -452,3 +453,74 @@ def test_non_finite_thresholds_exit_2(tmp_path, capsys, command, name):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and name in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON value (RFC 8259)")
+
+
+STRICT_JSON_COMMANDS = {
+    "seq-make": "seq make --spec {fact}",
+    "seq-regularize": "seq regularize --spec {fact}",
+    "seq-analyze": "seq analyze --spec {fact} --csv {csv}",
+    "bang-norm": "bang norm --vector {vector} --pset {pset}",
+    "bang-distance": "bang distance --vector {vector} --other {other}",
+    "gont-build": "gont build --nodes {nodes}",
+    "gont-eval": "gont eval --nodes {nodes} --x 1.0",
+    "gont-check": "gont check --nodes {nodes} --sweep 200 --seed 7",
+    "lab-envelope": "lab envelope --fn {sin} --nmax 4 --grid 257 --csv {csv}",
+    "lab-envelope-vanishing": "lab envelope --fn {line} --nmax 3 --grid 5 --csv {csv}",
+    "lab-monotonic": "lab monotonic --fn {exp} --seq {fact} --nmax 20",
+    "lab-spacing": "lab spacing --fn {sin} --seq {ones} --nmax 10 --csv {csv}",
+    "weight-analyze": "weight analyze --mu loglog --t0 10 --rmax 1e6 --samples 16 --csv {csv}",
+    "weight-check": "weight check --mu zero --t0 2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_JSON_COMMANDS))
+def test_every_report_is_strict_json(tmp_path, capsys, fact_spec, sin_fn, case):
+    # no report carries Infinity or NaN, and every CSV value is a finite float
+    from quasikit.cli import dispatch
+
+    inputs = {
+        "nodes": {"nodes": [0.0, 0.5, -0.5, 1.0]},
+        "vector": {"entries": [0.5, 0.0, 0.0, 0.0], "index_set": [0, 1, 2, 3]},
+        "other": {"entries": [0.0, 1.0, 0.0, 0.0], "index_set": [0, 1, 2, 3]},
+        "pset": {"index_set": [0, 3]},
+        "ones": {"family": "explicit", "logs": [0.0] * 12},
+        "line": {"expr": {"op": "x"}, "domain": [0, 1]},
+        "exp": {"expr": {"op": "exp", "arg": {"op": "x"}}, "domain": [0, 1]},
+    }
+    paths = {"fact": fact_spec, "sin": sin_fn, "csv": tmp_path / "rows.csv"}
+    for name, doc in inputs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    command = STRICT_JSON_COMMANDS[case]
+    out = tmp_path / "report.json"
+    code = dispatch([*command.format(**paths).split(), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    json.loads(out.read_text(), parse_constant=_reject_constant)
+    if "{csv}" in command:
+        rows = paths["csv"].read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(",")[::2])
+
+
+def test_vanishing_envelope_order_is_null_without_csv_row(tmp_path):
+    from quasikit.cli import dispatch
+
+    fn, out, csv = tmp_path / "line.json", tmp_path / "env.json", tmp_path / "env.csv"
+    fn.write_text(json.dumps({"expr": {"op": "x"}, "domain": [0, 1]}))
+    argv = ["lab", "envelope", "--fn", str(fn), "--nmax", "3", "--grid", "5"]
+    assert dispatch([*argv, "--out", str(out), "--csv", str(csv)]) == 0
+    assert json.loads(out.read_text())["m_est_log"] == [0.0, 0.0, None, None]
+    assert csv.read_text() == "x,series,value\n0.0,m_est_log,0.0\n1.0,m_est_log,0.0\n"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_report_with_non_finite_value_is_not_written(tmp_path, value):
+    from quasikit.cli import _write_outputs
+
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    with pytest.raises(qk.ValidationError, match="float range"):
+        _write_outputs({"values": [1.0, value]}, str(out), str(csv), [("a", [0.0], [1.0])])
+    assert not out.exists() and not csv.exists()

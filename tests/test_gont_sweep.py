@@ -164,5 +164,5 @@ def test_suffixes_are_chain_states(nodes):
     # why the sweep's derivative count is 0: the first derivative is the
     # index shift, and build of a suffix is a state of the full chain
     full = G.build(nodes)
-    assert full.derivative(1).scaled_coeffs == G.build(nodes[1:]).scaled_coeffs
-    assert full.scaled_coeffs == tuple(_build([float(v) for v in nodes]))
+    assert full.derivative(1).scaled_coeffs.tolist() == G.build(nodes[1:]).scaled_coeffs.tolist()
+    assert full.scaled_coeffs.tolist() == _build([float(v) for v in nodes])

@@ -298,14 +298,3 @@ class TestNullBound:
             G.null_test_bound(q, ms, 1.0, 1.0, 1.0, 0.5, 0.5) for ms in range(10, 61)
         ]
         assert np.all(np.diff(values) >= 0)
-
-    def test_taylor_bounds_decay_inside_radius(self):
-        env = qk.derivative_envelope(exp_spec(), 16, grid_size=64)
-        nbar = (1, 2, 4, 8, 16)
-        log_a = max(
-            (env.m_est_log[nk] - math.lgamma(nk + 1)) / nk for nk in nbar
-        )
-        dist = 0.9 * math.exp(-log_a)
-        bounds = G.vanishing_taylor_bounds(env, nbar, dist)
-        assert np.all(np.diff(bounds) < 0)
-        assert bounds[-1] < -0.5

@@ -152,7 +152,13 @@ class TestJetEval:
     def test_integer_pow_handles_zero_base(self):
         cube = qk.FunctionSpec(J.expr_pow(J.expr_x(), 3), (-1.0, 1.0))
         jet = qk.jet_eval(cube, 0.0, 4)
-        assert jet.coeffs == (0.0, 0.0, 0.0, 1.0, 0.0)
+        assert jet.coeffs.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
+
+    def test_pow_den_defaults_to_one(self):
+        # the validator accepts a pow node without "den"; so does the propagator
+        bare = qk.FunctionSpec({"op": "pow", "arg": J.expr_x(), "num": 3}, (-1.0, 1.0))
+        cube = qk.FunctionSpec(J.expr_pow(J.expr_x(), 3), (-1.0, 1.0))
+        assert qk.jet_eval(bare, 0.5, 4).coeffs.tolist() == qk.jet_eval(cube, 0.5, 4).coeffs.tolist()
 
     def test_domain_errors_name_the_node(self):
         bad_log = qk.FunctionSpec(

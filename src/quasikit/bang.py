@@ -34,11 +34,12 @@ _DECAY = np.array([math.exp(-k) for k in range(747)])
 class BangVector:
     """Real entries plus the index set P (sorted, contains 0).
 
-    ``entries`` is a read-only float64 array; ``index_set`` a tuple of ints.
+    ``entries`` is a read-only float64 array, ``index_set`` a read-only intp
+    array.
     """
 
     entries: np.ndarray
-    index_set: tuple[int, ...]
+    index_set: np.ndarray
 
     def __post_init__(self):
         entries = _frozen(self.entries, "entries")
@@ -53,8 +54,10 @@ class BangVector:
             raise ValidationError("index_set exceeds the entry horizon")
         if (pset != np.floor(pset)).any():
             raise ValidationError("index_set entries must be integers")
+        pset = pset.astype(np.intp)
+        pset.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "index_set", tuple(pset.astype(np.intp).tolist()))
+        object.__setattr__(self, "index_set", pset)
 
     @property
     def horizon(self) -> int:
@@ -85,9 +88,9 @@ class BangNormResult:
 
 
 def _scan(x: BangVector) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """P as an integer array, the prefix max m_n = max_{i <= n} |x_i|, and
-    e^{-k} and the candidate max(e^{-k}, m_k) for every k in P."""
-    pset = np.array(x.index_set)
+    """P, the prefix max m_n = max_{i <= n} |x_i|, and e^{-k} and the
+    candidate max(e^{-k}, m_k) for every k in P."""
+    pset = x.index_set
     prefix = np.maximum.accumulate(np.abs(x.entries))
     decay = _DECAY[np.minimum(pset, _DECAY.size - 1)]
     return pset, prefix, decay, np.maximum(decay, prefix[pset])
@@ -124,7 +127,7 @@ def bang_norm_bruteforce(x: BangVector) -> float:
     best = math.inf
     running = 0.0
     idx = 0
-    for k in x.index_set:
+    for k in x.index_set.tolist():
         while idx <= k:
             running = max(running, abs(entries[idx]))
             idx += 1
@@ -136,7 +139,7 @@ def bang_distance(x: BangVector, y: BangVector) -> BangNormResult:
     """Norm of the entrywise difference (same horizon and index set)."""
     if x.horizon != y.horizon:
         raise ValidationError("bang_distance needs matching horizons")
-    if x.index_set != y.index_set:
+    if not np.array_equal(x.index_set, y.index_set):
         raise ValidationError("bang_distance needs matching index sets")
     with np.errstate(over="ignore", invalid="ignore"):
         diff = x.entries - y.entries

@@ -86,16 +86,16 @@ def _horner_scaled(coeffs: Sequence, x):
     return acc
 
 
-def _anchor_chain(nodes: Sequence, start: Sequence = (1.0,)) -> list[list]:
+def _anchor_chain(nodes: Sequence) -> list[list]:
     """Run antidifferentiate-and-anchor over ``nodes``, last node first.
 
     Each step shifts the scaled coefficients up one slot (antiderivative)
     and fixes the constant term so the value at the newly prepended node
-    vanishes.  Entry j of the result holds the coefficients after j steps;
-    from the default start that is Q_j(.; nodes[n-j:]), so one chain holds
-    every suffix polynomial of the node list.
+    vanishes.  Entry j of the result holds the coefficients after j steps,
+    Q_j(.; nodes[n-j:]), so one chain holds every suffix polynomial of the
+    node list.
     """
-    states = [list(start)]
+    states = [[1.0]]
     for anchor in reversed(nodes):
         coeffs = [0.0] + states[-1]
         coeffs[0] = -_horner_scaled(coeffs, anchor)
@@ -206,18 +206,28 @@ def swap_identity_residual(
     if not (0 <= k < n):
         raise ValidationError(f"need 0 <= k < n, got k={k}, n={n}")
     (y,) = _node_list([y])  # the swapped-in node passes the node checks too
-    return _swap_residual(node_list, k, y, x, _anchor_chain(node_list))
+    with np.errstate(over="ignore", invalid="ignore"):  # silent inf/NaN, as in Python floats
+        return float(_swap_residual(node_list, k, y, x, _anchor_chain(node_list)))
 
 
-def _swap_residual(nodes: list, k: int, y, x, states):
-    """The swap residual from the chain of ``nodes``: ``states[j]`` holds
-    Q_j(.; nodes[n-j:]) for j in (n-k-1, n-k, n).  The swapped polynomial
-    shares the chain up to the swapped node."""
+def _swap_residual(nodes: list, k, y, x, states):
+    """The swap residual from the chain of ``nodes``, whose entry j holds
+    Q_j(.; nodes[n-j:]); ``k`` is an index, or an index per column.  Each
+    column of the swapped chain runs the float operations of its own
+    sample's chain."""
     n = len(nodes)
-    swapped = _anchor_chain(nodes[:k] + [y], states[n - k - 1])[-1]
+    swapped = _anchor_chain([np.where(k == p, y, v) for p, v in enumerate(nodes)])[-1]
     lhs = _horner_scaled(states[n], x) - _horner_scaled(swapped, x)
-    rhs = _horner_scaled(_anchor_chain(nodes[:k])[-1], x) * _horner_scaled(states[n - k], y)
+    # np.choose takes at most 32 choices under numpy 1.x; n <= DEGREE_CAP fits
+    rhs = np.choose(k, _prefix_values(nodes, x)) * np.choose(
+        k, [_horner_scaled(states[n - j], y) for j in range(n)]
+    )
     return abs(lhs - rhs)
+
+
+def _prefix_values(nodes: list, x) -> list:
+    """Q_i(x; nodes[:i]) for i < n, each from its own chain."""
+    return [_horner_scaled(_anchor_chain(nodes[:i])[-1], x) for i in range(len(nodes))]
 
 
 def decomposition_residual(
@@ -241,10 +251,8 @@ def _decomposition_residual(ys: list, x, states: list):
     """The decomposition residual from the chain of the nodes."""
     n = len(ys)
     total = _horner_scaled(_anchor_chain(ys)[-1], x)
-    for i in range(n):
-        total = total + (
-            _horner_scaled(_anchor_chain(ys[:i])[-1], x) * _horner_scaled(states[n - i], ys[i])
-        )
+    for i, prefix in enumerate(_prefix_values(ys, x)):
+        total = total + prefix * _horner_scaled(states[n - i], ys[i])
     return abs(_horner_scaled(states[n], x) - total)
 
 
@@ -318,16 +326,14 @@ def identity_sweep(
         for s in range(size):
             draws[s] = rng.uniform(lo, hi, size=2 * n + 2)
             ks[s] = rng.integers(0, n)
-        # samples sorted by k make each swap group a slice
-        order = np.argsort(ks, kind="stable")
         with np.errstate(over="ignore", invalid="ignore"):
             swap, decomp, value, magnitude, bound = _sweep_block(
-                list(np.ascontiguousarray(draws[order].T)), ks[order], n
+                list(np.ascontiguousarray(draws.T)), ks, n
             )
         bad = ~np.isfinite([swap, decomp, value, magnitude]).all(axis=0)
         if bad.any():
             raise ValidationError(
-                f"sample {start + int(order[bad].min())} of the sweep leaves the float "
+                f"sample {start + int(np.argmax(bad))} of the sweep leaves the float "
                 "range; the nodes are too large"
             )
         scale = np.maximum(1.0, magnitude)
@@ -348,21 +354,12 @@ def identity_sweep(
 
 def _sweep_block(columns: list, ks: np.ndarray, n: int) -> tuple:
     """Swap and decomposition residuals, Q_n(x), sum_i |c_i| |x|^i / i! and
-    the bound for a block of samples sorted by k; ``columns`` holds the
-    nodes, the ys, x and y, one column per sample."""
+    the bound for a block of samples; ``columns`` holds the nodes, the ys, x
+    and y, one column per sample, and ``ks`` the swapped indices."""
     nodes, ys, x, y = columns[:n], columns[n : 2 * n], columns[2 * n], columns[2 * n + 1]
-    states = _anchor_chain(nodes, [np.ones(len(ks))])
+    states = _anchor_chain(nodes)
     poly = states[n]
-    swap = np.empty(len(ks))
-    cuts = np.searchsorted(ks, np.arange(n + 1))
-    for k in range(n):
-        group = slice(cuts[k], cuts[k + 1])
-        if group.start == group.stop:
-            continue
-        swap[group] = _swap_residual(
-            [c[group] for c in nodes], k, y[group], x[group],
-            {j: [c[group] for c in states[j]] for j in (n - k - 1, n - k, n)},
-        )
+    swap = _swap_residual(nodes, ks, y, x, states)
     decomp = _decomposition_residual(ys, x, states)
     magnitude = _horner_scaled([abs(c) for c in poly], abs(x))
     bound = np.array([_power_over_factorial(s, n) for s in _spread(nodes, x).tolist()])

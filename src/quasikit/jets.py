@@ -144,7 +144,7 @@ class FunctionSpec:
         except (TypeError, ValueError):  # not a pair of numbers
             ok = False
         if not ok:
-            raise ValidationError(f"domain must be a finite interval [a,b], got {self.domain}")
+            raise ValidationError(f"domain must be a finite interval [a,b], got {self.domain!r}")
         object.__setattr__(self, "domain", (float(a), float(b)))
 
     @classmethod

@@ -50,7 +50,8 @@ def carleman_series(
     eps_conv: float = EPS_CONV,
 ) -> SeriesReport:
     """Terms 1/beta_n for n = 1..N-1, with the trend verdict."""
-    terms = np.exp(-beta_sequence(seq))
+    with np.errstate(over="ignore"):  # diagnose_series rejects an overflowing term
+        terms = np.exp(-beta_sequence(seq))
     return diagnose_series(terms, sigma_div=sigma_div, eps_conv=eps_conv)
 
 
@@ -62,7 +63,8 @@ def root_series(
     """Terms exp(-L^c_n / n) for n = 1..N-1."""
     if reg.length < 2:
         raise ValidationError("root_series needs at least 2 entries")
-    terms = np.exp(-reg.logs_c[1:] / np.arange(1, reg.length, dtype=float))
+    with np.errstate(over="ignore"):
+        terms = np.exp(-reg.logs_c[1:] / np.arange(1, reg.length, dtype=float))
     return diagnose_series(terms, sigma_div=sigma_div, eps_conv=eps_conv)
 
 
@@ -75,7 +77,8 @@ def ratio_series(
     if reg.length < 2:
         raise ValidationError("ratio_series needs at least 2 entries")
     logs_c = reg.logs_c
-    terms = np.exp(logs_c[:-1] - logs_c[1:])
+    with np.errstate(over="ignore"):
+        terms = np.exp(logs_c[:-1] - logs_c[1:])
     return diagnose_series(terms, sigma_div=sigma_div, eps_conv=eps_conv)
 
 

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .sequences import _frozen
 
 DIVERGING = "diverging_trend"
 CONVERGING = "converging_trend"
@@ -72,14 +73,14 @@ def diagnose_series(
     sigma_div: float = SIGMA_DIV,
     eps_conv: float = EPS_CONV,
 ) -> SeriesReport:
-    """Build a SeriesReport from nonnegative terms.
+    """Build a SeriesReport from finite nonnegative terms.
 
     ``xs`` are the fit abscissae; by default log of the 1-based ordinal.
     """
     for name, value in (("sigma_div", sigma_div), ("eps_conv", eps_conv)):
         if not np.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
-    t = np.array(terms, dtype=float)
+    t = _frozen(terms, "terms")
     if t.size < 2:
         raise ValidationError("diagnose_series needs at least 2 terms")
     if np.any(t < 0):
@@ -100,7 +101,7 @@ def diagnose_series(
         verdict = CONVERGING
     else:
         verdict = INCONCLUSIVE
-    t.flags.writeable = sums.flags.writeable = False
+    sums.flags.writeable = False
     return SeriesReport(
         terms=t,
         partial_sums=sums,

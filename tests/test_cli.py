@@ -309,6 +309,9 @@ MALFORMED_INPUTS = {
     "logs-ragged": ("seq analyze --spec", {"family": "explicit", "logs": [[0], [1, 2]]}),
     "logs-scalar": ("seq regularize --spec", {"family": "explicit", "logs": 5}),
     "spec-not-object": ("seq make --spec", [0, 1, 2]),
+    "logs-fall-fast": (
+        "seq analyze --spec", {"family": "explicit", "logs": [-800 * n for n in range(9)]}
+    ),
     "horizon-over-cap": (
         "seq make --spec", {"family": "factorial", "horizon": qk.sequences.HORIZON_MAX + 1}
     ),

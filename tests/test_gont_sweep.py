@@ -7,10 +7,11 @@ boundaries, degrees, coincident nodes and seeds.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quasikit import gontcharoff as G
 from quasikit.errors import ValidationError
@@ -159,6 +160,16 @@ def test_overflowing_samples_rejected(nodes):
         G.identity_sweep(nodes, 20, 0)
 
 
+def test_float_range_error_names_the_first_sample_out_of_range():
+    # some samples of these nodes overflow, the first of them past the first block
+    nodes = [0.0, 1e154]
+    with pytest.raises(ValidationError, match="float range") as err:
+        G.identity_sweep(nodes, 3000, 0)
+    first = int(re.search(r"sample (\d+) ", str(err.value)).group(1))
+    assert first >= BLOCK
+    G.identity_sweep(nodes, first, 0)  # every sample before it stays in range
+
+
 @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=G.DEGREE_CAP))
 def test_suffixes_are_chain_states(nodes):
     # why the sweep's derivative count is 0: the first derivative is the
@@ -166,3 +177,34 @@ def test_suffixes_are_chain_states(nodes):
     full = G.build(nodes)
     assert full.derivative(1).scaled_coeffs.tolist() == G.build(nodes[1:]).scaled_coeffs.tolist()
     assert full.scaled_coeffs.tolist() == _build([float(v) for v in nodes])
+
+
+@st.composite
+def residual_cases(draw):
+    n = draw(st.integers(1, G.DEGREE_CAP))
+    point = st.floats(-3.0, 3.0)
+    nodes = draw(st.lists(point, min_size=n, max_size=n))
+    ys = draw(st.lists(point, min_size=n, max_size=n))
+    return nodes, ys, draw(st.integers(0, n - 1)), draw(point), draw(point)
+
+
+@given(residual_cases())
+@settings(max_examples=200)
+def test_residuals_match_scalar_construction(case):
+    # the one-sample wrappers run the block code on a batch of one
+    nodes, ys, k, y, x = case
+    assert G.swap_identity_residual(nodes, k, y, x) == _swap(nodes, k, y, x)
+    assert G.decomposition_residual(nodes, ys, x) == _decomposition(nodes, ys, x)
+
+
+def test_degree_cap_draws_every_swap_index():
+    # a block holds every swapped index at once, and no sort reorders it
+    nodes, sweep, seed = _nodes(G.DEGREE_CAP), 300, 11
+    n = len(nodes)
+    rng = np.random.default_rng(seed)
+    ks = set()
+    for _ in range(sweep):
+        rng.uniform(size=2 * n + 2)
+        ks.add(int(rng.integers(0, n)))
+    assert ks == set(range(n))
+    assert G.identity_sweep(nodes, sweep, seed) == _loop_sweep(nodes, sweep, seed)

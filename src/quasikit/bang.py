@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -146,28 +146,18 @@ def bang_distance(x: BangVector, y: BangVector) -> BangNormResult:
     return bang_norm(BangVector(entries=diff, index_set=x.index_set))
 
 
-def function_sequence(
-    f: FunctionSpec,
-    t: float,
-    reg: RegularizedSequence,
-    pset: Sequence[int] | None = None,
-    jet_order: int | None = None,
-) -> BangVector:
-    """Entries x_n = f^{(n)}(t) / (M^c_n e^n), with P defaulting to the
-    principal indices of the regularized sequence."""
-    return _scaled_vectors(f, [t], reg, pset, jet_order)[0]
+def function_sequence(f: FunctionSpec, t: float, reg: RegularizedSequence) -> BangVector:
+    """Entries x_n = f^{(n)}(t) / (M^c_n e^n) over the horizon of the
+    regularized sequence, with P its principal indices."""
+    return _scaled_vectors(f, [t], reg)[0]
 
 
-def _scaled_vectors(f, points, reg, pset, jet_order) -> list[BangVector]:
+def _scaled_vectors(f, points, reg) -> list[BangVector]:
     """function_sequence at every point, from one derivative table."""
     n_len = reg.length
-    order = n_len - 1 if jet_order is None else jet_order
-    if order < n_len - 1:
-        raise ValidationError("jet order must cover the sequence horizon")
-    table = _derivative_table(f, points, order)[:n_len]
+    table = _derivative_table(f, points, n_len - 1)
     scaled = table * np.exp(-reg.logs_c - np.arange(n_len))[:, None]
-    index_set = reg.principal if pset is None else pset
-    return [BangVector(entries=x, index_set=index_set) for x in scaled.T]
+    return [BangVector(entries=x, index_set=reg.principal) for x in scaled.T]
 
 
 def _achieving_index(x: BangVector, value: float) -> int | None:
@@ -191,18 +181,16 @@ def growth_estimate_check(
     t: float,
     tau: float,
     reg: RegularizedSequence,
-    pset: Sequence[int] | None = None,
-    jet_order: int | None = None,
-    slack: float = 1e-9,
 ) -> GrowthCheck:
     """Translation estimate for the norm of the scaled derivative vector:
 
         ||X_f(t + tau)|| <= ||X_f(t)|| * exp(e |tau| M^c_l / M^c_{l-1}),
 
-    with l the smallest norm-achieving index >= 1 in P.  Rejected when the
+    with l the smallest norm-achieving index >= 1 in P, the principal
+    indices of ``reg``, and a relative slack of 1e-9.  Rejected when the
     base vector is zero on the horizon or no achieving index >= 1 exists.
     """
-    base, shifted = _scaled_vectors(f, [t, t + tau], reg, pset, jet_order)
+    base, shifted = _scaled_vectors(f, [t, t + tau], reg)
     if not base.entries.any():
         raise ValidationError("zero scaled-derivative vector; estimate undefined")
     base_norm = bang_norm(base)
@@ -217,5 +205,5 @@ def growth_estimate_check(
     rhs = base_norm.value * math.exp(math.e * abs(tau) * ratio)
     lhs = bang_norm(shifted).value
     return GrowthCheck(
-        lhs=lhs, rhs=rhs, witness_l=witness_l, ok=lhs <= rhs * (1.0 + slack)
+        lhs=lhs, rhs=rhs, witness_l=witness_l, ok=lhs <= rhs * (1.0 + 1e-9)
     )

@@ -161,8 +161,9 @@ def _simpson_step(g, a, b, fa, fm, fb, whole, tol, depth) -> float:
     )
 
 
-def integral_oracle(nodes: Sequence[float], x: float, tol: float = 1e-9) -> float:
-    """Evaluate the defining iterated integral by nested adaptive Simpson.
+def integral_oracle(nodes: Sequence[float], x: float) -> float:
+    """Evaluate the defining iterated integral by nested adaptive Simpson, to
+    an absolute tolerance of 1e-9.
 
     Independent of build(); limited to degree <= 4 because each level nests
     a full quadrature.
@@ -170,7 +171,7 @@ def integral_oracle(nodes: Sequence[float], x: float, tol: float = 1e-9) -> floa
     node_list = [float(v) for v in nodes]
     if len(node_list) > 4:
         raise ValidationError("integral oracle is limited to 4 nodes")
-    return _oracle_level(node_list, float(x), tol)
+    return _oracle_level(node_list, float(x), 1e-9)
 
 
 def _oracle_level(nodes: list[float], x: float, tol: float) -> float:
@@ -381,23 +382,22 @@ def abel_expand(
     nodes: Sequence[float],
     n: int,
     x: float,
-    grid_size: int = 256,
 ) -> AbelExpansion:
     """Expand f over the node sequence:
 
         f(x) ~ sum_{k=0}^n f^{(k)}(x_k) Q_k(x; x_0..x_{k-1}),
 
     returning the partial sum, the true remainder f(x) - partial, and the
-    envelope bound (grid max of |f^{(n+1)}|) * bound(Q_{n+1}).  The grid max
-    is a lower bound of the true sup, so the remainder contract carries a
-    small slack factor.
+    envelope bound (max of |f^{(n+1)}| over a 256-point grid) * bound(Q_{n+1}).
+    The grid max is a lower bound of the true sup, so the remainder contract
+    carries a small slack factor.
     """
     node_list = [float(v) for v in nodes]
     if len(node_list) < n + 1:
         raise ValidationError(f"need at least {n + 1} nodes for order {n}")
     if n + 1 > DEGREE_CAP:
         raise ValidationError(f"order {n} exceeds the degree cap {DEGREE_CAP}")
-    grid = domain_grid(f, grid_size)
+    grid = domain_grid(f, 256)
     # column k holds the derivatives at node x_k, the last column those at x
     at_nodes = _derivative_table(f, node_list[: n + 1] + [float(x)], n).tolist()
     partial = 0.0

@@ -441,14 +441,13 @@ def translation_estimate_check(
     n: int,
     q: int,
     horizon: int,
-    slack: float = 1e-9,
 ) -> TranslationCheck:
     """Translation bound for the suffix sup: with B_n the scaled suffix sup,
 
         B_n(t + tau) <= max(B_n(t), e^{-q}) * exp(e |tau| M_q / M_{q-1}),
 
     for any q > n, valid when M is log-convex and sup |f^{(q)}| <= M_q.
-    Comparison happens in the log domain with relative ``slack``.
+    Comparison happens in the log domain with relative slack 1e-9.
     """
     if not (0 <= n < q):
         raise ValidationError(f"need 0 <= n < q, got n={n}, q={q}")
@@ -463,7 +462,7 @@ def translation_estimate_check(
         raise ValidationError("suffix sup vanished on the horizon; nothing to check")
     ratio = math.exp(weights.logs[q] - weights.logs[q - 1])
     rhs_log = max(base.log_value, -float(q)) + math.e * abs(tau) * ratio
-    ok = shifted.log_value <= rhs_log + math.log1p(slack)
+    ok = shifted.log_value <= rhs_log + math.log1p(1e-9)
     return TranslationCheck(
         lhs_log=shifted.log_value,
         rhs_log=rhs_log,

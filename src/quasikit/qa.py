@@ -22,7 +22,7 @@ from .series import EPS_CONV, SIGMA_DIV, SeriesReport, diagnose_series
 
 # Flag threshold for the trivial quasianalytic case: the sequence's n-th
 # roots stay below e**LIMINF_CAP on the tail of the horizon.  A flag, not a
-# proof; callers may pass their own cap.
+# proof.
 LIMINF_CAP = 50.0
 
 # Relative slack for the finite-horizon inequality chain.
@@ -50,8 +50,12 @@ def carleman_series(
     eps_conv: float = EPS_CONV,
 ) -> SeriesReport:
     """Terms 1/beta_n for n = 1..N-1, with the trend verdict."""
+    return _carleman_from_beta(beta_sequence(seq), sigma_div, eps_conv)
+
+
+def _carleman_from_beta(log_beta: np.ndarray, sigma_div: float, eps_conv: float) -> SeriesReport:
     with np.errstate(over="ignore"):  # diagnose_series rejects an overflowing term
-        terms = np.exp(-beta_sequence(seq))
+        terms = np.exp(-log_beta)
     return diagnose_series(terms, sigma_div=sigma_div, eps_conv=eps_conv)
 
 
@@ -149,20 +153,19 @@ def chain_holds(
     root_rep: SeriesReport,
     carleman_rep: SeriesReport,
     ratio_rep: SeriesReport,
-    rtol: float = CHAIN_RTOL,
 ) -> bool:
     """Finite-horizon inequality chain over the common index range:
 
     sum exp(-L^c_n/n) >= sum 1/beta_n >= sum M^c_{n-1}/M^c_n,
     and sum exp(-L^c_n/n) <= e * sum M^c_{n-1}/M^c_n.
     """
-    s_root = math.fsum(root_rep.terms)
-    s_beta = math.fsum(carleman_rep.terms)
-    s_ratio = math.fsum(ratio_rep.terms)
+    s_root = math.fsum(root_rep.terms.tolist())
+    s_beta = math.fsum(carleman_rep.terms.tolist())
+    s_ratio = math.fsum(ratio_rep.terms.tolist())
     return (
-        s_root >= s_beta * (1.0 - rtol)
-        and s_beta >= s_ratio * (1.0 - rtol)
-        and s_root <= math.e * s_ratio * (1.0 + rtol)
+        s_root >= s_beta * (1.0 - CHAIN_RTOL)
+        and s_beta >= s_ratio * (1.0 - CHAIN_RTOL)
+        and s_root <= math.e * s_ratio * (1.0 + CHAIN_RTOL)
     )
 
 
@@ -170,7 +173,6 @@ def analyze(
     seq: LogSequence,
     sigma_div: float = SIGMA_DIV,
     eps_conv: float = EPS_CONV,
-    liminf_cap: float = LIMINF_CAP,
 ) -> QAReport:
     """Regularize, compute the three criterion series, and aggregate."""
     if seq.length < 8:
@@ -178,7 +180,7 @@ def analyze(
     reg = convex_regularize(seq)
     log_beta = beta_sequence(seq)
     log_beta.flags.writeable = False
-    rep_c = carleman_series(seq, sigma_div=sigma_div, eps_conv=eps_conv)
+    rep_c = _carleman_from_beta(log_beta, sigma_div, eps_conv)
     rep_root = root_series(reg, sigma_div=sigma_div, eps_conv=eps_conv)
     rep_ratio = ratio_series(reg, sigma_div=sigma_div, eps_conv=eps_conv)
     return QAReport(
@@ -186,6 +188,6 @@ def analyze(
         carleman=rep_c,
         root_c=rep_root,
         ratio_c=rep_ratio,
-        liminf_flag=liminf_check(seq, cap=liminf_cap),
+        liminf_flag=liminf_check(seq),
         chain_ok=chain_holds(rep_root, rep_c, rep_ratio),
     )

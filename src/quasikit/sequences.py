@@ -11,6 +11,7 @@ touches the input.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -116,13 +117,18 @@ class SequenceSpec:
                 raise ValidationError("explicit family requires 'logs'")
             object.__setattr__(self, "logs", _frozen(self.logs))
             object.__setattr__(self, "horizon", len(self.logs))
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
+            raise ValidationError(f"horizon must be an integer, got {self.horizon!r}")
         if not 3 <= self.horizon <= HORIZON_MAX:
             raise ValidationError(f"horizon must be in [3, {HORIZON_MAX}], got {self.horizon}")
         key = {"gevrey": "s", "denjoy1": "C", "denjoy2": "C"}.get(self.family)
         if key is not None:
             value = self.params.get(key)
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
-                raise ValidationError(f"{self.family} requires parameter {key} > 0")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 < value < math.inf):
+                raise ValidationError(
+                    f"{self.family} requires parameter {key} > 0, got {value!r}"
+                )
 
     def __eq__(self, other):
         if not isinstance(other, SequenceSpec):
@@ -136,10 +142,13 @@ class SequenceSpec:
         family = doc["family"]
         if family == "explicit":
             return cls(family="explicit", logs=doc.get("logs", ()))
+        horizon = doc.get("horizon", 0)
+        if isinstance(horizon, float) and horizon.is_integer():
+            horizon = int(horizon)  # 2000.0 is the integer 2000
         try:
-            horizon, params = int(doc.get("horizon", 0)), dict(doc.get("params", {}))
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError("spec needs an integer horizon and object params") from None
+            params = dict(doc.get("params", {}))
+        except (TypeError, ValueError):
+            raise ValidationError("spec params must be an object") from None
         return cls(family=family, horizon=horizon, params=params)
 
     def to_json(self) -> dict:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
-from .series import EPS_CONV, SIGMA_DIV, SeriesReport, diagnose_series
+from .series import SeriesReport, diagnose_series
 
 MU_FAMILIES = ("zero", "loglog", "log", "power")
 
@@ -34,21 +34,22 @@ _VALIDATION_SPAN = 2.0**20
 # relative tolerance of omega's parametric cross-checks
 _OMEGA_CHECK_RTOL = 1e-9
 
+# relative slack of the shift, algebra and analytic-criterion bounds
+_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class WeightFunction:
     """Catalog weight function with its hypothesis constants.
 
-    ``delta`` bounds m'' on [t0, inf); ``m_positive_from`` is where m itself
-    turns positive (the transform only needs m', m'' hypotheses from t0, so
-    t0 may sit below the positivity threshold).
+    ``delta`` bounds m'' on [t0, inf).  The transforms only need the m' and
+    m'' hypotheses from t0, so m itself may still be negative at t0.
     """
 
     mu: str
     t0: float
     alpha: float | None = None
     delta: float = 0.0
-    m_positive_from: float = 0.0
 
     def __post_init__(self):
         if self.mu not in MU_FAMILIES:
@@ -115,21 +116,7 @@ def make_weight(mu: str, t0: float, alpha: float | None = None) -> WeightFunctio
             raise ValidationError(
                 f"hypotheses fail at t = {t:g}: m' = {m1:g}, m'' = {m2:g}"
             )
-
-    #m is increasing past t0 (m' > 0), so the positivity threshold is unique
-    m_at_t0 = _m_parts(w, w.t0)[0]
-    if m_at_t0 > 0.0:
-        positive_from = w.t0
-    else:
-        hi = w.t0 * 2.0
-        while _m_parts(w, hi)[0] <= 0.0:
-            hi *= 2.0
-            if hi > w.t0 * 1e6:
-                raise ValidationError("m never turns positive past t0")
-        _, positive_from = _bisect(lambda t: _m_parts(w, t)[0] > 0.0, w.t0, hi)
-    return WeightFunction(
-        mu=w.mu, t0=w.t0, alpha=w.alpha, delta=delta, m_positive_from=positive_from
-    )
+    return WeightFunction(mu=w.mu, t0=w.t0, alpha=w.alpha, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -200,24 +187,24 @@ def weight_inf(w: WeightFunction, r: float) -> WeightInf:
     return WeightInf(log_value=m - t_star * log_r, t_star=t_star)
 
 
-def omega(w: WeightFunction, r: float, check_rtol: float = _OMEGA_CHECK_RTOL) -> float:
+def omega(w: WeightFunction, r: float) -> float:
     """omega(r) = -log Lambda(r), cross-checked against the parametric forms
     t m'(t) - m(t) and t + t^2 mu'(t) at the stationary point."""
-    return _checked_omega(w, weight_inf(w, r), check_rtol)
+    return _checked_omega(w, weight_inf(w, r))
 
 
-def _checked_omega(w: WeightFunction, inf_result: WeightInf, check_rtol: float) -> float:
+def _checked_omega(w: WeightFunction, inf_result: WeightInf) -> float:
     value = -inf_result.log_value
     t = inf_result.t_star
     m, m1, _ = _m_parts(w, t)
     parametric = t * m1 - m
     scale = max(1.0, abs(value))
-    if abs(parametric - value) > check_rtol * scale:
+    if abs(parametric - value) > _OMEGA_CHECK_RTOL * scale:
         raise ConditioningError(
             f"parametric cross-check failed: {value:g} vs t m'-m = {parametric:g}"
         )
     mu_form = t + t * t * _mu_prime(w, t)
-    if abs(mu_form - value) > check_rtol * scale:
+    if abs(mu_form - value) > _OMEGA_CHECK_RTOL * scale:
         raise ConditioningError(
             f"parametric cross-check failed: {value:g} vs t + t^2 mu' = {mu_form:g}"
         )
@@ -251,7 +238,7 @@ def transforms(w: WeightFunction, r: float) -> tuple[float, float, float]:
     inf_result = weight_inf(w, r)
     return (
         inf_result.log_value,
-        _checked_omega(w, inf_result, _OMEGA_CHECK_RTOL),
+        _checked_omega(w, inf_result),
         _integer_inf(w, math.log(r), inf_result.t_star),
     )
 
@@ -311,8 +298,6 @@ def integral_test(
     r0: float,
     r_max: float,
     panels: int = 64,
-    sigma_div: float = SIGMA_DIV,
-    eps_conv: float = EPS_CONV,
 ) -> IntegralTrend:
     """Composite Simpson quadrature of omega(r)/r^2 from r0 to r_max.
 
@@ -350,17 +335,11 @@ def integral_test(
         increments.append(acc * h / 3.0)
 
     xs = edges[1:]
-    report = diagnose_series(increments, xs=xs, sigma_div=sigma_div, eps_conv=eps_conv)
+    report = diagnose_series(increments, xs=xs)
     return IntegralTrend(integral=float(math.fsum(increments)), report=report)
 
 
-def ratio_series_weight(
-    w: WeightFunction,
-    n0: int,
-    n_max: int,
-    sigma_div: float = SIGMA_DIV,
-    eps_conv: float = EPS_CONV,
-) -> SeriesReport:
+def ratio_series_weight(w: WeightFunction, n0: int, n_max: int) -> SeriesReport:
     """Terms M(n)/M(n+1) = exp(m(n) - m(n+1)) for n = n0..n_max-1."""
     if n0 < w.t0:
         raise ValidationError(f"n0 = {n0} must be >= t0 = {w.t0:g}")
@@ -368,12 +347,10 @@ def ratio_series_weight(
         raise ValidationError("need n_max > n0 + 1")
     m_values = [_m_parts(w, float(n))[0] for n in range(n0, n_max + 1)]
     terms = [math.exp(a - b) for a, b in zip(m_values, m_values[1:])]
-    return diagnose_series(terms, sigma_div=sigma_div, eps_conv=eps_conv)
+    return diagnose_series(terms)
 
 
-def shift_bound_check(
-    w: WeightFunction, j: int, p_lo: int, p_hi: int, slack: float = 1e-9
-) -> bool:
+def shift_bound_check(w: WeightFunction, j: int, p_lo: int, p_hi: int) -> bool:
     """Check m(p+j) - m(p) <= j(C + j delta) + p j delta for integer p.
 
     C = m'(t0) - delta t0 realizes the linear bound m'(t) <= delta t + C
@@ -387,7 +364,7 @@ def shift_bound_check(
     for p in range(start, p_hi + 1):
         gap = _m_parts(w, float(p + j))[0] - _m_parts(w, float(p))[0] if j > 0 else 0.0
         allowed = j * (c_const + j * delta) + p * j * delta
-        tol = slack * max(1.0, abs(allowed))
+        tol = _SLACK * max(1.0, abs(allowed))
         if gap > allowed + tol:
             return False
     return True
@@ -400,27 +377,20 @@ def _extended_m(w: WeightFunction, t: float) -> float:
     return _m_parts(w, t)[0] - _m_parts(w, w.t0)[0]
 
 
-def algebra_check(w: WeightFunction, n_max: int, slack: float = 1e-9) -> bool:
+def algebra_check(w: WeightFunction, n_max: int) -> bool:
     """Check M(n-j) M(j) <= M(n) for 0 <= j <= n <= n_max, in the log domain,
     using the convex zero-extension of m (normalized to vanish at t0)."""
     ext = [_extended_m(w, float(t)) for t in range(n_max + 1)]
     for n in range(n_max + 1):
         m_n = ext[n]
-        tol = slack * max(1.0, abs(m_n))
+        tol = _SLACK * max(1.0, abs(m_n))
         for j in range(n + 1):
             if ext[j] + ext[n - j] > m_n + tol:
                 return False
     return True
 
 
-def analytic_criterion(
-    w: WeightFunction,
-    c: float,
-    r_lo: float,
-    p_lo: int,
-    p_hi: int,
-    slack: float = 1e-9,
-) -> bool:
+def analytic_criterion(w: WeightFunction, c: float, r_lo: float, p_lo: int, p_hi: int) -> bool:
     """Linear-growth criterion: if omega(r) >= c r on [r_lo, r_lo * 2^10],
     then m(p) <= delta + log p! - p log c for p in range.
 
@@ -439,16 +409,15 @@ def analytic_criterion(
     start = max(p_lo, math.ceil(w.t0))
     for p in range(start, p_hi + 1):
         allowed = w.delta + math.lgamma(p + 1) - p * log_c
-        tol = slack * max(1.0, abs(allowed))
+        tol = _SLACK * max(1.0, abs(allowed))
         if _m_parts(w, float(p))[0] > allowed + tol:
             return False
     return True
 
 
-def loglog_asymptotics_check(
-    r_max: float, t0: float = 10.0, samples: int = 64
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample omega(s) * e * log(s) / s for the loglog entry on a log grid.
+def loglog_asymptotics_check(r_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sample omega(s) * e * log(s) / s for the loglog entry (t0 = 10) at 64
+    log-spaced radii.
 
     The ratio drifts toward 1 as s grows; convergence is logarithmically
     slow (the correction is of order log log s / log s), so callers should
@@ -456,9 +425,9 @@ def loglog_asymptotics_check(
     """
     if r_max < 1e3:
         raise ValidationError("r_max must be at least 1e3")
-    w = make_weight("loglog", t0)
+    w = make_weight("loglog", 10.0)
     r_start = math.exp(_m_parts(w, w.t0 + 1.0)[1]) * 1.01
-    grid = np.exp(np.linspace(math.log(r_start), math.log(r_max), samples))
+    grid = np.exp(np.linspace(math.log(r_start), math.log(r_max), 64))
     ratios = np.array(
         [omega(w, float(s)) * math.e * math.log(s) / s for s in grid]
     )

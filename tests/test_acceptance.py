@@ -151,7 +151,7 @@ def test_criterion_07_translation_estimates(estimate_pairs):
         for _ in range(500):
             t = float(rng.uniform(0.0, 1.0))
             tau = float(rng.uniform(-t, 1.0 - t))
-            chk = qk.growth_estimate_check(f, t, tau, reg, jet_order=horizon)
+            chk = qk.growth_estimate_check(f, t, tau, reg)
             assert chk.ok, (fn, wn, t, tau)
 
             n = int(rng.integers(0, 11))

@@ -164,26 +164,26 @@ class TestDistance:
 
 class TestFunctionSequence:
     def test_exp_with_factorial_weights(self, reg_factorial_40):
-        v = qk.function_sequence(exp_spec(), 0.0, reg_factorial_40, jet_order=48)
+        v = qk.function_sequence(exp_spec(), 0.0, reg_factorial_40)
         expected = [math.exp(-math.lgamma(n + 1) - n) for n in range(40)]
         assert np.allclose(v.entries, expected, rtol=1e-12)
         assert v.index_set.tolist() == list(reg_factorial_40.principal)
 
     def test_sin_with_unit_weights(self, reg_ones_40):
-        v = qk.function_sequence(sin_spec(), 0.0, reg_ones_40, jet_order=48)
+        v = qk.function_sequence(sin_spec(), 0.0, reg_ones_40)
         pattern = [0.0, 1.0, 0.0, -1.0]
         expected = [pattern[n % 4] * math.exp(-n) for n in range(40)]
         assert np.allclose(v.entries, expected, atol=1e-15)
 
     def test_zero_function(self, reg_ones_40):
         zero = qk.FunctionSpec({"op": "const", "value": 0.0}, (0.0, 1.0))
-        v = qk.function_sequence(zero, 0.5, reg_ones_40, jet_order=48)
+        v = qk.function_sequence(zero, 0.5, reg_ones_40)
         assert all(e == 0.0 for e in v.entries)
 
 
 class TestGrowthEstimate:
     def test_zero_shift_holds_with_equality(self, reg_factorial_40):
-        chk = qk.growth_estimate_check(exp_spec(), 0.3, 0.0, reg_factorial_40, jet_order=48)
+        chk = qk.growth_estimate_check(exp_spec(), 0.3, 0.0, reg_factorial_40)
         assert chk.ok and chk.lhs == pytest.approx(chk.rhs)
 
     @pytest.mark.parametrize("fn,weights", [
@@ -198,14 +198,14 @@ class TestGrowthEstimate:
         for _ in range(60):
             t = float(rng.uniform(0, 1))
             tau = float(rng.uniform(-t, 1 - t))
-            chk = qk.growth_estimate_check(f, t, tau, reg, jet_order=48)
+            chk = qk.growth_estimate_check(f, t, tau, reg)
             assert chk.ok
             assert chk.witness_l >= 1
 
     def test_zero_function_rejected(self, reg_ones_40):
         zero = qk.FunctionSpec({"op": "const", "value": 0.0}, (0.0, 1.0))
         with pytest.raises(qk.ValidationError):
-            qk.growth_estimate_check(zero, 0.5, 0.1, reg_ones_40, jet_order=48)
+            qk.growth_estimate_check(zero, 0.5, 0.1, reg_ones_40)
 
 
 def test_from_json_defaults_to_full_index_set():
@@ -219,9 +219,9 @@ def test_growth_check_reads_one_table(reg_factorial_40):
     # both vectors come from one two-point table, bit for bit the one-point ones
     f = sin_spec()
     for t, tau in ((0.2, 0.5), (0.8, -0.3)):
-        chk = qk.growth_estimate_check(f, t, tau, reg_factorial_40, jet_order=48)
-        base = qk.function_sequence(f, t, reg_factorial_40, jet_order=48)
-        shifted = qk.function_sequence(f, t + tau, reg_factorial_40, jet_order=48)
+        chk = qk.growth_estimate_check(f, t, tau, reg_factorial_40)
+        base = qk.function_sequence(f, t, reg_factorial_40)
+        shifted = qk.function_sequence(f, t + tau, reg_factorial_40)
         assert chk.lhs == qk.bang_norm(shifted).value
         logs_c = reg_factorial_40.logs_c
         ratio = math.exp(logs_c[chk.witness_l] - logs_c[chk.witness_l - 1])
@@ -325,8 +325,8 @@ class TestScalarOracle:
         for f, reg in ((sin_spec(), reg_factorial_40), (exp_spec(), reg_ones_40)):
             for _ in range(20):
                 t = float(rng.uniform(0, 0.9))
-                chk = qk.growth_estimate_check(f, t, 0.1, reg, jet_order=48)
-                base = qk.function_sequence(f, t, reg, jet_order=48)
+                chk = qk.growth_estimate_check(f, t, 0.1, reg)
+                base = qk.function_sequence(f, t, reg)
                 entries, pset = base.entries.tolist(), list(base.index_set)
                 value = scalar_bang_norm(entries, pset)[0]
                 assert chk.witness_l == scalar_witness(entries, pset, value)

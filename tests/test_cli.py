@@ -302,6 +302,9 @@ class TestInputBounds:
 
 MALFORMED_INPUTS = {
     "horizon-not-int": ("seq make --spec", {"family": "factorial", "horizon": "abc"}),
+    "horizon-fractional": ("seq make --spec", {"family": "factorial", "horizon": 9.7}),
+    "horizon-bool": ("seq make --spec", {"family": "factorial", "horizon": True}),
+    "param-is-bool": ("seq make --spec", {"family": "gevrey", "params": {"s": True}, "horizon": 9}),
     "param-is-string": ("seq make --spec", {"family": "gevrey", "params": {"s": "2"}, "horizon": 9}),
     "params-not-object": ("seq make --spec", {"family": "factorial", "params": 5, "horizon": 9}),
     "logs-with-string": ("seq make --spec", {"family": "explicit", "logs": [0, "a", 1]}),
@@ -344,6 +347,15 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("quasikit: ")
     assert "internal" not in err
+
+
+def test_integral_float_horizon_is_taken_whole(tmp_path, capsys):
+    from quasikit.cli import dispatch
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "factorial", "horizon": 12.0}))
+    assert dispatch(["seq", "make", "--spec", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["length"] == 12
 
 
 OVERFLOWING_GONT = {

@@ -3,7 +3,9 @@
 Every input-file subcommand runs in process on JSON documents that carry
 the keys its parser reads, with random values.  Whatever the values, a run
 exits 0 with a report, or exits 2 (or 1, for an internal numerical failure)
-with exactly one stderr line and no report; never ``internal error``.
+with exactly one stderr line and no report; never ``internal error``.  A
+catalog ``seq make`` that exits 0 reports exactly the horizon its spec asked
+for, from a spec whose numbers are not booleans.
 """
 
 import contextlib
@@ -48,10 +50,15 @@ EXPRS = st.recursive(
     ),
     max_leaves=5,
 )
+# the parameter each catalog family reads
+PARAM_KEYS = {"gevrey": "s", "denjoy1": "C", "denjoy2": "C"}
+# non-integral floats and booleans, which a parser must not truncate or read
+# as 0 and 1
+PARAMS = POSITIVE | st.booleans()
 SPEC = st.fixed_dictionaries({
     "family": st.sampled_from(FAMILIES),
-    "horizon": st.integers(3, 300),
-    "params": st.fixed_dictionaries({"s": POSITIVE, "C": POSITIVE}),
+    "horizon": st.integers(3, 300) | st.floats(3.0, 300.0) | st.booleans(),
+    "params": st.fixed_dictionaries({"s": PARAMS, "C": PARAMS}),
     "logs": st.lists(REALS, min_size=1, max_size=12).map(lambda logs: [0.0, *logs]),
 })
 INDEX_SETS = st.lists(st.integers(1, 7), unique=True, max_size=5).map(lambda p: [0, *sorted(p)])
@@ -98,6 +105,9 @@ def runs(draw):
 
 @given(runs())
 @example(("lab envelope --nmax 8 --grid 64 --fn {fn}", {"fn": {"expr": {"op": "x"}, "domain": "\rz"}}))
+@example(("seq make --spec {spec}", {"spec": {"family": "factorial", "horizon": 9.7}}))
+@example(("seq make --spec {spec}",
+          {"spec": {"family": "gevrey", "horizon": 9, "params": {"s": True}}}))
 @settings(max_examples=300)
 def test_random_documents_keep_the_exit_contract(tmp_path_factory, run):
     command, docs = run
@@ -115,3 +125,8 @@ def test_random_documents_keep_the_exit_contract(tmp_path_factory, run):
     if code:
         assert out.getvalue() == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("quasikit: "), err
+    elif command.startswith("seq make") and docs["spec"]["family"] != "explicit":
+        spec = docs["spec"]
+        assert json.loads(out.getvalue())["length"] == spec["horizon"], spec
+        key = PARAM_KEYS.get(spec["family"])
+        assert key is None or type(dict(spec["params"])[key]) is not bool, spec

@@ -181,6 +181,18 @@ class TestAnalyze:
         assert set(doc) == {"beta", "carleman", "root_c", "ratio_c", "liminf_flag", "chain_ok"}
         assert set(doc["carleman"]) == {"terms", "partial_sums", "verdict", "slope_estimate"}
 
+    def test_beta_is_computed_once(self, monkeypatch):
+        calls = []
+        real = qk.qa.beta_sequence
+        monkeypatch.setattr(qk.qa, "beta_sequence", lambda seq: calls.append(seq) or real(seq))
+        seq = random_logsequence(np.random.default_rng(35), 200)
+        report = qk.analyze(seq)
+        assert len(calls) == 1
+        # the shared beta gives the Carleman series carleman_series computes
+        alone = qk.carleman_series(seq)
+        assert report.carleman.terms.tobytes() == alone.terms.tobytes()
+        assert report.carleman.to_json() == alone.to_json()
+
     def test_chain_helper_detects_violation(self):
         good = diagnose_series([1.0, 1.0])
         bad = diagnose_series([10.0, 10.0])

@@ -80,6 +80,24 @@ class TestMakeSequence:
         with pytest.raises(qk.ValidationError):
             qk.SequenceSpec(**spec_kwargs)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"family": "factorial", "horizon": 9.7},
+            {"family": "factorial", "horizon": True},
+            {"family": "factorial", "horizon": "12"},
+            {"family": "gevrey", "horizon": 9, "params": {"s": True}},
+        ],
+    )
+    def test_spec_json_rejects_truncated_or_boolean_values(self, doc):
+        with pytest.raises(qk.ValidationError, match="horizon must be an integer|requires"):
+            qk.SequenceSpec.from_json(doc)
+
+    def test_spec_json_takes_an_integral_float_horizon(self):
+        spec = qk.SequenceSpec.from_json({"family": "factorial", "horizon": 2000.0})
+        assert spec.horizon == 2000 and type(spec.horizon) is int
+        assert qk.make_sequence(spec).length == 2000
+
     def test_bad_logsequence_rejected(self):
         with pytest.raises(qk.ValidationError):
             qk.LogSequence(logs=(1.0, 2.0))

@@ -72,28 +72,72 @@ def _field(path: InputFile, key: str):
     return path.doc[key]
 
 
+def _encode(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, with each list of
+    exact floats or exact ints joined from one ``map`` over ``__repr__``
+    instead of one encoder step per item.  Keys, strings and every other
+    scalar go through ``json.dumps``, so escaping is the stdlib's; a
+    non-finite float raises ValueError as ``allow_nan=False`` does."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        kinds = set(map(type, value))
+        if kinds == {float}:
+            if not all(map(math.isfinite, value)):
+                raise ValueError("Out of range float values are not JSON compliant")
+            items = map(float.__repr__, value)
+        elif kinds == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_encode_key(key)}: {_encode(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(value, allow_nan=False)
+
+
+def _encode_key(key) -> str:
+    """A dict key as ``json`` writes it: a scalar key becomes its JSON text,
+    then every key is quoted as a string."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key, allow_nan=False)
+    return json.dumps(key)
+
+
 def _write_outputs(doc: dict, out: str | None, csv_path: str | None, blocks) -> None:
     """Write the CSV rows, then the JSON report.  The report's file is opened
     first and written last, so no report comes out when either fails.  A
     report holding Infinity or NaN, which JSON (RFC 8259) has no token for,
     is rejected before anything is written."""
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        text = _encode(doc)
     except ValueError:
         raise ValidationError("a report value leaves the float range") from None
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
         if csv_path:
             emit_plotdata(blocks or [], csv_path)
-        handle.write(text + "\n")
+        handle.write(text)
+        handle.write("\n")
 
 
 def emit_plotdata(blocks, path: str) -> None:
     """Write flat (x, series, value) rows from (series, xs, values) column
-    blocks of Python floats, one block after another, streamed to the file."""
+    blocks, one block after another, streamed to the file.  Each row is
+    ``f"{x!r},{series},{v!r}\\n"``, built from one ``map`` per column."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("x,series,value\n")
         for series, xs, values in blocks:
-            handle.write("".join(f"{x!r},{series},{v!r}\n" for x, v in zip(xs, values)))
+            middle = itertools.repeat(f",{series},")
+            ends = itertools.repeat("\n")
+            rows = zip(map(repr, xs), middle, map(repr, values), ends)
+            handle.write("".join(map("".join, rows)))
 
 
 def _load_sequence(spec: InputFile, horizon: int | None) -> sequences.LogSequence:

@@ -32,20 +32,34 @@ HORIZON_MAX = 2**22
 
 
 def _frozen(values, name: str = "logs") -> np.ndarray:
-    """A read-only float64 copy of ``values``, which must be a flat list of
-    finite numbers."""
-    try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a list of numbers") from None
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be a flat list of numbers")
+    """``values`` as a read-only float64 array of finite numbers: a flat list
+    is copied, a read-only 1-D float64 array that owns its memory is checked
+    and returned as it is (a view may share a writable base)."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1
+            and not values.flags.writeable and values.base is None):
+        arr = values
+    else:
+        try:
+            arr = np.array(values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"{name} must be a list of numbers") from None
+        if arr.ndim != 1:
+            raise ValidationError(f"{name} must be a flat list of numbers")
+        arr.flags.writeable = False
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         n = int(bad[0])
         raise ValidationError(f"{name}[{n}] = {arr[n].item()!r} is not finite")
-    arr.flags.writeable = False
     return arr
+
+
+def _checked_horizon(horizon) -> int:
+    """``horizon`` if it is an integer (not a bool) in [3, HORIZON_MAX]."""
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+        raise ValidationError(f"horizon must be an integer, got {horizon!r}")
+    if not 3 <= horizon <= HORIZON_MAX:
+        raise ValidationError(f"horizon must be in [3, {HORIZON_MAX}], got {horizon}")
+    return int(horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +131,7 @@ class SequenceSpec:
                 raise ValidationError("explicit family requires 'logs'")
             object.__setattr__(self, "logs", _frozen(self.logs))
             object.__setattr__(self, "horizon", len(self.logs))
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
-            raise ValidationError(f"horizon must be an integer, got {self.horizon!r}")
-        if not 3 <= self.horizon <= HORIZON_MAX:
-            raise ValidationError(f"horizon must be in [3, {HORIZON_MAX}], got {self.horizon}")
+        object.__setattr__(self, "horizon", _checked_horizon(self.horizon))
         key = {"gevrey": "s", "denjoy1": "C", "denjoy2": "C"}.get(self.family)
         if key is not None:
             value = self.params.get(key)
@@ -145,11 +156,10 @@ class SequenceSpec:
         horizon = doc.get("horizon", 0)
         if isinstance(horizon, float) and horizon.is_integer():
             horizon = int(horizon)  # 2000.0 is the integer 2000
-        try:
-            params = dict(doc.get("params", {}))
-        except (TypeError, ValueError):
-            raise ValidationError("spec params must be an object") from None
-        return cls(family=family, horizon=horizon, params=params)
+        params = doc.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValidationError("spec params must be an object")
+        return cls(family=family, horizon=horizon, params=dict(params))
 
     def to_json(self) -> dict:
         if self.family == "explicit":
@@ -173,9 +183,7 @@ def make_sequence(spec: SequenceSpec, horizon: int | None = None) -> LogSequence
         logs[0] = 0.0
         return LogSequence(logs=logs, generator="explicit")
 
-    n_total = spec.horizon if horizon is None else int(horizon)
-    if not 3 <= n_total <= HORIZON_MAX:
-        raise ValidationError(f"horizon must be in [3, {HORIZON_MAX}], got {n_total}")
+    n_total = spec.horizon if horizon is None else _checked_horizon(horizon)
     # math per index: np.log differs from math.log in the last ulp at some n
     if spec.family == "factorial":
         first, term, tag = 0, lambda n: math.lgamma(n + 1), "factorial"

@@ -215,6 +215,14 @@ def test_from_json_defaults_to_full_index_set():
         qk.BangVector.from_json({"index_set": [0]})
 
 
+def test_entries_are_copied_once():
+    # from_json copies the list; __post_init__ keeps that read-only array
+    entries = np.array([0.5, 1.0, 0.0])
+    v = qk.BangVector(entries=entries, index_set=[0, 2])
+    assert not np.shares_memory(v.entries, entries) and not v.entries.flags.writeable
+    assert qk.BangVector(entries=v.entries, index_set=[0, 2]).entries is v.entries
+
+
 def test_growth_check_reads_one_table(reg_factorial_40):
     # both vectors come from one two-point table, bit for bit the one-point ones
     f = sin_spec()

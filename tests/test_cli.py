@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +308,9 @@ MALFORMED_INPUTS = {
     "param-is-bool": ("seq make --spec", {"family": "gevrey", "params": {"s": True}, "horizon": 9}),
     "param-is-string": ("seq make --spec", {"family": "gevrey", "params": {"s": "2"}, "horizon": 9}),
     "params-not-object": ("seq make --spec", {"family": "factorial", "params": 5, "horizon": 9}),
+    "params-list-of-pairs": (
+        "seq make --spec", {"family": "factorial", "params": [["s", 1]], "horizon": 9}
+    ),
     "logs-with-string": ("seq make --spec", {"family": "explicit", "logs": [0, "a", 1]}),
     "logs-nested": ("seq make --spec", {"family": "explicit", "logs": [[0, 1], [2, 3]]}),
     "logs-ragged": ("seq analyze --spec", {"family": "explicit", "logs": [[0], [1, 2]]}),
@@ -409,11 +413,22 @@ def test_pset_without_index_set_exits_2(tmp_path, capsys):
 
 
 def test_plotdata_streams_column_blocks(tmp_path):
+    import itertools
+
     from quasikit.cli import emit_plotdata
 
     path = tmp_path / "blocks.csv"
     emit_plotdata([("a", [1.0, 2.0], [0.5, -math.inf]), ("b", [3.0], [1e-300])], str(path))
     assert path.read_text() == "x,series,value\n1.0,a,0.5\n2.0,a,-inf\n3.0,b,1e-300\n"
+    # an x column may be a counter, a list or a map; rows stop at the shorter column
+    values = [0.1, -0.0, 1e16, 5e-324]
+    blocks = [("c.term", itertools.count(1.0), values), ("l", [0.5, 1e-05], values),
+              ("m", map(float, [0, 2, 7]), values)]
+    emit_plotdata(blocks, str(path))
+    rows = [f"{x!r},{s},{v!r}\n" for s, xs, vs in
+            [("c.term", [1.0, 2.0, 3.0, 4.0], values), ("l", [0.5, 1e-05], values),
+             ("m", [0.0, 2.0, 7.0], values)] for x, v in zip(xs, vs)]
+    assert path.read_text() == "x,series,value\n" + "".join(rows)
 
 
 IO_FAILURES = ("input-is-directory", "input-not-utf8", "out-dir-missing", "csv-dir-missing",
@@ -492,32 +507,73 @@ STRICT_JSON_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(STRICT_JSON_COMMANDS))
-def test_every_report_is_strict_json(tmp_path, capsys, fact_spec, sin_fn, case):
-    # no report carries Infinity or NaN, and every CSV value is a finite float
+STRICT_JSON_INPUTS = {
+    "fact": {"family": "factorial", "params": {}, "horizon": 200},
+    "sin": {"expr": {"op": "sin", "arg": {"op": "x"}}, "domain": [0.0, 2 * math.pi]},
+    "nodes": {"nodes": [0.0, 0.5, -0.5, 1.0]},
+    "vector": {"entries": [0.5, 0.0, 0.0, 0.0], "index_set": [0, 1, 2, 3]},
+    "other": {"entries": [0.0, 1.0, 0.0, 0.0], "index_set": [0, 1, 2, 3]},
+    "pset": {"index_set": [0, 3]},
+    "ones": {"family": "explicit", "logs": [0.0] * 12},
+    "line": {"expr": {"op": "x"}, "domain": [0, 1]},
+    "exp": {"expr": {"op": "exp", "arg": {"op": "x"}}, "domain": [0, 1]},
+}
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def strict_json_outputs(case: str) -> tuple[bytes, bytes | None]:
+    """The report and CSV bytes of one STRICT_JSON_COMMANDS form, run in the
+    current directory on relative paths, so the manifest holds no temporary
+    directory."""
     from quasikit.cli import dispatch
 
-    inputs = {
-        "nodes": {"nodes": [0.0, 0.5, -0.5, 1.0]},
-        "vector": {"entries": [0.5, 0.0, 0.0, 0.0], "index_set": [0, 1, 2, 3]},
-        "other": {"entries": [0.0, 1.0, 0.0, 0.0], "index_set": [0, 1, 2, 3]},
-        "pset": {"index_set": [0, 3]},
-        "ones": {"family": "explicit", "logs": [0.0] * 12},
-        "line": {"expr": {"op": "x"}, "domain": [0, 1]},
-        "exp": {"expr": {"op": "exp", "arg": {"op": "x"}}, "domain": [0, 1]},
-    }
-    paths = {"fact": fact_spec, "sin": sin_fn, "csv": tmp_path / "rows.csv"}
-    for name, doc in inputs.items():
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(doc))
+    names = {"csv": "rows.csv"}
+    for name, doc in STRICT_JSON_INPUTS.items():
+        names[name] = f"{name}.json"
+        Path(names[name]).write_text(json.dumps(doc))
     command = STRICT_JSON_COMMANDS[case]
-    out = tmp_path / "report.json"
-    code = dispatch([*command.format(**paths).split(), "--out", str(out)])
-    assert code == 0, capsys.readouterr().err
-    json.loads(out.read_text(), parse_constant=_reject_constant)
-    if "{csv}" in command:
-        rows = paths["csv"].read_text().splitlines()[1:]
+    code = dispatch([*command.format(**names).split(), "--out", "report.json"])
+    assert code == 0
+    csv = Path("rows.csv").read_bytes() if "{csv}" in command else None
+    return Path("report.json").read_bytes(), csv
+
+
+def write_golden() -> None:
+    """Regenerate ``tests/golden/`` from the code on the path (run it only
+    for a deliberate report change):
+    ``PYTHONPATH=src:tests python -c 'import test_cli; test_cli.write_golden()'``"""
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for case in STRICT_JSON_COMMANDS:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp)
+            report, csv = strict_json_outputs(case)
+        (GOLDEN / f"{case}.json").write_bytes(report)
+        if csv is not None:
+            (GOLDEN / f"{case}.csv").write_bytes(csv)
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_JSON_COMMANDS))
+def test_every_report_is_strict_json(tmp_path, monkeypatch, case):
+    # no report carries Infinity or NaN, and every CSV value is a finite float
+    monkeypatch.chdir(tmp_path)
+    report, csv = strict_json_outputs(case)
+    json.loads(report, parse_constant=_reject_constant)
+    if csv is not None:
+        rows = csv.decode().splitlines()[1:]
         assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(",")[::2])
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_JSON_COMMANDS))
+def test_report_matches_golden(tmp_path, monkeypatch, case):
+    # every report and CSV is byte-identical to the committed one
+    monkeypatch.chdir(tmp_path)
+    report, csv = strict_json_outputs(case)
+    assert report == (GOLDEN / f"{case}.json").read_bytes()
+    golden_csv = GOLDEN / f"{case}.csv"
+    assert csv == (golden_csv.read_bytes() if golden_csv.exists() else None)
 
 
 def test_vanishing_envelope_order_is_null_without_csv_row(tmp_path):

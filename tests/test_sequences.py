@@ -93,6 +93,23 @@ class TestMakeSequence:
         with pytest.raises(qk.ValidationError, match="horizon must be an integer|requires"):
             qk.SequenceSpec.from_json(doc)
 
+    @pytest.mark.parametrize("horizon", [9.7, 12.0, True, "12"])
+    def test_horizon_override_is_checked_as_the_spec_horizon(self, horizon):
+        # 9.7 was truncated to 9 entries
+        spec = qk.SequenceSpec(family="factorial", horizon=20)
+        with pytest.raises(qk.ValidationError, match="horizon must be an integer"):
+            qk.make_sequence(spec, horizon=horizon)
+        with pytest.raises(qk.ValidationError, match="horizon must be an integer"):
+            qk.SequenceSpec(family="factorial", horizon=horizon)
+        assert qk.make_sequence(spec, horizon=np.int64(9)).length == 9
+
+    @pytest.mark.parametrize("params", [[["s", 1.0]], [], "s", 5])
+    def test_spec_json_params_must_be_an_object(self, params):
+        # a list of pairs passed through dict() as an object
+        doc = {"family": "gevrey", "horizon": 9, "params": params}
+        with pytest.raises(qk.ValidationError, match="spec params must be an object"):
+            qk.SequenceSpec.from_json(doc)
+
     def test_spec_json_takes_an_integral_float_horizon(self):
         spec = qk.SequenceSpec.from_json({"family": "factorial", "horizon": 2000.0})
         assert spec.horizon == 2000 and type(spec.horizon) is int
@@ -103,6 +120,24 @@ class TestMakeSequence:
             qk.LogSequence(logs=(1.0, 2.0))
         with pytest.raises(qk.ValidationError):
             qk.LogSequence(logs=(0.0, math.inf))
+
+    def test_frozen_copies_only_a_writable_or_foreign_input(self):
+        from quasikit.sequences import _frozen
+
+        writable = np.array([0.0, 1.0, 2.0])
+        copy = _frozen(writable)
+        assert not np.shares_memory(copy, writable) and not copy.flags.writeable
+        assert _frozen(copy) is copy
+        view = writable[:]
+        view.flags.writeable = False
+        assert not np.shares_memory(_frozen(view), writable)
+        assert not np.shares_memory(_frozen(copy.astype(np.float32)), copy)
+        bad = np.array([0.0, math.inf])
+        with pytest.raises(qk.ValidationError, match=r"logs\[1\] = inf"):
+            _frozen(bad)
+        bad.flags.writeable = False  # a caller's read-only array is still scanned
+        with pytest.raises(qk.ValidationError, match=r"logs\[1\] = inf"):
+            _frozen(bad)
 
     def test_spec_json_round_trip(self):
         spec = qk.SequenceSpec(family="denjoy1", horizon=10, params={"C": 3.0})

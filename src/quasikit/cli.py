@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 2 validation, usage or I/O error, 1 internal error.  The
 QUASIKIT_LOG environment variable ({quiet, info, debug}) controls stderr
-logging.  Outputs embed a run manifest; a fixed manifest (command line,
+logging; at debug an internal error also logs its traceback.  Outputs embed a run manifest; a fixed manifest (command line,
 input digests, version, seed) reproduces byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -141,10 +142,7 @@ def emit_plotdata(blocks, path: str) -> None:
 
 
 def _load_sequence(spec: InputFile, horizon: int | None) -> sequences.LogSequence:
-    parsed = sequences.SequenceSpec.from_json(spec.doc)
-    if parsed.family == "explicit" and horizon is not None:
-        raise ValidationError("--horizon cannot override an explicit log vector")
-    return sequences.make_sequence(parsed, horizon=horizon)
+    return sequences.make_sequence(sequences.SequenceSpec.from_json(spec.doc), horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +260,9 @@ def _cmd_weight_check(args):
 # ---------------------------------------------------------------------------
 # parser wiring
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="quasikit",
         description="Quasianalytic weight-sequence toolkit",
@@ -398,11 +398,11 @@ def dispatch(argv: list[str]) -> int:
     except QuasikitError as exc:
         print(f"quasikit: internal numerical failure: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"quasikit: internal error: {exc}", file=sys.stderr)
+        log.debug("traceback of the internal error", exc_info=True)
         return 1
-    manifest.duration_s = time.monotonic() - started
-    log.info("completed in %.3f s", manifest.duration_s)
+    log.info("completed in %.3f s", time.monotonic() - started)
 
     output = {"manifest": manifest.to_json()}
     output.update(doc)

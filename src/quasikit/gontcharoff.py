@@ -416,10 +416,13 @@ def cn_membership_bound(
     a_const: float,
     b_const: float,
 ) -> bool:
-    """Check M_est[n_k] <= B * A^{n_k} * n_k! along the subsequence, in logs."""
+    """Check M_est[n_k] <= B * A^{n_k} * n_k! along the subsequence, in logs.
+    Rejects an empty subsequence, which leaves nothing to check."""
     if not (a_const > 0 and b_const > 0):
         raise ValidationError("constants A and B must be positive")
     ks = [int(v) for v in nbar]
+    if not ks:
+        raise ValidationError("nbar is empty; nothing to check")
     if any(j <= i for i, j in zip(ks, ks[1:])):
         raise ValidationError("nbar must be strictly increasing")
     for nk in ks:

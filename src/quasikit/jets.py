@@ -35,9 +35,6 @@ K_MAX = 64
 COEFF_CAP = 1e280
 GRID_MAX = 2**14
 
-_UNARY = ("neg", "exp", "log", "sin", "cos")
-_BINARY = ("add", "sub", "mul", "div")
-
 
 # ---------------------------------------------------------------------------
 # expression builders (the dict form doubles as the JSON wire format)
@@ -95,40 +92,6 @@ def expr_affine(arg: dict, scale: float, shift: float) -> dict:
     return {"op": "affine", "arg": arg, "a": float(scale), "b": float(shift)}
 
 
-def _validate_expr(node, path: str = "root") -> None:
-    if not isinstance(node, Mapping) or "op" not in node:
-        raise ValidationError(f"expression node at {path} must be a dict with 'op'")
-    op = node["op"]
-    if op == "x":
-        return
-    if op == "const":
-        value = node.get("value")
-        if not isinstance(value, (int, float)) or not math.isfinite(float(value)):
-            raise ValidationError(f"const at {path} needs a finite 'value'")
-        return
-    if op in _BINARY:
-        _validate_expr(node.get("left"), f"{path}.left")
-        _validate_expr(node.get("right"), f"{path}.right")
-        return
-    if op in _UNARY:
-        _validate_expr(node.get("arg"), f"{path}.arg")
-        return
-    if op == "pow":
-        num, den = node.get("num"), node.get("den", 1)
-        if not isinstance(num, int) or not isinstance(den, int) or den == 0:
-            raise ValidationError(f"pow at {path} needs integer num/den, den != 0")
-        _validate_expr(node.get("arg"), f"{path}.arg")
-        return
-    if op == "affine":
-        for key in ("a", "b"):
-            value = node.get(key)
-            if not isinstance(value, (int, float)) or not math.isfinite(float(value)):
-                raise ValidationError(f"affine at {path} needs finite '{key}'")
-        _validate_expr(node.get("arg"), f"{path}.arg")
-        return
-    raise ValidationError(f"unknown op {op!r} at {path}")
-
-
 @dataclass(frozen=True)
 class FunctionSpec:
     """A closed-form function: expression tree plus a closed interval domain."""
@@ -137,7 +100,7 @@ class FunctionSpec:
     domain: tuple[float, float]
 
     def __post_init__(self):
-        _validate_expr(self.expr)
+        _rows(self.expr, np.empty(0), 0)  # a malformed tree raises; no point, no domain error
         try:
             a, b = self.domain
             ok = math.isfinite(a) and math.isfinite(b) and a < b
@@ -219,21 +182,40 @@ def _pow_int(u: np.ndarray, exponent: int, k_max: int) -> np.ndarray:
     return result
 
 
-def _propagate(node: Mapping, t: np.ndarray, k_max: int, path: str) -> np.ndarray:
+def _finite(value) -> bool:
+    """Whether ``value`` is an int or float (bools too) that a float holds finitely."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _propagate(node, t: np.ndarray, k_max: int, path: str) -> np.ndarray:
+    """Rows c_0..c_k_max of the expression ``node`` at the points t.  The one
+    reader of expression trees: it checks a node's own fields before its
+    children, depth first, so a malformed tree raises the same
+    ValidationError over zero points as over many."""
+    if not isinstance(node, Mapping) or "op" not in node:
+        raise ValidationError(f"expression node at {path} must be a dict with 'op'")
     op = node["op"]
     if op in ("x", "const"):
+        if op == "const" and not _finite(node.get("value")):
+            raise ValidationError(f"const at {path} needs a finite 'value'")
         out = np.zeros((k_max + 1, t.size))
         out[0] = t if op == "x" else float(node["value"])
         out[1:2] = 1.0 if op == "x" else 0.0
         return out
     if op == "affine":
+        for key in ("a", "b"):
+            if not _finite(node.get(key)):
+                raise ValidationError(f"affine at {path} needs finite '{key}'")
         a, b = float(node["a"]), float(node["b"])
-        inner = _propagate(node["arg"], a * t + b, k_max, f"{path}.arg")
+        inner = _propagate(node.get("arg"), a * t + b, k_max, f"{path}.arg")
         scale = np.cumprod(np.r_[1.0, np.full(k_max, a)])
         return _check_cap(inner * scale[:, None], path)
-    if op in _BINARY:
-        u = _propagate(node["left"], t, k_max, f"{path}.left")
-        v = _propagate(node["right"], t, k_max, f"{path}.right")
+    if op in ("add", "sub", "mul", "div"):
+        u = _propagate(node.get("left"), t, k_max, f"{path}.left")
+        v = _propagate(node.get("right"), t, k_max, f"{path}.right")
         if op == "add":
             out = u + v
         elif op == "sub":
@@ -247,8 +229,14 @@ def _propagate(node: Mapping, t: np.ndarray, k_max: int, path: str) -> np.ndarra
             for k in range(k_max + 1):
                 out[k] = (u[k] - _dot(v[1 : k + 1], out[:k][::-1])) / v[0]
         return _check_cap(out, path)
+    if op == "pow":
+        num, den = node.get("num"), node.get("den", 1)
+        if not isinstance(num, int) or not isinstance(den, int) or den == 0:
+            raise ValidationError(f"pow at {path} needs integer num/den, den != 0")
+    elif op not in ("neg", "exp", "log", "sin", "cos"):
+        raise ValidationError(f"unknown op {op!r} at {path}")
 
-    u = _propagate(node["arg"], t, k_max, f"{path}.arg")
+    u = _propagate(node.get("arg"), t, k_max, f"{path}.arg")
     if op == "neg":
         return -u
     out = np.empty_like(u)
@@ -274,24 +262,28 @@ def _propagate(node: Mapping, t: np.ndarray, k_max: int, path: str) -> np.ndarra
             s[k] = _dot(ju[1 : k + 1], c[:k][::-1]) / k
             c[k] = -_dot(ju[1 : k + 1], s[:k][::-1]) / k
         return _check_cap(s if op == "sin" else c, path)
-    if op == "pow":
-        num, den = int(node["num"]), int(node.get("den", 1))
-        if den < 0:
-            num, den = -num, -den
-        if den == 1 and num >= 0:
-            return _check_cap(_pow_int(u, num, k_max), path)
-        alpha = num / den
-        bad = (u[0] == 0.0) | ((u[0] < 0.0) & (den != 1))
-        if bad.any():
-            raise DomainError(
-                f"pow({num}/{den}) needs a positive base, got {float(u[0][bad][0])!r}", path
-            )
-        out[0] = np.power(u[0], alpha)
-        for k in range(1, k_max + 1):
-            weighted = (_J[1 : k + 1] * (alpha + 1.0) - k)[:, None] * u[1 : k + 1]
-            out[k] = _dot(weighted, out[:k][::-1]) / (k * u[0])
-        return _check_cap(out, path)
-    raise ValidationError(f"unknown op {op!r} at {path}")  # pragma: no cover
+    num, den = int(num), int(den)  # pow; a bool reads as 0 or 1
+    if den < 0:
+        num, den = -num, -den
+    if den == 1 and num >= 0:
+        return _check_cap(_pow_int(u, num, k_max), path)
+    alpha = num / den
+    bad = (u[0] == 0.0) | ((u[0] < 0.0) & (den != 1))
+    if bad.any():
+        raise DomainError(
+            f"pow({num}/{den}) needs a positive base, got {float(u[0][bad][0])!r}", path
+        )
+    out[0] = np.power(u[0], alpha)
+    for k in range(1, k_max + 1):
+        weighted = (_J[1 : k + 1] * (alpha + 1.0) - k)[:, None] * u[1 : k + 1]
+        out[k] = _dot(weighted, out[:k][::-1]) / (k * u[0])
+    return _check_cap(out, path)
+
+
+def _rows(expr, t: np.ndarray, k_max: int) -> np.ndarray:
+    """``_propagate`` from the root; the cap and domain checks replace numpy's warnings."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _propagate(expr, t, k_max, "root")
 
 
 def _taylor_table(f: FunctionSpec, points, order: int) -> np.ndarray:
@@ -304,8 +296,7 @@ def _taylor_table(f: FunctionSpec, points, order: int) -> np.ndarray:
     outside = t[~((a - 1e-12 <= t) & (t <= b + 1e-12))]
     if outside.size:
         raise ValidationError(f"evaluation point {outside[0]} outside domain [{a}, {b}]")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _propagate(f.expr, t, order, "root")
+    return _rows(f.expr, t, order)
 
 
 def _derivative_table(f: FunctionSpec, points, order: int) -> np.ndarray:

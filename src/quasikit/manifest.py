@@ -19,9 +19,7 @@ from . import __version__
 class RunManifest:
     command: list[str]
     inputs: dict[str, str] = field(default_factory=dict)
-    version: str = __version__
     seed: int | None = None
-    duration_s: float | None = None  # logged, never serialized
 
     def add_input(self, path: str, data: bytes) -> None:
         """Record the digest of ``data``, the bytes read from ``path``."""
@@ -31,6 +29,6 @@ class RunManifest:
         return {
             "command": list(self.command),
             "inputs": dict(sorted(self.inputs.items())),
-            "version": self.version,
+            "version": __version__,
             "seed": self.seed,
         }

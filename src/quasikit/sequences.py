@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,7 +26,18 @@ TOL_CONVEX = 1e-9
 # Relative tolerance used to decide hull/input equality (principal indices).
 _EQ_RTOL = 1e-12
 
-FAMILIES = ("explicit", "factorial", "power_nn", "gevrey", "denjoy1", "denjoy2")
+# family -> (parameter key or None, first index, log M_n as term(n, param));
+# entries below the first index are padded with 0 and reported as ``filled``.
+# math per index: np.log differs from math.log in the last ulp at some n.
+_CATALOG = {
+    "factorial": (None, 0, lambda n, _: math.lgamma(n + 1)),
+    "power_nn": (None, 0, lambda n, _: n * math.log(n or 1)),  # 0 log 0 = 0
+    "gevrey": ("s", 0, lambda n, s: s * math.lgamma(n + 1)),
+    "denjoy1": ("C", 2, lambda n, c: n * math.log(c * n * math.log(n))),
+    # validity requires n > e
+    "denjoy2": ("C", 3, lambda n, c: n * math.log(c * n * math.log(n) * math.log(math.log(n)))),
+}
+FAMILIES = ("explicit", *_CATALOG)
 
 # Largest horizon; a catalog horizon is checked before anything is allocated.
 HORIZON_MAX = 2**22
@@ -132,7 +144,7 @@ class SequenceSpec:
             object.__setattr__(self, "logs", _frozen(self.logs))
             object.__setattr__(self, "horizon", len(self.logs))
         object.__setattr__(self, "horizon", _checked_horizon(self.horizon))
-        key = {"gevrey": "s", "denjoy1": "C", "denjoy2": "C"}.get(self.family)
+        key = _CATALOG.get(self.family, (None,))[0]
         if key is not None:
             value = self.params.get(key)
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -174,40 +186,24 @@ class SequenceSpec:
 def make_sequence(spec: SequenceSpec, horizon: int | None = None) -> LogSequence:
     """Build the log-domain sequence for ``spec``, closed form per family.
 
-    ``horizon`` overrides the recipe's horizon (catalog families only).
-    Entries below a family's validity threshold are set to the
-    normalization value 0 and reported through ``filled``.
+    ``horizon`` overrides the recipe's horizon; an explicit vector has none
+    to override and rejects it.  Entries below a family's validity threshold
+    are set to the normalization value 0 and reported through ``filled``.
     """
     if spec.family == "explicit":
+        if horizon is not None:
+            raise ValidationError("a horizon cannot override an explicit log vector")
         logs = spec.logs.copy()
         logs[0] = 0.0
         return LogSequence(logs=logs, generator="explicit")
 
     n_total = spec.horizon if horizon is None else _checked_horizon(horizon)
-    # math per index: np.log differs from math.log in the last ulp at some n
-    if spec.family == "factorial":
-        first, term, tag = 0, lambda n: math.lgamma(n + 1), "factorial"
-    elif spec.family == "power_nn":
-        first, term, tag = 2, lambda n: n * math.log(n), "power_nn"
-    elif spec.family == "gevrey":
-        s = float(spec.params["s"])
-        first, term, tag = 0, lambda n: s * math.lgamma(n + 1), f"gevrey(s={s:g})"
-    elif spec.family == "denjoy1":
-        c = float(spec.params["C"])
-        first, tag = 2, f"denjoy1(C={c:g})"
-        term = lambda n: n * math.log(c * n * math.log(n))
-    elif spec.family == "denjoy2":
-        c = float(spec.params["C"])
-        first, tag = 3, f"denjoy2(C={c:g})"  # validity requires n > e
-        term = lambda n: n * math.log(c * n * math.log(n) * math.log(math.log(n)))
-    else:  # pragma: no cover - guarded by SequenceSpec
-        raise ValidationError(f"unknown family {spec.family!r}")
-
+    key, first, term = _CATALOG[spec.family]
+    p = None if key is None else float(spec.params[key])
     logs = np.zeros(n_total)
-    logs[first:] = np.fromiter(map(term, range(first, n_total)), float, n_total - first)
-    logs[0] = 0.0
-    filled = tuple(range(first)) if spec.family.startswith("denjoy") else ()
-    return LogSequence(logs=logs, generator=tag, filled=filled)
+    logs[first:] = np.fromiter(map(term, range(first, n_total), repeat(p)), float, n_total - first)
+    tag = spec.family if key is None else f"{spec.family}({key}={p:g})"
+    return LogSequence(logs=logs, generator=tag, filled=tuple(range(first)))
 
 
 def _lower_hull_vertices(logs: Sequence[float]) -> list[int]:

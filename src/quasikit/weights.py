@@ -19,7 +19,7 @@ decreasing on every catalog entry, asserted on a validation grid).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,16 +40,18 @@ _SLACK = 1e-9
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Catalog weight function with its hypothesis constants.
+    """Catalog weight function with its hypothesis constant.
 
-    ``delta`` bounds m'' on [t0, inf).  The transforms only need the m' and
-    m'' hypotheses from t0, so m itself may still be negative at t0.
+    The constructor checks m' > 0 and 0 < m'' <= m''(t0) on a log-spaced
+    grid spanning twenty doublings past t0, and sets ``delta`` = m''(t0), the
+    bound on m'' over [t0, inf).  The transforms only need the m' and m''
+    hypotheses from t0, so m itself may still be negative at t0.
     """
 
     mu: str
     t0: float
     alpha: float | None = None
-    delta: float = 0.0
+    delta: float = field(init=False)
 
     def __post_init__(self):
         if self.mu not in MU_FAMILIES:
@@ -59,6 +61,21 @@ class WeightFunction:
                 raise ValidationError("power family needs 0 < alpha < 1")
         if not (self.t0 > 0 and math.isfinite(self.t0)):
             raise ValidationError("t0 must be a positive real")
+        if self.mu == "loglog" and self.t0 <= 1.0:
+            raise ValidationError("loglog needs t0 > 1 for log log t to exist")
+        _, m1_at_t0, delta = _m_parts(self, self.t0)
+        if not (m1_at_t0 > 0.0):
+            raise ValidationError(f"m'({self.t0}) = {m1_at_t0:g} must be positive")
+        if not (delta > 0.0):
+            raise ValidationError(f"m''({self.t0}) = {delta:g} must be positive")
+        grid = np.exp(
+            np.linspace(math.log(self.t0), math.log(self.t0 * _VALIDATION_SPAN), _VALIDATION_GRID)
+        )
+        for t in grid:
+            _, m1, m2 = _m_parts(self, float(t))
+            if not (m1 > 0.0 and 0.0 < m2 <= delta * (1.0 + 1e-9)):
+                raise ValidationError(f"hypotheses fail at t = {t:g}: m' = {m1:g}, m'' = {m2:g}")
+        object.__setattr__(self, "delta", delta)
 
 
 def _m_parts(w: WeightFunction, t: float) -> tuple[float, float, float]:
@@ -92,31 +109,8 @@ def _mu_prime(w: WeightFunction, t: float) -> float:
 
 
 def make_weight(mu: str, t0: float, alpha: float | None = None) -> WeightFunction:
-    """Build and validate a catalog weight function.
-
-    Hypotheses m' > 0 and 0 < m'' <= m''(t0) are checked on a log-spaced
-    grid spanning twenty doublings past t0.
-    """
-    w = WeightFunction(mu=mu, t0=float(t0), alpha=alpha)
-    if mu == "loglog" and t0 <= 1.0:
-        raise ValidationError("loglog needs t0 > 1 for log log t to exist")
-    _, m1_at_t0, m2_at_t0 = _m_parts(w, w.t0)
-    if not (m1_at_t0 > 0.0):
-        raise ValidationError(f"m'({t0}) = {m1_at_t0:g} must be positive")
-    if not (m2_at_t0 > 0.0):
-        raise ValidationError(f"m''({t0}) = {m2_at_t0:g} must be positive")
-    delta = m2_at_t0
-
-    grid = np.exp(
-        np.linspace(math.log(w.t0), math.log(w.t0 * _VALIDATION_SPAN), _VALIDATION_GRID)
-    )
-    for t in grid:
-        _, m1, m2 = _m_parts(w, float(t))
-        if not (m1 > 0.0 and 0.0 < m2 <= delta * (1.0 + 1e-9)):
-            raise ValidationError(
-                f"hypotheses fail at t = {t:g}: m' = {m1:g}, m'' = {m2:g}"
-            )
-    return WeightFunction(mu=w.mu, t0=w.t0, alpha=w.alpha, delta=delta)
+    """Build a catalog weight function; the constructor validates it."""
+    return WeightFunction(mu=mu, t0=float(t0), alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -257,7 +251,8 @@ def transform_grid(w: WeightFunction, r_max: float, samples: int) -> dict:
 def invariant_battery(w: WeightFunction, r_max: float) -> dict:
     """The sandwich lambda - delta <= Lambda <= lambda and the growth of omega
     on 100 log-spaced radii up to max(r_max, 4 r_lo), the shift bound for
-    j <= 3 and the algebra property up to n = 200.
+    j <= 3 and integers p from t0 to max(1000, int(t0) + 2), and the algebra
+    property up to n = 200.
 
     The sandwich allows 1e-9 + 1e-12 |Lambda| on each side: Lambda is
     m(t*) - t* log r and carries the rounding of m(t*), whose ulp exceeds
@@ -276,7 +271,8 @@ def invariant_battery(w: WeightFunction, r_max: float) -> dict:
         if not (lam_int - w.delta - tol <= lam <= lam_int + tol):
             sandwich_ok = False
     omega_increasing = all(b > a for a, b in zip(omega_values, omega_values[1:]))
-    shift_ok = all(shift_bound_check(w, j, int(w.t0) + 1, 1000) for j in (0, 1, 2, 3))
+    p_hi = max(1000, int(w.t0) + 2)  # never an empty range of p
+    shift_ok = all(shift_bound_check(w, j, int(w.t0) + 1, p_hi) for j in (0, 1, 2, 3))
     algebra_ok = algebra_check(w, 200)
     return {
         "sandwich_ok": sandwich_ok,
@@ -354,20 +350,28 @@ def shift_bound_check(w: WeightFunction, j: int, p_lo: int, p_hi: int) -> bool:
     """Check m(p+j) - m(p) <= j(C + j delta) + p j delta for integer p.
 
     C = m'(t0) - delta t0 realizes the linear bound m'(t) <= delta t + C
-    that m'' <= delta forces.
+    that m'' <= delta forces.  Rejects a range with no p >= t0 in it.
     """
     if j < 0:
         raise ValidationError("j must be nonnegative")
+    ps = _p_range(w, p_lo, p_hi)
     delta = w.delta
     c_const = _m_parts(w, w.t0)[1] - delta * w.t0
-    start = max(p_lo, math.ceil(w.t0))
-    for p in range(start, p_hi + 1):
+    for p in ps:
         gap = _m_parts(w, float(p + j))[0] - _m_parts(w, float(p))[0] if j > 0 else 0.0
         allowed = j * (c_const + j * delta) + p * j * delta
         tol = _SLACK * max(1.0, abs(allowed))
         if gap > allowed + tol:
             return False
     return True
+
+
+def _p_range(w: WeightFunction, p_lo: int, p_hi: int) -> range:
+    """The integers p >= t0 in [p_lo, p_hi]; a check over none would pass vacuously."""
+    ps = range(max(p_lo, math.ceil(w.t0)), p_hi + 1)
+    if not ps:
+        raise ValidationError(f"no integer p >= t0 = {w.t0:g} in [{p_lo}, {p_hi}]")
+    return ps
 
 
 def _extended_m(w: WeightFunction, t: float) -> float:
@@ -379,7 +383,10 @@ def _extended_m(w: WeightFunction, t: float) -> float:
 
 def algebra_check(w: WeightFunction, n_max: int) -> bool:
     """Check M(n-j) M(j) <= M(n) for 0 <= j <= n <= n_max, in the log domain,
-    using the convex zero-extension of m (normalized to vanish at t0)."""
+    using the convex zero-extension of m (normalized to vanish at t0).
+    Rejects n_max < 1, which leaves nothing to check."""
+    if n_max < 1:
+        raise ValidationError(f"n_max must be at least 1, got {n_max}")
     ext = [_extended_m(w, float(t)) for t in range(n_max + 1)]
     for n in range(n_max + 1):
         m_n = ext[n]
@@ -395,10 +402,12 @@ def analytic_criterion(w: WeightFunction, c: float, r_lo: float, p_lo: int, p_hi
     then m(p) <= delta + log p! - p log c for p in range.
 
     The hypothesis grid check rejects (reporting the violating r) when the
-    transform grows sublinearly, as it does for the loglog entry.
+    transform grows sublinearly, as it does for the loglog entry.  Rejects a
+    range with no p >= t0 in it.
     """
     if not (c > 0):
         raise ValidationError("c must be positive")
+    ps = _p_range(w, p_lo, p_hi)
     for u in np.linspace(math.log(r_lo), math.log(r_lo) + 10.0 * math.log(2.0), 33):
         r = math.exp(float(u))
         if omega(w, r) < c * r:
@@ -406,8 +415,7 @@ def analytic_criterion(w: WeightFunction, c: float, r_lo: float, p_lo: int, p_hi
                 f"hypothesis fails: omega({r:g}) = {omega(w, r):g} < c r = {c * r:g}"
             )
     log_c = math.log(c)
-    start = max(p_lo, math.ceil(w.t0))
-    for p in range(start, p_hi + 1):
+    for p in ps:
         allowed = w.delta + math.lgamma(p + 1) - p * log_c
         tol = _SLACK * max(1.0, abs(allowed))
         if _m_parts(w, float(p))[0] > allowed + tol:

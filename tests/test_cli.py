@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -211,6 +212,22 @@ class TestOtherCommands:
         doc = json.loads(res.stdout)
         assert doc["ok"] is True
 
+    def test_weight_check_past_p_1000_checks_the_shift_bound(self, capsys, monkeypatch):
+        # the shift range p = int(t0) + 1 .. 1000 was empty here, so
+        # shift_ok came out true without checking a single p
+        from quasikit.cli import dispatch
+
+        ranges = []
+        real = qk.weights.shift_bound_check
+        monkeypatch.setattr(
+            qk.weights, "shift_bound_check",
+            lambda w, j, p_lo, p_hi: ranges.append((p_lo, p_hi)) or real(w, j, p_lo, p_hi),
+        )
+        assert dispatch(["weight", "check", "--mu", "zero", "--t0", "2000"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["shift_ok"] is True and doc["ok"] is True
+        assert ranges == [(2001, 2002)] * 4
+
     def test_info_logging_reports_duration(self, tmp_path, fact_spec):
         res = run_cli(
             "seq", "make", "--spec", fact_spec,
@@ -335,6 +352,9 @@ MALFORMED_INPUTS = {
     "nodes-bare-list": ("gont build --nodes", [0.0, 1.0]),
     "nodes-with-string": ("gont eval --x 0.5 --nodes", {"nodes": [0.0, "a"]}),
     "check-nodes-bare-list": ("gont check --nodes", [0.0, 1.0]),
+    "const-past-float-range": (
+        "lab envelope --fn", {"expr": {"op": "const", "value": 10**400}, "domain": [0, 1]}
+    ),
 }
 
 
@@ -351,6 +371,33 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("quasikit: ")
     assert "internal" not in err
+
+
+def test_internal_error_traceback_is_logged_at_debug(tmp_path, capsys, caplog, monkeypatch):
+    from quasikit import cli
+
+    def broken(nodes):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setenv("QUASIKIT_LOG", "debug")
+    monkeypatch.setattr(cli.gontcharoff, "build", broken)
+    caplog.set_level(logging.DEBUG, logger="quasikit")
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps({"nodes": [0.0, 1.0]}))
+    assert cli.dispatch(["gont", "build", "--nodes", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "quasikit: internal error: handler bug\n"
+    (record,) = [r for r in caplog.records if r.exc_info]
+    assert record.levelno == logging.DEBUG and record.exc_info[0] is RuntimeError
+
+
+def test_parser_is_built_once(capsys):
+    from quasikit.cli import _build_parser, dispatch
+
+    assert _build_parser() is _build_parser()
+    for _ in range(2):  # a parse leaves nothing behind for the next
+        assert dispatch(["weight", "check", "--mu", "nope"]) == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_integral_float_horizon_is_taken_whole(tmp_path, capsys):

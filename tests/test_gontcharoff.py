@@ -274,6 +274,8 @@ class TestClassMembership:
             G.cn_membership_bound(env, (2, 2), 1.0, 1.0)
         with pytest.raises(qk.ValidationError):
             G.cn_membership_bound(env, (2, 9), 1.0, 1.0)
+        with pytest.raises(qk.ValidationError, match="nbar is empty"):
+            G.cn_membership_bound(env, [], 1.0, 1.0)
 
 
 class TestNullBound:

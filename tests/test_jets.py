@@ -155,7 +155,7 @@ class TestJetEval:
         assert jet.coeffs.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
 
     def test_pow_den_defaults_to_one(self):
-        # the validator accepts a pow node without "den"; so does the propagator
+        # a pow node without "den" reads as den = 1
         bare = qk.FunctionSpec({"op": "pow", "arg": J.expr_x(), "num": 3}, (-1.0, 1.0))
         cube = qk.FunctionSpec(J.expr_pow(J.expr_x(), 3), (-1.0, 1.0))
         assert qk.jet_eval(bare, 0.5, 4).coeffs.tolist() == qk.jet_eval(cube, 0.5, 4).coeffs.tolist()

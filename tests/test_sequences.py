@@ -103,6 +103,26 @@ class TestMakeSequence:
             qk.SequenceSpec(family="factorial", horizon=horizon)
         assert qk.make_sequence(spec, horizon=np.int64(9)).length == 9
 
+    @pytest.mark.parametrize("horizon", [100, 3, True, 0])
+    def test_explicit_vector_rejects_a_horizon(self, horizon):
+        spec = qk.SequenceSpec(family="explicit", logs=(0.0, 1.0, 2.0))
+        with pytest.raises(qk.ValidationError, match="horizon cannot override"):
+            qk.make_sequence(spec, horizon=horizon)
+        assert qk.make_sequence(spec).length == 3
+
+    def test_family_table_serves_every_catalog_family(self):
+        from quasikit.sequences import _CATALOG, FAMILIES
+
+        assert FAMILIES == ("explicit", *_CATALOG)
+        for family, (key, first, _) in _CATALOG.items():
+            params = {} if key is None else {key: 1.5}
+            seq = qk.make_sequence(qk.SequenceSpec(family=family, horizon=8, params=params))
+            assert seq.filled == tuple(range(first))
+            assert seq.generator == (family if key is None else f"{family}({key}=1.5)")
+            if key is not None:
+                with pytest.raises(qk.ValidationError, match=f"requires parameter {key} > 0"):
+                    qk.SequenceSpec(family=family, horizon=8)
+
     @pytest.mark.parametrize("params", [[["s", 1.0]], [], "s", 5])
     def test_spec_json_params_must_be_an_object(self, params):
         # a list of pairs passed through dict() as an object

@@ -42,6 +42,16 @@ class TestMEval:
     def test_delta_is_curvature_at_origin(self, w_zero):
         assert w_zero.delta == pytest.approx(1.0 / 0.5)
 
+    def test_constructor_derives_delta(self, w_loglog):
+        w = qk.WeightFunction(mu="loglog", t0=10.0)
+        assert w == w_loglog and w.delta == qk.m_eval(w, 10.0).m2
+        with pytest.raises(TypeError):
+            qk.WeightFunction(mu="zero", t0=1.0, delta=0.0)
+        with pytest.raises(qk.ValidationError, match="loglog needs t0 > 1"):
+            qk.WeightFunction(mu="loglog", t0=1.0)
+        with pytest.raises(qk.ValidationError, match="must be positive"):
+            qk.WeightFunction(mu="zero", t0=0.2)
+
     def test_below_t0_rejected(self, w_zero):
         with pytest.raises(qk.ValidationError):
             qk.m_eval(w_zero, 0.4)
@@ -187,8 +197,24 @@ class TestBounds:
         with pytest.raises(qk.ValidationError, match="hypothesis fails"):
             qk.analytic_criterion(w_loglog, 0.3, 1000.0, 11, 100)
 
-    def test_analytic_criterion_empty_range_vacuous(self, w_zero):
-        assert qk.analytic_criterion(w_zero, 0.35, 50.0, 10, 9)
+    def test_analytic_criterion_empty_range_rejected(self, w_zero):
+        with pytest.raises(qk.ValidationError, match="no integer p"):
+            qk.analytic_criterion(w_zero, 0.35, 50.0, 10, 9)
+
+    def test_checks_over_no_sample_are_rejected(self, w_zero):
+        # each would otherwise pass without checking anything
+        with pytest.raises(qk.ValidationError, match="no integer p"):
+            qk.shift_bound_check(w_zero, 1, 10, 9)
+        with pytest.raises(qk.ValidationError, match="no integer p"):
+            qk.shift_bound_check(qk.make_weight("zero", 2000.0), 1, 2001, 1000)
+        for n_max in (0, -1):
+            with pytest.raises(qk.ValidationError, match="n_max must be at least 1"):
+                qk.algebra_check(w_zero, n_max)
+        assert qk.shift_bound_check(w_zero, 1, 9, 9)  # one p is a sample
+
+    def test_battery_checks_the_shift_bound_past_p_1000(self):
+        w = qk.make_weight("zero", 2000.0)
+        assert qk.invariant_battery(w, 1e6)["shift_ok"]
 
 
 class TestLoglogAsymptotics:

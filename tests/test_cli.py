@@ -532,6 +532,30 @@ def test_non_finite_thresholds_exit_2(tmp_path, capsys, command, name):
     assert len(err.strip().splitlines()) == 1 and name in err
 
 
+WEIGHT_RADII_PAST_FLOAT_RANGE = {
+    # e^(m'(t0 + 1.5)) overflows: the start radius is rejected before the exp
+    "check-start-radius": ("weight check --mu power --alpha 0.5 --t0 1e17", "t0 = 1e+17"),
+    "analyze-start-radius": ("weight analyze --mu power --alpha 0.5 --t0 1e300 --rmax 1e308",
+                             "t0 = 1e+300"),
+    # m(t*) overflows, so Lambda is inf - inf: no verdict comes from a NaN
+    "check-transform": ("weight check --mu zero --t0 1e300 --rmax 1e308", "float range"),
+    "analyze-transform": ("weight analyze --mu zero --t0 1e300 --rmax 1e308", "float range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHT_RADII_PAST_FLOAT_RANGE))
+def test_weight_radii_past_the_float_range_exit_2(capsys, case):
+    # a numpy warning would fail this in-process run with an internal error
+    from quasikit.cli import dispatch
+
+    command, message = WEIGHT_RADII_PAST_FLOAT_RANGE[case]
+    code = dispatch(command.split())
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and message in err
+    assert "internal" not in err
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not a JSON value (RFC 8259)")
 
@@ -551,6 +575,8 @@ STRICT_JSON_COMMANDS = {
     "lab-spacing": "lab spacing --fn {sin} --seq {ones} --nmax 10 --csv {csv}",
     "weight-analyze": "weight analyze --mu loglog --t0 10 --rmax 1e6 --samples 16 --csv {csv}",
     "weight-check": "weight check --mu zero --t0 2",
+    # the shift check's integers p pass 2^53 here
+    "weight-check-huge-t0": "weight check --mu zero --t0 1e300",
 }
 
 

@@ -1,0 +1,274 @@
+"""The batched weight layer against the scalar code it replaced.
+
+``scalar_stationary`` is the per-radius bisection the library ran before its
+solver took all radii at once: the boundary checks of ``weight_inf``, a
+doubling bracket and at most 200 halvings, each deciding m'(mid) < log r
+with ``math.log``.  The batched solver must return the same t* bit for bit,
+and raise the same message at the same radius.  The shift and algebra
+checks are compared with their former loops the same way.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import quasikit as qk
+from quasikit import weights as W
+from quasikit.errors import ConditioningError, ValidationError
+
+
+def _m1(w, t):
+    return W._m_parts(w, t)[1]
+
+
+def _bisect(above, lo, hi):
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def scalar_stationary(w, r):
+    if not (r > 0):
+        raise ValidationError("r must be positive")
+    log_r = math.log(r)
+    if log_r <= _m1(w, w.t0):
+        raise ValidationError(
+            f"r = {r:g} too small: need r > exp(m'(t0)) = {math.exp(_m1(w, w.t0)):g}"
+        )
+    hi = 2.0 * w.t0
+    doublings = 0
+    while _m1(w, hi) <= log_r:
+        hi *= 2.0
+        doublings += 1
+        if doublings > 200:
+            raise ValidationError("bracket failure: m' never reached log r")
+    lo, hi = _bisect(lambda t: not _m1(w, t) < log_r, w.t0, hi)
+    return 0.5 * (lo + hi)
+
+
+def scalar_prefix(w, radii):
+    """t* of each radius up to the first one the scalar solve rejects, and
+    that rejection's message (None if there is none)."""
+    t_star = []
+    for r in radii:
+        try:
+            t_star.append(scalar_stationary(w, r))
+        except ValidationError as exc:
+            return t_star, str(exc)
+    return t_star, None
+
+
+def batched_prefix(w, radii, **kwargs):
+    _, t_star, error = W._stationary_points(w, radii, **kwargs)
+    return t_star.tolist(), None if error is None else str(error)
+
+
+def solved(w, radii, **kwargs):
+    t_star, error = batched_prefix(w, radii, **kwargs)
+    assert error is None
+    return t_star
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def _weight(mu, t0, alpha):
+    try:
+        return qk.make_weight(mu, t0, alpha=alpha if mu == "power" else None)
+    except ValidationError:
+        return None
+
+
+weights = st.builds(
+    _weight,
+    st.sampled_from(W.MU_FAMILIES),
+    st.floats(-1.5, 9.0).map(math.exp),
+    st.floats(0.01, 0.99),
+)
+
+
+@settings(max_examples=150)
+@given(weights, st.lists(st.floats(0.0, 60.0), min_size=1, max_size=40))
+def test_batched_solve_is_bit_identical_to_scalar_bisection(w, exponents):
+    # radii up to 1e60, every one past the boundary exp(m'(t0))
+    assume(w is not None)
+    radii = [10.0**e for e in exponents if e * math.log(10.0) > _m1(w, w.t0)]
+    assume(radii)
+    want = [scalar_stationary(w, r) for r in radii]
+    # so few radii finish one by one; _ARRAY_MIN = 1 runs the array throughout
+    for array_min in (W._ARRAY_MIN, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(W, "_ARRAY_MIN", array_min)
+            log_r, got, error = W._stationary_points(w, radii)
+        assert error is None
+        assert log_r == [math.log(r) for r in radii]
+        assert bits(got) == bits(want)
+
+
+@settings(max_examples=150)
+@given(weights, st.lists(st.floats(-2.0, 300.0), min_size=1, max_size=20))
+def test_errors_name_the_first_offending_radius(w, exponents):
+    # small radii fall at or below the boundary, large ones past the
+    # doubling bracket of small t0; either way the first offender decides
+    assume(w is not None)
+    radii = [10.0**e for e in exponents]
+    want = scalar_prefix(w, radii)
+    for array_min in (W._ARRAY_MIN, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(W, "_ARRAY_MIN", array_min)
+            got = batched_prefix(w, radii)
+        assert bits(got[0]) == bits(want[0])
+        assert got[1] == want[1]
+
+
+def test_each_error_is_raised_at_the_first_radius_that_has_one():
+    w = qk.make_weight("zero", 0.5)
+    assert "bracket" in scalar_prefix(w, [1e100])[1]
+    for radii in ([10.0, 1e100, 1.0], [10.0, 1.0, 1e100], [10.0, -1.0, 1e100], [1e100, 0.0]):
+        got = batched_prefix(w, radii)
+        assert got == scalar_prefix(w, radii)
+        assert got[1] is not None
+
+
+@pytest.mark.parametrize("mu,t0,alpha", [("zero", 1.0, None), ("loglog", 3.0, None),
+                                          ("log", 10.0, None), ("power", 3.0, 0.2),
+                                          ("power", 10.0, 0.5)])
+def test_every_family_on_a_dense_grid(mu, t0, alpha):
+    w = qk.make_weight(mu, t0, alpha=alpha)
+    lo = _m1(w, w.t0) + 1e-6
+    radii = np.exp(np.linspace(lo, math.log(1e60), 512)).tolist()
+    assert bits(solved(w, radii)) == bits(scalar_prefix(w, radii)[0])
+
+
+DECISION_CASES = [("zero", 0.5, None), ("loglog", 10.0, None), ("log", 2.0, None),
+                  ("power", 2.0, 0.5)]
+
+
+def _grid(w, n=200, r_max=1e30):
+    return np.exp(np.linspace(_m1(w, w.t0) + 0.01, math.log(r_max), n)).tolist()
+
+
+@pytest.mark.parametrize("mu,t0,alpha", DECISION_CASES)
+def test_forced_fallback_decides_every_step_in_scalar(mu, t0, alpha):
+    # with an infinite band the array's m' is never trusted, so even a log
+    # that is off by one leaves t* exact; with the stated band it would not
+    w = qk.make_weight(mu, t0, alpha=alpha)
+    radii = _grid(w)
+    want = bits(scalar_prefix(w, radii)[0])
+    off_by_one = lambda x: np.log(x) + 1.0  # noqa: E731
+    assert bits(solved(w, radii, rtol=math.inf, log=off_by_one)) == want
+    assert bits(solved(w, radii, log=off_by_one)) != want
+
+
+def _two_ulps_up(x):
+    return np.nextafter(np.nextafter(np.log(x), np.inf), np.inf)
+
+
+@pytest.mark.parametrize("mu,t0,alpha", DECISION_CASES)
+def test_band_absorbs_a_log_two_ulps_off(mu, t0, alpha):
+    # a mutation check that does not depend on the host's numpy log: with
+    # the stated band a log 2 ulps off still gives equal bits, and with no
+    # band the last halvings take its wrong decisions
+    w = qk.make_weight(mu, t0, alpha=alpha)
+    radii = _grid(w)
+    want = bits(scalar_prefix(w, radii)[0])
+    assert bits(solved(w, radii, log=_two_ulps_up)) == want
+    assert bits(solved(w, radii, rtol=0.0, log=_two_ulps_up)) != want
+
+
+def test_scalar_entry_points_are_the_batch_of_one():
+    w = qk.make_weight("loglog", 10.0)
+    radii = _grid(w, 40, 1e12)
+    assert list(W._transform_rows(w, radii)) == [qk.transforms(w, r) for r in radii]
+    assert list(W._omegas(w, radii)) == [qk.omega(w, r) for r in radii]
+    t_star = [inf.t_star for _, inf in W._infima(w, radii)]
+    assert t_star == [scalar_stationary(w, r) for r in radii]
+
+
+def test_callers_meet_errors_in_radius_order(monkeypatch):
+    # radii past e^139.6 leave the doubling bracket of t0 = 0.5, but an
+    # earlier radius fails its own check first, as in a radius-by-radius loop
+    w = qk.make_weight("zero", 0.5)
+    with pytest.raises(ValidationError, match="hypothesis fails: omega"):
+        W.analytic_criterion(w, 1.0, math.exp(135.0), 1, 5)
+    with pytest.raises(ValidationError, match="bracket failure"):
+        W.analytic_criterion(w, 1e-300, math.exp(135.0), 1, 5)
+
+    def failing_check(w, inf_result):
+        raise ConditioningError("first node")
+
+    monkeypatch.setattr(W, "_checked_omega", failing_check)
+    with pytest.raises(ConditioningError, match="first node"):
+        W.integral_test(w, 10.0, math.exp(150.0))
+
+
+# ---------------------------------------------------------------------------
+# shift and algebra checks against their former loops
+
+
+def loop_shift_bound_check(w, j, p_lo, p_hi):
+    ps = W._p_range(w, p_lo, p_hi)
+    c_const = _m1(w, w.t0) - w.delta * w.t0
+    for p in ps:
+        gap = W._m_parts(w, float(p + j))[0] - W._m_parts(w, float(p))[0] if j > 0 else 0.0
+        allowed = j * (c_const + j * w.delta) + p * j * w.delta
+        if gap > allowed + W._SLACK * max(1.0, abs(allowed)):
+            return False
+    return True
+
+
+def loop_algebra_check(w, n_max):
+    ext = [W._extended_m(w, float(t)) for t in range(n_max + 1)]
+    for n in range(n_max + 1):
+        tol = W._SLACK * max(1.0, abs(ext[n]))
+        for j in range(n + 1):
+            if ext[j] + ext[n - j] > ext[n] + tol:
+                return False
+    return True
+
+
+def _with_delta(w, scale):
+    # a delta below m''(t0) breaks the shift bound for some p
+    object.__setattr__(w, "delta", w.delta * scale)
+    return w
+
+
+@pytest.mark.parametrize(
+    "w,ranges",
+    [
+        (qk.make_weight("loglog", 10.0), [(11, 1000), (10, 12)]),
+        (qk.make_weight("power", 2.0, alpha=0.5), [(3, 400)]),
+        # p past 2^53, where float(p) * j may differ from float(p * j)
+        (qk.make_weight("zero", 1e300), [(int(1e300) + 1, int(1e300) + 2)]),
+        (qk.make_weight("zero", 2.0**60), [(2**60 + 1, 2**60 + 50)]),
+        (_with_delta(qk.make_weight("zero", 2.0), 0.01), [(2, 1000), (900, 1000)]),
+    ],
+)
+def test_shift_bound_check_equals_its_loop(w, ranges):
+    for p_lo, p_hi in ranges:
+        for j in range(5):
+            assert W.shift_bound_check(w, j, p_lo, p_hi) == loop_shift_bound_check(w, j, p_lo, p_hi)
+
+
+def test_shift_bound_check_fails_where_its_loop_fails():
+    w = _with_delta(qk.make_weight("zero", 2.0), 0.01)
+    assert W.shift_bound_check(w, 2, 2, 1000) is loop_shift_bound_check(w, 2, 2, 1000) is False
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 200, 255, 256, 600])
+def test_algebra_check_equals_its_loop(n_max, monkeypatch):
+    for w in (qk.make_weight("zero", 0.5), qk.make_weight("loglog", 10.0)):
+        assert W.algebra_check(w, n_max) is loop_algebra_check(w, n_max) is True
+    # an extension that breaks the property only at n = 300, past the first block
+    w = qk.make_weight("zero", 0.5)
+    monkeypatch.setattr(W, "_extended_m", lambda w, t: -1.0 if t == 300.0 else 0.0)
+    assert W.algebra_check(w, n_max) is loop_algebra_check(w, n_max) is (n_max < 300)

@@ -9,81 +9,66 @@ jets         truncated Taylor arithmetic over a closed-form catalog
 gontcharoff  Abel-Gontcharoff polynomial engine
 weights      continuous weight functions and their transforms
 cli          the ``quasikit`` command-line front end
+
+The library modules load lazily (``importlib.util.LazyLoader``): each is in
+``sys.modules`` and is an attribute of the package from ``import quasikit``
+on, and its body runs on the first access to one of its attributes.  The
+names re-exported here resolve through the module ``__getattr__`` (PEP 562),
+so a command imports only the modules it runs.
 """
 
 __version__ = "0.1.0"
 
 from .errors import ConditioningError, DomainError, QuasikitError, ValidationError
-from .sequences import (
-    LogSequence,
-    RegularizedSequence,
-    SequenceSpec,
-    convex_regularize,
-    is_log_convex,
-    make_sequence,
-    ratio_sequence,
-    root_sequence,
-)
-from .series import SeriesReport, diagnose_series
-from .qa import (
-    QAReport,
-    analyze,
-    beta_sequence,
-    carleman_inequality_check,
-    carleman_series,
-    liminf_check,
-    ratio_series,
-    root_series,
-)
-from .bang import (
-    BangNormResult,
-    BangVector,
-    bang_distance,
-    bang_norm,
-    bang_norm_bruteforce,
-    function_sequence,
-    growth_estimate_check,
-)
-from .jets import (
-    EnvelopeReport,
-    FunctionSpec,
-    Jet,
-    derivative_envelope,
-    derivative_tail_sup,
-    jet_derivatives,
-    jet_eval,
-    monotonicity_check,
-    translation_estimate_check,
-    zero_spacing_experiment,
-)
-from .gontcharoff import (
-    GontcharoffPoly,
-    abel_expand,
-    build,
-    cn_membership_bound,
-    decomposition_residual,
-    gontcharoff_bound,
-    identity_sweep,
-    integral_oracle,
-    null_test_bound,
-    swap_identity_residual,
-)
-from .weights import (
-    WeightFunction,
-    algebra_check,
-    analytic_criterion,
-    integral_test,
-    invariant_battery,
-    loglog_asymptotics_check,
-    m_eval,
-    make_weight,
-    omega,
-    ratio_series_weight,
-    shift_bound_check,
-    transform_grid,
-    transforms,
-    weight_inf,
-    weight_inf_integer,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each lazily loaded module and the names the package re-exports from it
+_EXPORTS = {
+    "sequences": """LogSequence RegularizedSequence SequenceSpec convex_regularize
+        is_log_convex make_sequence ratio_sequence root_sequence""",
+    "series": "SeriesReport diagnose_series",
+    "qa": """QAReport analyze beta_sequence carleman_inequality_check carleman_series
+        liminf_check ratio_series root_series""",
+    "bang": """BangNormResult BangVector bang_distance bang_norm bang_norm_bruteforce
+        function_sequence growth_estimate_check""",
+    "jets": """EnvelopeReport FunctionSpec Jet derivative_envelope derivative_tail_sup
+        jet_derivatives jet_eval monotonicity_check translation_estimate_check
+        zero_spacing_experiment""",
+    "gontcharoff": """GontcharoffPoly abel_expand build cn_membership_bound
+        decomposition_residual gontcharoff_bound identity_sweep integral_oracle
+        null_test_bound swap_identity_residual""",
+    "weights": """WeightFunction algebra_check analytic_criterion integral_test
+        invariant_battery loglog_asymptotics_check m_eval make_weight omega
+        ratio_series_weight shift_bound_check transform_grid transforms weight_inf
+        weight_inf_integer""",
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+
+def _register(name: str):
+    """Submodule ``name``, put in ``sys.modules`` with its body not yet run."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in _EXPORTS:
+    globals()[_name] = _register(_name)
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        return getattr(globals()[_ORIGIN[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _ORIGIN.keys())
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .jets import FunctionSpec, _derivative_table
+from . import jets
 from .sequences import RegularizedSequence, _frozen
 
 # e^{-k} for k = 0..746 from math.exp, whose rounding the reports carry
@@ -146,7 +146,7 @@ def bang_distance(x: BangVector, y: BangVector) -> BangNormResult:
     return bang_norm(BangVector(entries=diff, index_set=x.index_set))
 
 
-def function_sequence(f: FunctionSpec, t: float, reg: RegularizedSequence) -> BangVector:
+def function_sequence(f: jets.FunctionSpec, t: float, reg: RegularizedSequence) -> BangVector:
     """Entries x_n = f^{(n)}(t) / (M^c_n e^n) over the horizon of the
     regularized sequence, with P its principal indices."""
     return _scaled_vectors(f, [t], reg)[0]
@@ -155,7 +155,7 @@ def function_sequence(f: FunctionSpec, t: float, reg: RegularizedSequence) -> Ba
 def _scaled_vectors(f, points, reg) -> list[BangVector]:
     """function_sequence at every point, from one derivative table."""
     n_len = reg.length
-    table = _derivative_table(f, points, n_len - 1)
+    table = jets._derivative_table(f, points, n_len - 1)
     scaled = table * np.exp(-reg.logs_c - np.arange(n_len))[:, None]
     return [BangVector(entries=x, index_set=reg.principal) for x in scaled.T]
 
@@ -177,7 +177,7 @@ class GrowthCheck:
 
 
 def growth_estimate_check(
-    f: FunctionSpec,
+    f: jets.FunctionSpec,
     t: float,
     tau: float,
     reg: RegularizedSequence,

@@ -21,10 +21,10 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
+from .constants import EPS_CONV, MU_FAMILIES, SIGMA_DIV
 from .errors import QuasikitError, ValidationError
 from .manifest import RunManifest
 from . import bang, gontcharoff, jets, qa, sequences, weights
-from .series import EPS_CONV, SIGMA_DIV
 
 log = logging.getLogger("quasikit")
 
@@ -360,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="command", required=True
     )
     p = weight.add_parser("analyze", help="sample the transforms")
-    p.add_argument("--mu", required=True, choices=weights.MU_FAMILIES)
+    p.add_argument("--mu", required=True, choices=MU_FAMILIES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--t0", type=float, default=10.0)
     p.add_argument("--rmax", type=float, default=1e6)
@@ -368,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, csv=True)
     p.set_defaults(handler=_cmd_weight_analyze)
     p = weight.add_parser("check", help="invariant battery")
-    p.add_argument("--mu", required=True, choices=weights.MU_FAMILIES)
+    p.add_argument("--mu", required=True, choices=MU_FAMILIES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--t0", type=float, default=10.0)
     p.add_argument("--rmax", type=float, default=1e6)

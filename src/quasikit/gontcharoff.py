@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
-from .jets import EnvelopeReport, FunctionSpec, _derivative_table, domain_grid
+from . import jets
 
 DEGREE_CAP = 30
 
@@ -379,7 +379,7 @@ class AbelExpansion:
 
 
 def abel_expand(
-    f: FunctionSpec,
+    f: jets.FunctionSpec,
     nodes: Sequence[float],
     n: int,
     x: float,
@@ -398,21 +398,21 @@ def abel_expand(
         raise ValidationError(f"need at least {n + 1} nodes for order {n}")
     if n + 1 > DEGREE_CAP:
         raise ValidationError(f"order {n} exceeds the degree cap {DEGREE_CAP}")
-    grid = domain_grid(f, 256)
+    grid = jets.domain_grid(f, 256)
     # column k holds the derivatives at node x_k, the last column those at x
-    at_nodes = _derivative_table(f, node_list[: n + 1] + [float(x)], n).tolist()
+    at_nodes = jets._derivative_table(f, node_list[: n + 1] + [float(x)], n).tolist()
     partial = 0.0
     for k in range(n + 1):
         partial += at_nodes[k][k] * build(node_list[:k]).eval(x)
     remainder = at_nodes[0][n + 1] - partial
 
-    sup = float(np.abs(_derivative_table(f, grid, n + 1)[n + 1]).max())
+    sup = float(np.abs(jets._derivative_table(f, grid, n + 1)[n + 1]).max())
     bound = sup * gontcharoff_bound(node_list[: n + 1], x)
     return AbelExpansion(partial=partial, remainder=remainder, remainder_bound=bound)
 
 
 def cn_membership_bound(
-    envelope: EnvelopeReport,
+    envelope: jets.EnvelopeReport,
     nbar: Sequence[int],
     a_const: float,
     b_const: float,

@@ -19,18 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .constants import EPS_CONV, SIGMA_DIV
 from .errors import ValidationError
 from .sequences import _frozen
 
 DIVERGING = "diverging_trend"
 CONVERGING = "converging_trend"
 INCONCLUSIVE = "inconclusive"
-
-# Defaults for the verdict heuristic. sigma_div = 0.01 separates the slowest
-# divergent catalog growth (double-log weights) from the Gevrey convergent
-# ones at desk-scale horizons; eps_conv matches double-precision plateaus.
-SIGMA_DIV = 0.01
-EPS_CONV = 1e-6
 
 
 @dataclass(frozen=True, eq=False)

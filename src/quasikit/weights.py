@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import MU_FAMILIES
 from .errors import ConditioningError, ValidationError
 from .series import SeriesReport, diagnose_series
-
-MU_FAMILIES = ("zero", "loglog", "log", "power")
 
 _VALIDATION_GRID = 64
 _VALIDATION_SPAN = 2.0**20
@@ -407,6 +406,8 @@ def integral_test(
     """
     if panels < 1:
         raise ValidationError("panels must be >= 1")
+    if not math.isfinite(r_max):
+        raise ValidationError(f"r_max must be finite, got {r_max!r}")
     if r_max < r0:
         raise ValidationError("need r0 <= r_max")
     weight_inf(w, r0)  # validates r0 against the boundary condition
@@ -514,11 +515,14 @@ def analytic_criterion(w: WeightFunction, c: float, r_lo: float, p_lo: int, p_hi
     """
     if not (c > 0):
         raise ValidationError("c must be positive")
+    if not 0 < r_lo < math.inf:
+        raise ValidationError(f"r_lo must be positive and finite, got {r_lo!r}")
     ps = _p_range(w, p_lo, p_hi)
-    radii = [
-        math.exp(u)
-        for u in np.linspace(math.log(r_lo), math.log(r_lo) + 10.0 * math.log(2.0), 33).tolist()
-    ]
+    u_lo = math.log(r_lo)
+    try:
+        radii = [math.exp(u) for u in np.linspace(u_lo, u_lo + 10.0 * math.log(2.0), 33).tolist()]
+    except OverflowError:
+        raise ValidationError(f"r_lo * 2^10 leaves the float range (r_lo = {r_lo!r})") from None
     for r, omega_r in zip(radii, _omegas(w, radii)):
         if omega_r < c * r:
             raise ValidationError(f"hypothesis fails: omega({r:g}) = {omega_r:g} < c r = {c * r:g}")
@@ -539,8 +543,8 @@ def loglog_asymptotics_check(r_max: float) -> tuple[np.ndarray, np.ndarray]:
     slow (the correction is of order log log s / log s), so callers should
     only pin tolerances at large s.
     """
-    if r_max < 1e3:
-        raise ValidationError("r_max must be at least 1e3")
+    if not 1e3 <= r_max < math.inf:
+        raise ValidationError(f"r_max must be finite and at least 1e3, got {r_max!r}")
     w = make_weight("loglog", 10.0)
     r_start = math.exp(_m_parts(w, w.t0 + 1.0)[1]) * 1.01
     grid = np.exp(np.linspace(math.log(r_start), math.log(r_max), 64))

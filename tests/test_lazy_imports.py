@@ -1,0 +1,126 @@
+"""Start-up imports: each command runs only the library modules it uses.
+
+The library modules load lazily, so a fresh process that parses ``--help``
+loads no numpy, and one that runs a command executes only that command's
+modules.  Each case runs the CLI in a subprocess under ``-W error`` through
+``runpy`` (what ``python -m`` does) and lists the quasikit modules whose
+bodies ran: a module still waiting to load is a ``LazyLoader`` module, not a
+plain ``types.ModuleType``.
+"""
+
+import json
+import subprocess
+import sys
+import types
+
+import pytest
+
+import quasikit as qk
+
+LIBRARY = {"sequences", "series", "qa", "bang", "jets", "gontcharoff", "weights"}
+
+PROBE = """\
+import json, runpy, sys, types
+sys.argv = ["quasikit", *sys.argv[1:]]
+try:
+    runpy.run_module("quasikit.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+ran = [n.split(".")[1] for n, m in sys.modules.items()
+       if n.startswith("quasikit.") and type(m) is types.ModuleType]
+print()
+print(json.dumps({"ran": ran, "numpy": "numpy" in sys.modules}))
+"""
+
+# the package's public names, as listed before its modules loaded lazily
+PUBLIC = """
+    BangNormResult BangVector ConditioningError DomainError EnvelopeReport FunctionSpec
+    GontcharoffPoly Jet LogSequence QAReport QuasikitError RegularizedSequence
+    SequenceSpec SeriesReport ValidationError WeightFunction abel_expand algebra_check
+    analytic_criterion analyze bang bang_distance bang_norm bang_norm_bruteforce
+    beta_sequence build carleman_inequality_check carleman_series cn_membership_bound
+    convex_regularize decomposition_residual derivative_envelope derivative_tail_sup
+    diagnose_series errors function_sequence gontcharoff gontcharoff_bound
+    growth_estimate_check identity_sweep integral_oracle integral_test
+    invariant_battery is_log_convex jet_derivatives jet_eval jets liminf_check
+    loglog_asymptotics_check m_eval make_sequence make_weight monotonicity_check
+    null_test_bound omega qa ratio_sequence ratio_series ratio_series_weight
+    root_sequence root_series sequences series shift_bound_check swap_identity_residual
+    transform_grid transforms translation_estimate_check weight_inf weight_inf_integer
+    weights zero_spacing_experiment
+""".split()
+
+
+def probe(*argv):
+    """Library modules run and whether numpy loaded, for one CLI command."""
+    res = subprocess.run(
+        [sys.executable, "-W", "error", "-c", PROBE, *argv], capture_output=True, text=True
+    )
+    assert res.stderr == "" or argv[0] == "frobnicate", res.stderr
+    seen = json.loads(res.stdout.splitlines()[-1])
+    return set(seen["ran"]) & LIBRARY, seen["numpy"]
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["seq", "--help"], ["frobnicate"]])
+def test_parser_alone_loads_no_library(argv):
+    assert probe(*argv) == (set(), False)
+
+
+def test_version_prints_no_warning():
+    res = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "quasikit.cli", "--version"],
+        capture_output=True, text=True,
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (0, f"quasikit {qk.__version__}\n", "")
+
+
+INPUTS = {
+    "spec.json": {"family": "factorial", "horizon": 20},
+    "vector.json": {"entries": [0.0, 0.5, 0.25]},
+    "nodes.json": {"nodes": [0.0, 0.5, 1.0]},
+    "fn.json": {"expr": {"op": "exp", "arg": {"op": "x"}}, "domain": [0.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["seq", "analyze", "--spec", "spec.json"], {"sequences", "series", "qa"}),
+        (["bang", "norm", "--vector", "vector.json"], {"bang", "sequences"}),
+        (["gont", "build", "--nodes", "nodes.json"], {"gontcharoff"}),
+        (["lab", "envelope", "--fn", "fn.json", "--nmax", "4", "--grid", "8"], {"jets", "sequences"}),
+        (["weight", "check", "--mu", "zero"], {"weights", "series", "sequences"}),
+    ],
+)
+def test_command_runs_only_its_modules(tmp_path, argv, modules):
+    for name, doc in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / arg) if arg in INPUTS else arg for arg in argv]
+    report = tmp_path / "report.json"
+    assert probe(*argv, "--out", str(report)) == (modules, True)
+    assert json.loads(report.read_text())["manifest"]["version"] == qk.__version__
+
+
+def test_import_registers_every_library_module():
+    # an outside tracer looks each module up in sys.modules before any command runs
+    code = (
+        "import json, sys, types, quasikit\n"
+        "print(json.dumps({n: type(m) is types.ModuleType for n, m in sys.modules.items()"
+        " if n.startswith('quasikit.')}))\n"
+    )
+    res = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True)
+    ran = {f"quasikit.{name}": False for name in LIBRARY} | {"quasikit.errors": True}
+    assert json.loads(res.stdout) == ran
+
+
+def test_public_names_are_the_defining_modules_objects():
+    assert qk.__all__ == sorted(PUBLIC)
+    for name in qk.__all__:
+        value = getattr(qk, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"quasikit.{name}"]
+        else:
+            assert value is getattr(sys.modules[value.__module__], name)
+            assert value.__module__.startswith("quasikit.")
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        qk.nope

@@ -147,6 +147,12 @@ class TestTrends:
         res = qk.integral_test(w_zero, 100.0, 100.0)
         assert res.integral == 0.0
 
+    @pytest.mark.parametrize("r_max", [math.inf, -math.inf, math.nan])
+    def test_non_finite_r_max_rejected(self, w_zero, r_max):
+        # r_max = inf used to add doubling panels until memory ran out
+        with pytest.raises(qk.ValidationError, match="r_max must be finite"):
+            qk.integral_test(w_zero, 100.0, r_max)
+
     def test_ratio_series_divergent_entries(self, w_zero, w_loglog):
         rep = qk.ratio_series_weight(w_zero, 2, 10_000)
         assert rep.verdict == DIVERGING
@@ -197,6 +203,16 @@ class TestBounds:
         with pytest.raises(qk.ValidationError, match="hypothesis fails"):
             qk.analytic_criterion(w_loglog, 0.3, 1000.0, 11, 100)
 
+    @pytest.mark.parametrize("r_lo", [0.0, -1.0, math.inf, math.nan])
+    def test_analytic_criterion_rejects_bad_r_lo(self, w_zero, r_lo):
+        with pytest.raises(qk.ValidationError, match="r_lo must be positive and finite"):
+            qk.analytic_criterion(w_zero, 0.35, r_lo, 1, 10)
+
+    def test_analytic_criterion_rejects_r_lo_past_the_float_range(self, w_zero):
+        # r_lo itself is finite, but the top of its hypothesis grid, r_lo 2^10, is not
+        with pytest.raises(qk.ValidationError, match=r"r_lo \* 2\^10 leaves the float range"):
+            qk.analytic_criterion(w_zero, 0.35, 1e306, 1, 10)
+
     def test_analytic_criterion_empty_range_rejected(self, w_zero):
         with pytest.raises(qk.ValidationError, match="no integer p"):
             qk.analytic_criterion(w_zero, 0.35, 50.0, 10, 9)
@@ -235,6 +251,12 @@ class TestLoglogAsymptotics:
     def test_precondition(self):
         with pytest.raises(qk.ValidationError):
             qk.loglog_asymptotics_check(500.0)
+
+    @pytest.mark.parametrize("r_max", [math.inf, math.nan])
+    def test_non_finite_r_max_rejected(self, r_max):
+        # inf leaked numpy's RuntimeWarning from linspace; nan passed the 1e3 test
+        with pytest.raises(qk.ValidationError, match="r_max must be finite and at least 1e3"):
+            qk.loglog_asymptotics_check(r_max)
 
 
 class TestOmegaGrowthProxy:

@@ -10,14 +10,18 @@ gontcharoff  Abel-Gontcharoff polynomial engine
 weights      continuous weight functions and their transforms
 cli          the ``quasikit`` command-line front end
 
-The library modules load lazily (``importlib.util.LazyLoader``): each is in
-``sys.modules`` and is an attribute of the package from ``import quasikit``
-on, and its body runs on the first access to one of its attributes.  The
-names re-exported here resolve through the module ``__getattr__`` (PEP 562),
-so a command imports only the modules it runs.
+The library modules load lazily: each is in ``sys.modules`` and is an
+attribute of the package from ``import quasikit`` on, and its body runs on
+the first access to one of its attributes, under a lock, so threads that
+touch a module first at the same time all see it whole.  The names
+re-exported here resolve through the module ``__getattr__`` (PEP 562), so a
+command imports only the modules it runs.
 """
 
 __version__ = "0.1.0"
+
+import _thread
+from types import ModuleType as _ModuleType
 
 from .errors import ConditioningError, DomainError, QuasikitError, ValidationError
 
@@ -44,16 +48,39 @@ _EXPORTS = {
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 
-def _register(name: str):
+class _LazyModule(_ModuleType):
+    """A library module whose body has not run yet.  The first access to an
+    attribute runs the body under ``_LOAD_LOCK`` and makes the module a
+    plain module; a thread that comes meanwhile waits for the whole body, and
+    the loading thread's own accesses pass through.  Python 3.13's
+    ``importlib.util.LazyLoader`` locks the same way; earlier ones let a
+    second thread see the module half-run."""
+
+    def __getattribute__(self, attr):
+        with _LOAD_LOCK:
+            if type(self) is _LazyModule and self not in _LOADING:
+                _LOADING.append(self)
+                try:
+                    _ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                    self.__class__ = _ModuleType
+                finally:
+                    _LOADING.remove(self)
+        return _ModuleType.__getattribute__(self, attr)
+
+
+_LOAD_LOCK = _thread.RLock()
+_LOADING: list = []  # modules whose body is running, all in the thread holding the lock
+
+
+def _register(name: str) -> _ModuleType:
     """Submodule ``name``, put in ``sys.modules`` with its body not yet run."""
     import importlib.util
     import sys
 
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
+    module.__class__ = _LazyModule
     sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
     return module
 
 

@@ -21,8 +21,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from . import jets
-from .sequences import RegularizedSequence, _frozen
+from . import jets, sequences
+from .series import _frozen
 
 # e^{-k} for k = 0..746 from math.exp, whose rounding the reports carry
 # (numpy's exp differs in the last ulp at some k); from k = 746 on e^{-k}
@@ -146,7 +146,9 @@ def bang_distance(x: BangVector, y: BangVector) -> BangNormResult:
     return bang_norm(BangVector(entries=diff, index_set=x.index_set))
 
 
-def function_sequence(f: jets.FunctionSpec, t: float, reg: RegularizedSequence) -> BangVector:
+def function_sequence(
+    f: jets.FunctionSpec, t: float, reg: sequences.RegularizedSequence
+) -> BangVector:
     """Entries x_n = f^{(n)}(t) / (M^c_n e^n) over the horizon of the
     regularized sequence, with P its principal indices."""
     return _scaled_vectors(f, [t], reg)[0]
@@ -180,7 +182,7 @@ def growth_estimate_check(
     f: jets.FunctionSpec,
     t: float,
     tau: float,
-    reg: RegularizedSequence,
+    reg: sequences.RegularizedSequence,
 ) -> GrowthCheck:
     """Translation estimate for the norm of the scaled derivative vector:
 

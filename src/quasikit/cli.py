@@ -73,33 +73,76 @@ def _field(path: InputFile, key: str):
     return path.doc[key]
 
 
-def _encode(value, indent: str = "\n") -> str:
+def _encode(value) -> str:
     """``json.dumps(value, indent=2, allow_nan=False)``, with each list of
     exact floats or exact ints joined from one ``map`` over ``__repr__``
     instead of one encoder step per item.  Keys, strings and every other
     scalar go through ``json.dumps``, so escaping is the stdlib's; a
     non-finite float raises ValueError as ``allow_nan=False`` does."""
+    return _encode_spans(value)[0]
+
+
+class _Items:
+    """The items of a list that the report joined: ``text[start:stop]``,
+    split at ``sep``."""
+
+    __slots__ = ("text", "start", "stop", "sep")
+
+    def __init__(self, text: str, start: int, stop: int, sep: str):
+        self.text, self.start, self.stop, self.sep = text, start, stop, sep
+
+
+def _encode_spans(value) -> tuple[str, dict]:
+    """The text of ``_encode(value)``, and ``spans[id(xs)]``, the ``_Items``
+    of each list ``xs`` of exact floats or exact ints in ``value``.  Every
+    piece of text goes into one list, joined once at the end."""
+    pieces: list[str] = []
+    joined: dict = {}
+    _encode_into(value, "\n", pieces, joined)
+    text = "".join(pieces)
+    ends = list(itertools.accumulate(map(len, pieces)))
+    spans = {key: _Items(text, ends[n] - len(pieces[n]), ends[n], sep)
+             for key, (n, sep) in joined.items()}
+    return text, spans
+
+
+def _encode_into(value, indent: str, pieces: list, joined: dict) -> None:
+    """Append the text of ``value`` to ``pieces``; for a joined list ``xs``,
+    ``joined[id(xs)]`` is the index of its items in ``pieces`` and their
+    separator."""
     if isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            pieces.append("[]")
+            return
         inner = indent + "  "
+        sep = "," + inner
         kinds = set(map(type, value))
-        if kinds == {float}:
-            if not all(map(math.isfinite, value)):
+        if kinds == {float} or kinds == {int}:
+            (kind,) = kinds
+            if kind is float and not all(map(math.isfinite, value)):
                 raise ValueError("Out of range float values are not JSON compliant")
-            items = map(float.__repr__, value)
-        elif kinds == {int}:
-            items = map(int.__repr__, value)
-        else:
-            items = [_encode(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, dict):
+            joined[id(value)] = (len(pieces) + 1, sep)
+            pieces.extend(("[" + inner, sep.join(map(kind.__repr__, value)), indent + "]"))
+            return
+        lead = "[" + inner
+        for item in value:
+            pieces.append(lead)
+            _encode_into(item, inner, pieces, joined)
+            lead = sep
+        pieces.append(indent + "]")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            pieces.append("{}")
+            return
         inner = indent + "  "
-        items = [f"{_encode_key(key)}: {_encode(item, inner)}" for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    return json.dumps(value, allow_nan=False)
+        lead = "{" + inner
+        for key, item in value.items():
+            pieces.append(f"{lead}{_encode_key(key)}: ")
+            _encode_into(item, inner, pieces, joined)
+            lead = "," + inner
+        pieces.append(indent + "}")
+    else:
+        pieces.append(json.dumps(value, allow_nan=False))
 
 
 def _encode_key(key) -> str:
@@ -116,29 +159,50 @@ def _write_outputs(doc: dict, out: str | None, csv_path: str | None, blocks) -> 
     """Write the CSV rows, then the JSON report.  The report's file is opened
     first and written last, so no report comes out when either fails.  A
     report holding Infinity or NaN, which JSON (RFC 8259) has no token for,
-    is rejected before anything is written."""
+    is rejected before anything is written.  A CSV column that is one of the
+    report's joined lists takes its strings from the report's text."""
     try:
-        text = _encode(doc)
+        text, spans = _encode_spans(doc)
     except ValueError:
         raise ValidationError("a report value leaves the float range") from None
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
         if csv_path:
-            emit_plotdata(blocks or [], csv_path)
+            emit_plotdata([(series, spans.get(id(xs), xs), spans.get(id(values), values))
+                           for series, xs, values in blocks or []], csv_path)
         handle.write(text)
         handle.write("\n")
 
 
+# rows per write in emit_plotdata
+CSV_CHUNK = 4096
+
+
+def _strings(column):
+    """The ``repr`` strings of a column's items: split from the report's text
+    for ``_Items``, a list for a list or tuple, else an iterator."""
+    if isinstance(column, _Items):
+        return column.text[column.start:column.stop].split(column.sep)
+    strings = map(repr, column)
+    return list(strings) if isinstance(column, (list, tuple)) else strings
+
+
 def emit_plotdata(blocks, path: str) -> None:
     """Write flat (x, series, value) rows from (series, xs, values) column
-    blocks, one block after another, streamed to the file.  Each row is
-    ``f"{x!r},{series},{v!r}\\n"``, built from one ``map`` per column."""
+    blocks, one block after another, streamed to the file CSV_CHUNK rows at
+    a time.  Each row is ``f"{x!r},{series},{v!r}\\n"``; rows stop at the
+    shorter column.  An x column that consecutive blocks share is formatted
+    once."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("x,series,value\n")
+        x_column = x_strings = None
         for series, xs, values in blocks:
-            middle = itertools.repeat(f",{series},")
-            ends = itertools.repeat("\n")
-            rows = zip(map(repr, xs), middle, map(repr, values), ends)
-            handle.write("".join(map("".join, rows)))
+            if xs is not x_column:
+                x_column, x_strings = xs, _strings(xs)
+            rows = zip(x_strings, itertools.repeat(f",{series},"), _strings(values),
+                       itertools.repeat("\n"))
+            parts = itertools.chain.from_iterable(rows)
+            while chunk := "".join(itertools.islice(parts, 4 * CSV_CHUNK)):
+                handle.write(chunk)
 
 
 def _load_sequence(spec: InputFile, horizon: int | None) -> sequences.LogSequence:
@@ -168,12 +232,14 @@ def _cmd_seq_regularize(args):
 def _cmd_seq_analyze(args):
     seq = _load_sequence(args.spec, args.horizon)
     doc = qa.analyze(seq, sigma_div=args.sigma_div, eps_conv=args.eps_conv).to_json()
-    blocks = [
-        (f"{name}.{row}", itertools.count(1.0), doc[name][key])
+    columns = [
+        (f"{name}.{row}", doc[name][key])
         for name in ("carleman", "root_c", "ratio_c")
         for row, key in (("term", "terms"), ("partial_sum", "partial_sums"))
     ]
-    return doc, blocks
+    # one x column 1.0, 2.0, ... that all six blocks share
+    xs = list(map(float, range(1, 1 + max(len(values) for _, values in columns))))
+    return doc, [(series, xs, values) for series, values in columns]
 
 
 def _cmd_bang_norm(args):

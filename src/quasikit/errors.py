@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one conversion of an
+input document's numbers to floats."""
+
+import math
 
 
 class QuasikitError(Exception):
@@ -25,3 +28,19 @@ class DomainError(ValidationError):
 
 class ConditioningError(QuasikitError):
     """Numerical blow-up detected (coefficient cap or non-convergent quadrature)."""
+
+
+def finite_float(value, message: str) -> float:
+    """``value``, a number from an input document, as a finite float.  A
+    bool, a non-number, a non-finite value and an int past the float range
+    raise ``ValidationError(message)``, so the message names the field."""
+    import numbers  # numpy's scalars are numbers.Real too; loaded with numpy anyway
+
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            raise ValidationError(message) from None
+        if math.isfinite(number):
+            return number
+    raise ValidationError(message)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, ValidationError
+from .errors import ConditioningError, ValidationError, finite_float
 from . import jets
 
 DEGREE_CAP = 30
@@ -106,18 +106,16 @@ def _anchor_chain(nodes: Sequence) -> list[list]:
 
 def _node_list(nodes: Sequence[float]) -> list[float]:
     try:
-        node_list = [float(v) for v in nodes]
-    except (TypeError, ValueError):
+        node_list = list(nodes)
+    except TypeError:
         raise ValidationError("nodes must be a list of numbers") from None
     if len(node_list) > DEGREE_CAP:
         raise ValidationError(
             f"degree {len(node_list)} exceeds the cap {DEGREE_CAP}; scaled coefficients "
             "would leave the well-conditioned range"
         )
-    for v in node_list:
-        if not math.isfinite(v):
-            raise ValidationError("nodes must be finite")
-    return node_list
+    return [finite_float(v, f"node {n} must be a finite number, got {v!r}")
+            for n, v in enumerate(node_list)]
 
 
 def build(nodes: Sequence[float]) -> GontcharoffPoly:

@@ -26,14 +26,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, ValidationError
-from .sequences import LogSequence, is_log_convex
+from .errors import ConditioningError, DomainError, ValidationError, finite_float
+from . import sequences
 
 # up to K_MAX each op's c_k is within 5.5e-15 of its recurrence's sum of |terms|
 # of mpmath at 60 digits; exp(-1/x) on [0.1, 2] has relative error below 5e-13
 K_MAX = 64
 COEFF_CAP = 1e280
 GRID_MAX = 2**14
+# largest |num| and |den| of a pow node: the exponent num/den is then a
+# nonzero float, and an integer power takes at most 20 squarings
+POW_MAX = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +104,15 @@ class FunctionSpec:
 
     def __post_init__(self):
         _rows(self.expr, np.empty(0), 0)  # a malformed tree raises; no point, no domain error
+        message = f"domain must be a finite interval [a,b], got {self.domain!r}"
         try:
             a, b = self.domain
-            ok = math.isfinite(a) and math.isfinite(b) and a < b
-        except (TypeError, ValueError):  # not a pair of numbers
-            ok = False
-        if not ok:
-            raise ValidationError(f"domain must be a finite interval [a,b], got {self.domain!r}")
-        object.__setattr__(self, "domain", (float(a), float(b)))
+        except (TypeError, ValueError):  # not a pair
+            raise ValidationError(message) from None
+        a, b = finite_float(a, message), finite_float(b, message)
+        if not a < b:
+            raise ValidationError(message)
+        object.__setattr__(self, "domain", (a, b))
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "FunctionSpec":
@@ -182,12 +186,11 @@ def _pow_int(u: np.ndarray, exponent: int, k_max: int) -> np.ndarray:
     return result
 
 
-def _finite(value) -> bool:
-    """Whether ``value`` is an int or float (bools too) that a float holds finitely."""
-    try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
+def _tree_number(node: Mapping, key: str, message: str) -> float:
+    """Field ``key`` of an expression node as a finite float; a tree reads a
+    bool as 0 or 1."""
+    value = node.get(key)
+    return finite_float(int(value) if isinstance(value, bool) else value, message)
 
 
 def _propagate(node, t: np.ndarray, k_max: int, path: str) -> np.ndarray:
@@ -199,17 +202,15 @@ def _propagate(node, t: np.ndarray, k_max: int, path: str) -> np.ndarray:
         raise ValidationError(f"expression node at {path} must be a dict with 'op'")
     op = node["op"]
     if op in ("x", "const"):
-        if op == "const" and not _finite(node.get("value")):
-            raise ValidationError(f"const at {path} needs a finite 'value'")
         out = np.zeros((k_max + 1, t.size))
-        out[0] = t if op == "x" else float(node["value"])
-        out[1:2] = 1.0 if op == "x" else 0.0
+        if op == "x":
+            out[0], out[1:2] = t, 1.0
+        else:
+            out[0] = _tree_number(node, "value", f"const at {path} needs a finite 'value'")
         return out
     if op == "affine":
-        for key in ("a", "b"):
-            if not _finite(node.get(key)):
-                raise ValidationError(f"affine at {path} needs finite '{key}'")
-        a, b = float(node["a"]), float(node["b"])
+        a, b = (_tree_number(node, key, f"affine at {path} needs finite '{key}'")
+                for key in ("a", "b"))
         inner = _propagate(node.get("arg"), a * t + b, k_max, f"{path}.arg")
         scale = np.cumprod(np.r_[1.0, np.full(k_max, a)])
         return _check_cap(inner * scale[:, None], path)
@@ -233,6 +234,8 @@ def _propagate(node, t: np.ndarray, k_max: int, path: str) -> np.ndarray:
         num, den = node.get("num"), node.get("den", 1)
         if not isinstance(num, int) or not isinstance(den, int) or den == 0:
             raise ValidationError(f"pow at {path} needs integer num/den, den != 0")
+        if max(abs(num), abs(den)) > POW_MAX:
+            raise ValidationError(f"pow at {path} needs |num| and |den| at most {POW_MAX}")
     elif op not in ("neg", "exp", "log", "sin", "cos"):
         raise ValidationError(f"unknown op {op!r} at {path}")
 
@@ -382,7 +385,7 @@ class TailSup:
     truncated: bool
 
 
-def _check_horizon(n: int, horizon: int, weights: LogSequence) -> None:
+def _check_horizon(n: int, horizon: int, weights: sequences.LogSequence) -> None:
     if not (0 <= n <= horizon):
         raise ValidationError(f"need 0 <= n <= horizon, got n={n}, horizon={horizon}")
     if horizon >= weights.length:
@@ -409,7 +412,7 @@ def _tail_sup(derivs: np.ndarray, n: int, logs: np.ndarray) -> TailSup:
 
 
 def derivative_tail_sup(
-    f: FunctionSpec, t: float, n: int, weights: LogSequence, horizon: int
+    f: FunctionSpec, t: float, n: int, weights: sequences.LogSequence, horizon: int
 ) -> TailSup:
     """Suffix supremum of |f^{(j)}(t)| / (e^j M_j) over n <= j <= horizon."""
     _check_horizon(n, horizon, weights)
@@ -426,7 +429,7 @@ class TranslationCheck:
 
 def translation_estimate_check(
     f: FunctionSpec,
-    weights: LogSequence,
+    weights: sequences.LogSequence,
     t: float,
     tau: float,
     n: int,
@@ -444,7 +447,7 @@ def translation_estimate_check(
         raise ValidationError(f"need 0 <= n < q, got n={n}, q={q}")
     if q >= weights.length:
         raise ValidationError("q exceeds weight sequence length")
-    if weights.length >= 3 and not is_log_convex(weights):
+    if weights.length >= 3 and not sequences.is_log_convex(weights):
         raise ValidationError("weight sequence must be log-convex")
     _check_horizon(n, horizon, weights)
     table = _derivative_table(f, [t, t + tau], horizon)
@@ -473,7 +476,7 @@ class MonotonicityResult:
 
 def monotonicity_check(
     f: FunctionSpec,
-    weights: LogSequence,
+    weights: sequences.LogSequence,
     nmax: int,
     grid_size: int = 256,
 ) -> MonotonicityResult:
@@ -485,7 +488,7 @@ def monotonicity_check(
     """
     if nmax < 0 or nmax > K_MAX:
         raise ValidationError(f"nmax must be in [0, {K_MAX}]")
-    if weights.length >= 3 and not is_log_convex(weights):
+    if weights.length >= 3 and not sequences.is_log_convex(weights):
         raise ValidationError("weight sequence must be log-convex")
     grid = domain_grid(f, grid_size)
     table = _derivative_table(f, grid, nmax)  # column 0 is the left endpoint
@@ -561,7 +564,7 @@ class SpacingResult:
 
 def zero_spacing_experiment(
     f: FunctionSpec,
-    weights: LogSequence,
+    weights: sequences.LogSequence,
     nmax: int,
     grid_size: int = 1024,
 ) -> SpacingResult:
@@ -575,7 +578,7 @@ def zero_spacing_experiment(
         raise ValidationError(f"nmax must be in [1, {K_MAX}]")
     if nmax >= weights.length:
         raise ValidationError("nmax exceeds weight sequence length")
-    if weights.length >= 3 and not is_log_convex(weights):
+    if weights.length >= 3 and not sequences.is_log_convex(weights):
         raise ValidationError("weight sequence must be log-convex")
 
     grid = domain_grid(f, grid_size)

@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .sequences import LogSequence, RegularizedSequence, _frozen, convex_regularize
-from .series import EPS_CONV, SIGMA_DIV, SeriesReport, diagnose_series
+from .sequences import LogSequence, RegularizedSequence, convex_regularize
+from .series import EPS_CONV, SIGMA_DIV, SeriesReport, _frozen, diagnose_series
 
 # Flag threshold for the trivial quasianalytic case: the sequence's n-th
 # roots stay below e**LIMINF_CAP on the tail of the horizon.  A flag, not a

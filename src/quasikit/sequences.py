@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_float
+from .series import _frozen
 
 # Log-domain tolerance for convexity checks.
 TOL_CONVEX = 1e-9
@@ -41,28 +42,6 @@ FAMILIES = ("explicit", *_CATALOG)
 
 # Largest horizon; a catalog horizon is checked before anything is allocated.
 HORIZON_MAX = 2**22
-
-
-def _frozen(values, name: str = "logs") -> np.ndarray:
-    """``values`` as a read-only float64 array of finite numbers: a flat list
-    is copied, a read-only 1-D float64 array that owns its memory is checked
-    and returned as it is (a view may share a writable base)."""
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1
-            and not values.flags.writeable and values.base is None):
-        arr = values
-    else:
-        try:
-            arr = np.array(values, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"{name} must be a list of numbers") from None
-        if arr.ndim != 1:
-            raise ValidationError(f"{name} must be a flat list of numbers")
-        arr.flags.writeable = False
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        n = int(bad[0])
-        raise ValidationError(f"{name}[{n}] = {arr[n].item()!r} is not finite")
-    return arr
 
 
 def _checked_horizon(horizon) -> int:
@@ -147,11 +126,9 @@ class SequenceSpec:
         key = _CATALOG.get(self.family, (None,))[0]
         if key is not None:
             value = self.params.get(key)
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and 0 < value < math.inf):
-                raise ValidationError(
-                    f"{self.family} requires parameter {key} > 0, got {value!r}"
-                )
+            message = f"{self.family} requires parameter {key} > 0, got {value!r}"
+            if finite_float(value, message) <= 0:
+                raise ValidationError(message)
 
     def __eq__(self, other):
         if not isinstance(other, SequenceSpec):

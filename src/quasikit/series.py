@@ -21,11 +21,32 @@ import numpy as np
 
 from .constants import EPS_CONV, SIGMA_DIV
 from .errors import ValidationError
-from .sequences import _frozen
 
 DIVERGING = "diverging_trend"
 CONVERGING = "converging_trend"
 INCONCLUSIVE = "inconclusive"
+
+
+def _frozen(values, name: str = "logs") -> np.ndarray:
+    """``values`` as a read-only float64 array of finite numbers: a flat list
+    is copied, a read-only 1-D float64 array that owns its memory is checked
+    and returned as it is (a view may share a writable base)."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1
+            and not values.flags.writeable and values.base is None):
+        arr = values
+    else:
+        try:
+            arr = np.array(values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"{name} must be a list of numbers") from None
+        if arr.ndim != 1:
+            raise ValidationError(f"{name} must be a flat list of numbers")
+        arr.flags.writeable = False
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        n = int(bad[0])
+        raise ValidationError(f"{name}[{n}] = {arr[n].item()!r} is not finite")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

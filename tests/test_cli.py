@@ -318,6 +318,8 @@ class TestInputBounds:
         assert res.stdout == ""
 
 
+X_EXPR = {"op": "x"}
+
 MALFORMED_INPUTS = {
     "horizon-not-int": ("seq make --spec", {"family": "factorial", "horizon": "abc"}),
     "horizon-fractional": ("seq make --spec", {"family": "factorial", "horizon": 9.7}),
@@ -354,6 +356,20 @@ MALFORMED_INPUTS = {
     "check-nodes-bare-list": ("gont check --nodes", [0.0, 1.0]),
     "const-past-float-range": (
         "lab envelope --fn", {"expr": {"op": "const", "value": 10**400}, "domain": [0, 1]}
+    ),
+    # every number of an input document past the float range
+    "param-past-float-range": (
+        "seq make --spec", {"family": "gevrey", "params": {"s": 10**400}, "horizon": 9}
+    ),
+    "node-past-float-range": ("gont build --nodes", {"nodes": [0.0, 10**400]}),
+    "domain-past-float-range": ("lab envelope --fn", {"expr": X_EXPR, "domain": [0, 10**400]}),
+    "pow-num-past-float-range": (
+        "lab envelope --fn",
+        {"expr": {"op": "pow", "arg": X_EXPR, "num": -(10**400)}, "domain": [1, 2]},
+    ),
+    "pow-den-past-float-range": (
+        "lab envelope --fn",
+        {"expr": {"op": "pow", "arg": X_EXPR, "num": 1, "den": 10**400}, "domain": [1, 2]},
     ),
 }
 

@@ -20,7 +20,9 @@ from quasikit.sequences import FAMILIES
 
 # values a parser could accept; moderate sizes keep every run short (a
 # horizon of 1e6 would spend seconds encoding its report)
-REALS = st.floats(-50.0, 50.0) | st.integers(-5, 5)
+# integers past the float range, and one past float precision
+HUGE = st.sampled_from([10**400, -(10**400), 2**1024, -(2**1024), 2**53 + 1])
+REALS = st.floats(-50.0, 50.0) | st.integers(-5, 5) | HUGE
 POSITIVE = st.floats(1e-3, 10.0)
 # text with the characters str.splitlines breaks at, which a message must
 # not echo raw
@@ -32,6 +34,7 @@ JSON_VALUES = st.recursive(
     | st.integers(-5, 300)
     | st.floats(-1e3, 1e3)
     | st.sampled_from([1e308, -1e300, 1e-300, 5e-324, -0.0, math.inf, -math.inf, math.nan])
+    | HUGE
     | TEXT,
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(TEXT, inner, max_size=3),
     max_leaves=10,
@@ -44,7 +47,7 @@ EXPRS = st.recursive(
         | st.builds(lambda op, a, b: {"op": op, "left": a, "right": b},
                     st.sampled_from(["add", "sub", "mul", "div"]), inner, inner)
         | st.builds(lambda a, num, den: {"op": "pow", "arg": a, "num": num, "den": den},
-                    inner, st.integers(-3, 5), st.integers(1, 3))
+                    inner, st.integers(-3, 5) | HUGE, st.integers(1, 3) | HUGE)
         | st.builds(lambda a, s, t: {"op": "affine", "arg": a, "a": s, "b": t},
                     inner, REALS, REALS)
     ),
@@ -54,7 +57,7 @@ EXPRS = st.recursive(
 PARAM_KEYS = {"gevrey": "s", "denjoy1": "C", "denjoy2": "C"}
 # non-integral floats and booleans, which a parser must not truncate or read
 # as 0 and 1
-PARAMS = POSITIVE | st.booleans()
+PARAMS = POSITIVE | st.booleans() | HUGE
 SPEC = st.fixed_dictionaries({
     "family": st.sampled_from(FAMILIES),
     "horizon": st.integers(3, 300) | st.floats(3.0, 300.0) | st.booleans(),
@@ -72,7 +75,7 @@ DOCS = {
     "vector": VECTOR,
     "other": VECTOR,
     "pset": st.fixed_dictionaries({"index_set": INDEX_SETS}),
-    "nodes": st.fixed_dictionaries({"nodes": st.lists(st.floats(-5.0, 5.0), max_size=8)}),
+    "nodes": st.fixed_dictionaries({"nodes": st.lists(st.floats(-5.0, 5.0) | HUGE, max_size=8)}),
     "fn": st.fixed_dictionaries({"expr": EXPRS, "domain": st.lists(REALS, min_size=2, max_size=2, unique=True).map(sorted)}),
 }
 COMMANDS = [

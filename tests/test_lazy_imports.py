@@ -4,8 +4,8 @@ The library modules load lazily, so a fresh process that parses ``--help``
 loads no numpy, and one that runs a command executes only that command's
 modules.  Each case runs the CLI in a subprocess under ``-W error`` through
 ``runpy`` (what ``python -m`` does) and lists the quasikit modules whose
-bodies ran: a module still waiting to load is a ``LazyLoader`` module, not a
-plain ``types.ModuleType``.
+bodies ran: a module still waiting to load is a ``quasikit._LazyModule``,
+not a plain ``types.ModuleType``.
 """
 
 import json
@@ -86,10 +86,14 @@ INPUTS = {
     "argv, modules",
     [
         (["seq", "analyze", "--spec", "spec.json"], {"sequences", "series", "qa"}),
-        (["bang", "norm", "--vector", "vector.json"], {"bang", "sequences"}),
+        (["bang", "norm", "--vector", "vector.json"], {"bang", "series"}),
         (["gont", "build", "--nodes", "nodes.json"], {"gontcharoff"}),
-        (["lab", "envelope", "--fn", "fn.json", "--nmax", "4", "--grid", "8"], {"jets", "sequences"}),
-        (["weight", "check", "--mu", "zero"], {"weights", "series", "sequences"}),
+        # jets takes sequences as a module, and series holds _frozen itself
+        (["lab", "envelope", "--fn", "fn.json", "--nmax", "4", "--grid", "8"], {"jets"}),
+        (["weight", "check", "--mu", "zero"], {"weights", "series"}),
+        (["seq", "make", "--spec", "spec.json"], {"sequences", "series"}),
+        (["lab", "monotonic", "--fn", "fn.json", "--seq", "spec.json", "--nmax", "4",
+          "--grid", "8"], {"jets", "sequences", "series"}),
     ],
 )
 def test_command_runs_only_its_modules(tmp_path, argv, modules):
@@ -124,3 +128,30 @@ def test_public_names_are_the_defining_modules_objects():
             assert value.__module__.startswith("quasikit.")
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         qk.nope
+
+
+THREADS = """\
+import sys, threading, quasikit
+sys.setswitchinterval(1e-6)
+start = threading.Barrier(4, timeout=30)
+got = []
+def touch():
+    start.wait()
+    try:
+        got.append(quasikit.jets.jet_eval)
+    except AttributeError as exc:
+        got.append(exc)
+threads = [threading.Thread(target=touch) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+print(sum(thread.is_alive() for thread in threads), sum(v is quasikit.jets.jet_eval for v in got))
+"""
+
+
+def test_threads_that_first_touch_a_module_together_all_get_it():
+    # before Python 3.13, LazyLoader let the later threads see jets half-run
+    res = subprocess.run([sys.executable, "-W", "error", "-c", THREADS],
+                         capture_output=True, text=True, timeout=120)
+    assert (res.stdout, res.stderr) == ("0 4\n", "")

@@ -1,8 +1,12 @@
 """The report writer ``cli._encode`` against its oracle, the interpreter's
-``json.dumps(doc, indent=2)``, on random nested documents."""
+``json.dumps(doc, indent=2)``, on random nested documents; and the CSV
+columns that take their strings from the report's text, against rows
+formatted column by column with ``repr``."""
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,3 +96,95 @@ def test_outputs_do_not_use_the_indenting_encoder(tmp_path, monkeypatch):
     cli._write_outputs(doc, str(tmp_path / "r.json"), None, None)
     assert calls and all("indent" not in kw for kw in calls)
     assert (tmp_path / "r.json").read_text() == dumps(doc, indent=2) + "\n"
+
+
+# --- the CSV columns that reuse the report's text --------------------------
+
+CSV_FLOATS = floats | st.sampled_from([-0.0, 5e-324, 1e16, 1e-4])
+COLUMN_LISTS = (st.lists(CSV_FLOATS, max_size=8) | st.lists(ints, max_size=8)
+                | st.lists(CSV_FLOATS | ints | np_floats, max_size=8))
+
+
+def _nest(column, path):
+    """``column`` inside dicts and lists, one level per entry of ``path``."""
+    for key in reversed(path):
+        column = {key: column} if isinstance(key, str) else [1.5, column][-key:]
+    return column
+
+
+# a column recipe: ("report", n) is the report's n-th list, ("outside",
+# list), ("map", ints) and ("count", start) are columns the report does not
+# hold, and "x" as a value column is the block's own x column.  Value columns
+# are finite: rows end with the shorter column.
+FINITE = (st.tuples(st.just("report"), st.integers(0, 3))
+          | st.tuples(st.just("outside"), COLUMN_LISTS)
+          | st.tuples(st.just("map"), st.lists(st.integers(-3, 3), max_size=8)))
+BLOCKS = st.lists(
+    st.tuples(st.sampled_from(["a", "b.term", "c.partial_sum"]),
+              FINITE | st.tuples(st.just("count"), CSV_FLOATS), FINITE | st.just("x"))
+    .filter(lambda block: block[1][0] != "count" or block[2] != "x"),
+    max_size=5)
+
+
+def _column(recipe, lists, x):
+    kind, arg = recipe if recipe != "x" else ("x", None)
+    if kind == "report":
+        return lists[arg % len(lists)]
+    if kind == "outside":
+        return list(arg)
+    if kind == "count":
+        return itertools.count(arg)
+    if kind == "map":
+        return map(float, arg)
+    return x
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lists=st.lists(COLUMN_LISTS, min_size=1, max_size=4),
+       paths=st.lists(st.lists(st.sampled_from(["k", "v", 1, 2]), max_size=3), min_size=4,
+                      max_size=4),
+       recipes=BLOCKS, chunk=st.sampled_from([1, 2, 3, cli.CSV_CHUNK]))
+@example(lists=[[-0.0, 5e-324, 1e16, 1e-4]], paths=[[]] * 4,
+         recipes=[("a", ("report", 0), "x"), ("b.term", ("report", 0), ("count", 1.0))], chunk=1)
+def test_csv_rows_match_per_column_repr(tmp_path, lists, paths, recipes, chunk):
+    # the report's lists sit at any depth, and two blocks may share a column
+    doc = {f"r{n}": _nest(column, paths[n]) for n, column in enumerate(lists)}
+    rows, blocks = [], []
+    for series, x_recipe, v_recipe in recipes:
+        xs = _column(x_recipe, lists, None)  # the rows of a writer that formats every column
+        rows += [f"{x!r},{series},{v!r}\n" for x, v in zip(xs, _column(v_recipe, lists, xs))]
+        xs = _column(x_recipe, lists, None)
+        blocks.append((series, xs, _column(v_recipe, lists, xs)))
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_CHUNK", chunk)
+        cli._write_outputs(doc, str(out), str(csv), blocks)
+    assert csv.read_text() == "x,series,value\n" + "".join(rows)
+    assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_csv_adds_at_most_one_column_to_the_peak(tmp_path):
+    # the CSV splits one value column at a time from the report's text; keeping
+    # every column's strings instead would add a dozen columns to the peak
+    from quasikit.manifest import RunManifest
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "denjoy2", "params": {"C": 1.0}, "horizon": 20000}))
+    args = cli._build_parser().parse_args(["seq", "analyze", "--spec", str(spec)])
+    cli._load_inputs(args, RunManifest(command=[], seed=None))
+    doc, blocks = args.handler(args)
+
+    def peak(*csv):
+        tracemalloc.start()
+        try:
+            cli._write_outputs(doc, str(tmp_path / "r.json"), *csv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tracemalloc.start()
+    column = list(map(repr, doc["carleman"]["terms"]))
+    column_bytes = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    del column
+    assert peak(str(tmp_path / "r.csv"), blocks) - peak(None, None) <= column_bytes

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -165,12 +165,28 @@ def _write_outputs(doc: dict, out: str | None, csv_path: str | None, blocks) -> 
         text, spans = _encode_spans(doc)
     except ValueError:
         raise ValidationError("a report value leaves the float range") from None
-    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle:
+    with (
+        _naming(out or "stdout"),
+        open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as handle,
+    ):
         if csv_path:
-            emit_plotdata([(series, spans.get(id(xs), xs), spans.get(id(values), values))
-                           for series, xs, values in blocks or []], csv_path)
+            with _naming(csv_path):
+                emit_plotdata([(series, spans.get(id(xs), xs), spans.get(id(values), values))
+                               for series, xs, values in blocks or []], csv_path)
         handle.write(text)
         handle.write("\n")
+
+
+@contextmanager
+def _naming(target: str):
+    """Name ``target`` in an OSError that names no file, as a failed write or
+    close raises."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = target
+        raise
 
 
 # rows per write in emit_plotdata
@@ -478,7 +494,7 @@ def dispatch(argv: list[str]) -> int:
         print(f"quasikit: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"quasikit: cannot write {exc.filename or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        print(f"quasikit: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     return 0
 

@@ -114,8 +114,18 @@ def _node_list(nodes: Sequence[float]) -> list[float]:
             f"degree {len(node_list)} exceeds the cap {DEGREE_CAP}; scaled coefficients "
             "would leave the well-conditioned range"
         )
+    return _finite(node_list)
+
+
+def _finite(nodes: Sequence[float]) -> list[float]:
+    """Each node as a finite float (errors.finite_float), naming the first
+    that is not one."""
     return [finite_float(v, f"node {n} must be a finite number, got {v!r}")
-            for n, v in enumerate(node_list)]
+            for n, v in enumerate(nodes)]
+
+
+def _finite_x(x) -> float:
+    return finite_float(x, f"x must be a finite number, got {x!r}")
 
 
 def build(nodes: Sequence[float]) -> GontcharoffPoly:
@@ -167,10 +177,10 @@ def integral_oracle(nodes: Sequence[float], x: float) -> float:
     Independent of build(); limited to degree <= 4 because each level nests
     a full quadrature.
     """
-    node_list = [float(v) for v in nodes]
+    node_list = _finite(nodes)
     if len(node_list) > 4:
         raise ValidationError("integral oracle is limited to 4 nodes")
-    return _oracle_level(node_list, float(x), 1e-9)
+    return _oracle_level(node_list, _finite_x(x), 1e-9)
 
 
 def _oracle_level(nodes: list[float], x: float, tol: float) -> float:
@@ -263,11 +273,11 @@ def gontcharoff_bound(nodes: Sequence[float], x: float) -> float:
     The node-difference chain runs over consecutive pairs; the property
     sweeps confirm the bound dominates |Q_n| under this reading.
     """
-    node_list = [float(v) for v in nodes]
+    node_list = _finite(nodes)
     n = len(node_list)
     if n < 1:
         raise ValidationError("bound needs at least one node")
-    return _power_over_factorial(_spread(node_list, x), n)
+    return _power_over_factorial(_spread(node_list, _finite_x(x)), n)
 
 
 def _spread(nodes: list, x):
@@ -391,14 +401,14 @@ def abel_expand(
     The grid max is a lower bound of the true sup, so the remainder contract
     carries a small slack factor.
     """
-    node_list = [float(v) for v in nodes]
+    node_list, x = _finite(nodes), _finite_x(x)
     if len(node_list) < n + 1:
         raise ValidationError(f"need at least {n + 1} nodes for order {n}")
     if n + 1 > DEGREE_CAP:
         raise ValidationError(f"order {n} exceeds the degree cap {DEGREE_CAP}")
     grid = jets.domain_grid(f, 256)
     # column k holds the derivatives at node x_k, the last column those at x
-    at_nodes = jets._derivative_table(f, node_list[: n + 1] + [float(x)], n).tolist()
+    at_nodes = jets._derivative_table(f, node_list[: n + 1] + [x], n).tolist()
     partial = 0.0
     for k in range(n + 1):
         partial += at_nodes[k][k] * build(node_list[:k]).eval(x)

@@ -20,6 +20,7 @@ decreasing on every catalog entry, asserted on a validation grid).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import sys
 from collections.abc import Iterator
@@ -43,20 +44,19 @@ _SLACK = 1e-9
 # The batched bisection trusts its float64-array decision m'(t) < log r only
 # where |m'(t) - log r| exceeds this multiple of |m'(t)| + |log t| + 1, the
 # scale of the terms m' sums; inside that band it decides again with
-# math.log.  1e-12 is thousands of ulps, far above the error of numpy's
-# float64 log and power loops.
+# _m_parts's math-library logs and powers.  1e-12 is thousands of ulps, far
+# above the error of numpy's float64 log and power loops.
 _DECISION_RTOL = 1e-12
 
 # rows (n) per array block of algebra_check, which holds n_max + 1 pairs per row
 _ALGEBRA_ROWS = 256
 
-# Below this many live radii the bisection finishes each radius on its own
-# with math.log.  A whole solve of n random radii up to 1e12 (2-core VM,
-# Python 3.11, numpy 2.4, best of 15) took, array against one by one:
-# n = 1: 1.4-2.3 ms against 0.04-0.09 ms; n = 64: 2.8-4.1 against 2.0-3.6;
-# n = 128: 3.7-5.4 against 4.1-6.7.  The array pays from about 80 radii
-# (loglog, power) to 112 (zero, log).
-_ARRAY_MIN = 96
+# Below this many live radii the bisection finishes each radius on its own.
+# A whole solve of n random radii up to 1e12 (2-core VM, Python 3.11, numpy
+# 2.4, best of 15) took, array against one by one: n = 1: 1.2-2.2 ms against
+# 0.04-0.13 ms; n = 64: 1.5-2.8 against 1.6-3.3; n = 128: 1.9-4.9 against
+# 3.1-9.4.  The array pays from about 42 radii (power) to 52 (zero, log).
+_ARRAY_MIN = 48
 
 # log of the largest float, less a margin for the rounding of exp
 _LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-6
@@ -95,16 +95,41 @@ class WeightFunction:
         grid = np.exp(
             np.linspace(math.log(self.t0), math.log(self.t0 * _VALIDATION_SPAN), _VALIDATION_GRID)
         )
-        for t in grid:
-            _, m1, m2 = _m_parts(self, float(t))
-            if not (m1 > 0.0 and 0.0 < m2 <= delta * (1.0 + 1e-9)):
-                raise ValidationError(f"hypotheses fail at t = {t:g}: m' = {m1:g}, m'' = {m2:g}")
+        with np.errstate(all="ignore"):
+            _, m1, m2 = _m_parts(self, grid)
+            bad = np.flatnonzero(~((m1 > 0.0) & (0.0 < m2) & (m2 <= delta * (1.0 + 1e-9))))
+        if bad.size:
+            t, m1, m2 = (float(v[bad[0]]) for v in (grid, m1, m2))
+            raise ValidationError(f"hypotheses fail at t = {t:g}: m' = {m1:g}, m'' = {m2:g}")
         object.__setattr__(self, "delta", delta)
 
 
-def _m_parts(w: WeightFunction, t, log=math.log) -> tuple:
-    """(m, m', m'') at t: a float with ``math.log``, or a float64 array with
-    ``np.log``."""
+def _log(t):
+    """math.log of a float, or of each item of a float64 array."""
+    if isinstance(t, np.ndarray):
+        return np.fromiter(map(math.log, t.tolist()), float, t.size)
+    return math.log(t)
+
+
+def _pow(t, alpha: float):
+    """t ** alpha by the math library: of a float, or of each item of a
+    float64 array."""
+    if isinstance(t, np.ndarray):
+        return np.fromiter(map(pow, t.tolist(), itertools.repeat(alpha)), float, t.size)
+    return t**alpha
+
+
+def _m_parts(w: WeightFunction, t, log=_log, power=_pow) -> tuple:
+    """(m, m', m'') at t, a float or a float64 array.
+
+    numpy's float64 + - * / round as Python's float operations do, and the
+    default ``log`` and ``power`` take an array's items through the math
+    library one by one, so each item of an array's result equals the float
+    result bit for bit.  Array overflow follows numpy's error state; callers
+    run under ``np.errstate(all="ignore")``, where it gives inf silently, as
+    float arithmetic does.  The batched bisection's filter passes np.log and
+    np.power instead.
+    """
     lt = log(t)
     if w.mu == "zero":
         return t * lt, lt + 1.0, 1.0 / t
@@ -117,21 +142,21 @@ def _m_parts(w: WeightFunction, t, log=math.log) -> tuple:
         m2 = (1.0 + 1.0 / lt - 1.0 / (lt * lt)) / t
         return m, m1, m2
     alpha = float(w.alpha)
-    ta = t**alpha
+    ta = power(t, alpha)
     m = t * lt + t * ta
     m1 = lt + 1.0 + (1.0 + alpha) * ta
     m2 = 1.0 / t + alpha * (1.0 + alpha) * ta / t
     return m, m1, m2
 
 
-def _mu_prime(w: WeightFunction, t: float) -> float:
+def _mu_prime(w: WeightFunction, t: np.ndarray):
     if w.mu == "zero":
         return 0.0
     if w.mu == "log":
         return 1.0 / t
     if w.mu == "loglog":
-        return 1.0 / (t * math.log(t))
-    return float(w.alpha) * t ** (float(w.alpha) - 1.0)
+        return 1.0 / (t * _log(t))
+    return float(w.alpha) * _pow(t, float(w.alpha) - 1.0)
 
 
 def make_weight(mu: str, t0: float, alpha: float | None = None) -> WeightFunction:
@@ -165,11 +190,11 @@ def _stationary_points(
     brackets t* between t0 and the first 2 t0 2^k with m'(2 t0 2^k) > log r,
     then all radii bisect together until the midpoint hits an end (at most
     200 halvings).  Each halving decides m'(mid) < log r over the array with
-    ``log``, and again with math.log wherever the difference lies within
-    ``rtol`` of its scale (see _DECISION_RTOL); once fewer than _ARRAY_MIN
-    radii are live, each finishes on its own with math.log.  So every
-    decision, and with it t*, equals that of a scalar bisection with math.log
-    bit for bit.
+    ``log`` and np.power, and again, exactly, wherever the difference lies
+    within ``rtol`` of its scale (see _DECISION_RTOL); once fewer than
+    _ARRAY_MIN radii are live, each finishes on its own.  So every decision,
+    and with it t*, equals that of a scalar bisection with math.log bit for
+    bit.
     """
     m1_t0 = _m_parts(w, w.t0)[1]
     caps = [2.0 * w.t0]
@@ -210,14 +235,10 @@ def _stationary_points(
                 t_star[at[~inside]] = mid[~inside]
                 at, target, mid = at[inside], target[inside], mid[inside]
                 lo, hi = lo[inside], hi[inside]
-            m1 = _m_parts(w, mid, log)[1]
+            m1 = _m_parts(w, mid, log, np.power)[1]
             below = m1 < target
-            near = np.flatnonzero(
-                ~(np.abs(m1 - target) > rtol * (np.abs(m1) + np.abs(log(mid)) + 1.0))
-            )
-            below[near] = [
-                _m_parts(w, t)[1] < v for t, v in zip(mid[near].tolist(), target[near].tolist())
-            ]
+            near = ~(np.abs(m1 - target) > rtol * (np.abs(m1) + np.abs(log(mid)) + 1.0))
+            below[near] = _m_parts(w, mid[near])[1] < target[near]
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
     for i, v, a, b in zip(at.tolist(), target.tolist(), lo.tolist(), hi.tolist()):
@@ -247,48 +268,69 @@ def weight_inf(w: WeightFunction, r: float) -> WeightInf:
     Rejects r <= exp(m'(t0)): the stationary point would sit on or below the
     boundary and the sandwich reasoning needs an interior minimizer.
     """
-    return next(_infima(w, [r]))[1]
+    _, t_star, log_value, error = _infima(w, [r])
+    _raise_first(error)
+    return WeightInf(log_value=float(log_value[0]), t_star=float(t_star[0]))
 
 
-def _infima(w: WeightFunction, radii) -> Iterator[tuple[float, WeightInf]]:
-    """log r and weight_inf(w, r) for each radius in turn, from one batched
-    solve.  The solve's error for a radius is raised only once every earlier
-    radius has been yielded, so a caller that checks each radius as it comes
-    meets its errors in radius order."""
+def _infima(
+    w: WeightFunction, radii
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, ValidationError | None]:
+    """log r, t* and log Lambda(r) = m(t*) - t* log r over the radii up to
+    the first one the solve rejects, and the solve's error for that radius
+    (or None)."""
     log_r, t_star, error = _stationary_points(w, radii)
-    for lr, t in zip(log_r, t_star.tolist()):
-        yield lr, WeightInf(log_value=_m_parts(w, t)[0] - t * lr, t_star=t)
-    if error is not None:
-        raise error
+    log_r = np.array(log_r, dtype=float)
+    with np.errstate(all="ignore"):
+        return log_r, t_star, _m_parts(w, t_star)[0] - t_star * log_r, error
 
 
 def omega(w: WeightFunction, r: float) -> float:
     """omega(r) = -log Lambda(r), cross-checked against the parametric forms
     t m'(t) - m(t) and t + t^2 mu'(t) at the stationary point."""
-    return _checked_omega(w, weight_inf(w, r))
+    return next(_omegas(w, [r]))
 
 
 def _omegas(w: WeightFunction, radii) -> Iterator[float]:
-    """omega at each radius in turn, from one batched solve."""
-    return (_checked_omega(w, inf_result) for _, inf_result in _infima(w, radii))
+    """omega at each radius in turn, from one batched solve.  An error for a
+    radius is raised only once every earlier radius has been yielded, so a
+    caller that checks each radius as it comes meets its errors in radius
+    order."""
+    _, t_star, log_value, error = _infima(w, radii)
+    values, check_error = _checked_omegas(w, t_star, log_value)
+    yield from values.tolist()
+    _raise_first(check_error, error)
 
 
-def _checked_omega(w: WeightFunction, inf_result: WeightInf) -> float:
-    value = -inf_result.log_value
-    t = inf_result.t_star
-    m, m1, _ = _m_parts(w, t)
-    parametric = t * m1 - m
-    scale = max(1.0, abs(value))
-    if abs(parametric - value) > _OMEGA_CHECK_RTOL * scale:
-        raise ConditioningError(
-            f"parametric cross-check failed: {value:g} vs t m'-m = {parametric:g}"
-        )
-    mu_form = t + t * t * _mu_prime(w, t)
-    if abs(mu_form - value) > _OMEGA_CHECK_RTOL * scale:
-        raise ConditioningError(
-            f"parametric cross-check failed: {value:g} vs t + t^2 mu' = {mu_form:g}"
-        )
-    return value
+def _raise_first(*errors: Exception | None) -> None:
+    """Raise the first error given, if any: the one of the earliest radius."""
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _checked_omegas(
+    w: WeightFunction, t: np.ndarray, log_value: np.ndarray
+) -> tuple[np.ndarray, ConditioningError | None]:
+    """omega = -log Lambda at the stationary points t, up to the first that
+    fails a cross-check against t m'(t) - m(t) or t + t^2 mu'(t), and that
+    check's error (or None)."""
+    value = -log_value
+    with np.errstate(all="ignore"):
+        m, m1, _ = _m_parts(w, t)
+        tol = _OMEGA_CHECK_RTOL * np.where(np.abs(value) > 1.0, np.abs(value), 1.0)
+        parametric = t * m1 - m
+        mu_form = t + t * t * _mu_prime(w, t)
+        off_parametric = np.abs(parametric - value) > tol
+        off = np.flatnonzero(off_parametric | (np.abs(mu_form - value) > tol))
+    if not off.size:
+        return value, None
+    i = off[0]
+    if off_parametric[i]:
+        message = f"{value[i]:g} vs t m'-m = {parametric[i]:g}"
+    else:
+        message = f"{value[i]:g} vs t + t^2 mu' = {mu_form[i]:g}"
+    return value[:i], ConditioningError(f"parametric cross-check failed: {message}")
 
 
 def weight_inf_integer(w: WeightFunction, r: float) -> float:
@@ -297,19 +339,39 @@ def weight_inf_integer(w: WeightFunction, r: float) -> float:
     The continuous objective is unimodal with minimizer t*, so scanning
     integers within two of t* (clipped to >= t0) suffices.
     """
-    t_star = weight_inf(w, r).t_star
-    return _integer_inf(w, math.log(r), t_star)
+    log_r, t_star, _, error = _infima(w, [r])
+    values, int_error = _integer_infs(w, log_r, t_star)
+    _raise_first(int_error, error)
+    return float(values[0])
 
 
-def _integer_inf(w: WeightFunction, log_r: float, t_star: float) -> float:
-    lo = max(math.ceil(w.t0), math.floor(t_star) - 2)
-    hi = math.ceil(t_star) + 2
-    if hi < lo:
-        hi = lo
-    best = math.inf
-    for n in range(int(lo), int(hi) + 1):
-        best = min(best, _m_parts(w, float(n))[0] - n * log_r)
-    return best
+def _integer_infs(
+    w: WeightFunction, log_r: np.ndarray, t_star: np.ndarray
+) -> tuple[np.ndarray, OverflowError | None]:
+    """log lambda(r) at each (log r, t*), up to the first t* = inf, and the
+    error math.floor raises there (or None).
+
+    Each candidate n is a Python int converted by float(), as ``n * log r``
+    converts it; floor(t*) - 2 + k in float arithmetic would round past 2^53.
+    A NaN objective never wins the minimum, which is inf when every
+    candidate's objective is NaN, as in a running ``min(best, value)``.
+    """
+    first, error = math.ceil(w.t0), None
+    candidates, starts = [], []
+    for t in t_star.tolist():
+        try:
+            lo = max(first, math.floor(t) - 2)
+        except OverflowError as exc:  # the bisection's lo + hi overflowed
+            error = exc
+            break
+        starts.append(len(candidates))
+        candidates.extend(map(float, range(lo, max(lo, math.ceil(t) + 2) + 1)))
+    n = np.array(candidates, dtype=float)
+    counts = np.diff(starts + [n.size])
+    with np.errstate(all="ignore"):
+        values = _m_parts(w, n)[0] - n * np.repeat(log_r[: len(starts)], counts)
+    values[np.isnan(values)] = math.inf
+    return (np.minimum.reduceat(values, starts) if starts else values), error
 
 
 def transforms(w: WeightFunction, r: float) -> tuple[float, float, float]:
@@ -319,11 +381,15 @@ def transforms(w: WeightFunction, r: float) -> tuple[float, float, float]:
 
 
 def _transform_rows(w: WeightFunction, radii) -> Iterator[tuple[float, float, float]]:
-    """transforms(w, r) for each radius in turn, from one batched solve."""
-    return (
-        (inf.log_value, _checked_omega(w, inf), _integer_inf(w, lr, inf.t_star))
-        for lr, inf in _infima(w, radii)
-    )
+    """transforms(w, r) for each radius in turn, from one batched solve, with
+    errors in radius order as in _omegas.  At one radius the omega
+    cross-check comes before the integer infimum."""
+    log_r, t_star, log_value, error = _infima(w, radii)
+    omegas, check_error = _checked_omegas(w, t_star, log_value)
+    lam_int, int_error = _integer_infs(w, log_r[: omegas.size], t_star[: omegas.size])
+    rows = len(lam_int)
+    yield from zip(log_value[:rows].tolist(), omegas[:rows].tolist(), lam_int.tolist())
+    _raise_first(int_error, check_error, error)
 
 
 def _start_radius(w: WeightFunction, offset: float, factor: float, reach: float) -> float:
@@ -463,11 +529,14 @@ def shift_bound_check(w: WeightFunction, j: int, p_lo: int, p_hi: int) -> bool:
     delta = w.delta
     c_const = _m_parts(w, w.t0)[1] - delta * w.t0
     # m at each integer of ps and of ps + j, once; float(p * j), not
-    # float(p) * j, since p may pass 2^53
-    m_at = np.array([_m_parts(w, float(p))[0] for p in range(ps.start, ps.stop + j)] if j else [])
+    # float(p) * j, and float(p) of the int, not a float sum, since p may
+    # pass 2^53
     pj = np.array([float(p * j) for p in ps])
     with np.errstate(all="ignore"):
-        gap = m_at[j:] - m_at[: len(ps)] if j else 0.0
+        gap = 0.0
+        if j:
+            m_at = _m_parts(w, np.array([float(p) for p in range(ps.start, ps.stop + j)]))[0]
+            gap = m_at[j:] - m_at[: len(ps)]
         allowed = j * (c_const + j * delta) + pj * delta
         return not (gap > allowed + _SLACK * np.maximum(1.0, np.abs(allowed))).any()
 
@@ -480,11 +549,14 @@ def _p_range(w: WeightFunction, p_lo: int, p_hi: int) -> range:
     return ps
 
 
-def _extended_m(w: WeightFunction, t: float) -> float:
-    """Convex zero-extension: 0 below t0, m(t) - m(t0) above."""
-    if t <= w.t0:
-        return 0.0
-    return _m_parts(w, t)[0] - _m_parts(w, w.t0)[0]
+def _extended_m(w: WeightFunction, t: np.ndarray) -> np.ndarray:
+    """Convex zero-extension at each item of t: 0 below t0, m(t) - m(t0)
+    above."""
+    ext = np.zeros(t.size)
+    above = t > w.t0
+    with np.errstate(all="ignore"):
+        ext[above] = _m_parts(w, t[above])[0] - _m_parts(w, w.t0)[0]
+    return ext
 
 
 def algebra_check(w: WeightFunction, n_max: int) -> bool:
@@ -493,7 +565,7 @@ def algebra_check(w: WeightFunction, n_max: int) -> bool:
     Rejects n_max < 1, which leaves nothing to check."""
     if n_max < 1:
         raise ValidationError(f"n_max must be at least 1, got {n_max}")
-    ext = np.array([_extended_m(w, float(t)) for t in range(n_max + 1)])
+    ext = _extended_m(w, np.arange(n_max + 1, dtype=float))
     with np.errstate(all="ignore"):
         bound = ext + _SLACK * np.maximum(1.0, np.abs(ext))
         # row n of a block holds ext[j] + ext[n - j], kept for j <= n

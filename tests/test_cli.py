@@ -525,6 +525,18 @@ def test_io_errors_exit_2_with_one_line(tmp_path, capsys, case):
     assert not out.exists() or out.read_text() == ""
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_failed_write_names_its_target(tmp_path, capsys, flag):
+    # a write error carries no file name; the message names the path written
+    from quasikit.cli import dispatch
+
+    code = dispatch(["weight", "analyze", "--mu", "loglog", "--samples", "4", flag, "/dev/full"])
+    stdout, err = capsys.readouterr()
+    assert code == 2 and stdout == ""
+    assert err.startswith("quasikit: cannot write /dev/full: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "command,name",
     [("seq analyze --spec {spec} --sigma-div=nan", "sigma_div"),

@@ -220,6 +220,34 @@ class TestBound:
             assert value <= G.gontcharoff_bound(nodes, x) * (1 + 1e-9)
 
 
+# a string and a bool, a NaN, and an int past the float range
+BAD_NODES = {"string-bool": (["1.5", True], "node 0"), "nan": ([0.0, math.nan], "node 1"),
+             "huge-int": ([0.0, 10**400], "node 1")}
+LIBRARY_CALLS = {
+    "bound": lambda nodes, x: G.gontcharoff_bound(nodes, x),
+    "oracle": lambda nodes, x: G.integral_oracle(nodes, x),
+    "abel": lambda nodes, x: G.abel_expand(exp_spec(), nodes, 1, x),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LIBRARY_CALLS))
+@pytest.mark.parametrize("case", sorted(BAD_NODES))
+def test_library_functions_take_finite_nodes_only(call, case):
+    nodes, name = BAD_NODES[case]
+    with pytest.raises(qk.ValidationError, match=f"^{name} must be a finite number"):
+        LIBRARY_CALLS[call](nodes, 0.5)
+    with pytest.raises(qk.ValidationError, match="^x must be a finite number"):
+        LIBRARY_CALLS[call]([0.0, 0.25], math.nan)
+
+
+def test_library_node_counts_are_unchanged():
+    # the bound has no degree cap, the oracle stops at 4 nodes
+    assert G.gontcharoff_bound([0.0] * (G.DEGREE_CAP + 1), 1e-3) >= 0.0
+    assert G.integral_oracle([0.0] * 4, 0.5) == pytest.approx(0.5**4 / 24, abs=1e-9)
+    with pytest.raises(qk.ValidationError, match="limited to 4"):
+        G.integral_oracle([0.0] * 5, 0.5)
+
+
 class TestAbelExpansion:
     def test_constant_nodes_reduce_to_taylor(self):
         f = exp_spec()

@@ -4,11 +4,13 @@
 solver took all radii at once: the boundary checks of ``weight_inf``, a
 doubling bracket and at most 200 halvings, each deciding m'(mid) < log r
 with ``math.log``.  The batched solver must return the same t* bit for bit,
-and raise the same message at the same radius.  The shift and algebra
-checks are compared with their former loops the same way.
+and raise the same message at the same radius.  The transforms, the shift
+and the algebra checks are compared with their former loops the same way,
+and ``_m_parts`` of an array with ``_m_parts`` of each float.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import quasikit as qk
 from quasikit import weights as W
-from quasikit.errors import ConditioningError, ValidationError
+from quasikit.errors import ConditioningError, QuasikitError, ValidationError
 
 
 def _m1(w, t):
@@ -190,8 +192,7 @@ def test_scalar_entry_points_are_the_batch_of_one():
     radii = _grid(w, 40, 1e12)
     assert list(W._transform_rows(w, radii)) == [qk.transforms(w, r) for r in radii]
     assert list(W._omegas(w, radii)) == [qk.omega(w, r) for r in radii]
-    t_star = [inf.t_star for _, inf in W._infima(w, radii)]
-    assert t_star == [scalar_stationary(w, r) for r in radii]
+    assert W._infima(w, radii)[1].tolist() == [scalar_stationary(w, r) for r in radii]
 
 
 def test_callers_meet_errors_in_radius_order(monkeypatch):
@@ -203,12 +204,165 @@ def test_callers_meet_errors_in_radius_order(monkeypatch):
     with pytest.raises(ValidationError, match="bracket failure"):
         W.analytic_criterion(w, 1e-300, math.exp(135.0), 1, 5)
 
-    def failing_check(w, inf_result):
-        raise ConditioningError("first node")
+    def failing_check(w, t_star, log_value):
+        return log_value[:0], ConditioningError("first node")
 
-    monkeypatch.setattr(W, "_checked_omega", failing_check)
+    monkeypatch.setattr(W, "_checked_omegas", failing_check)
     with pytest.raises(ConditioningError, match="first node"):
         W.integral_test(w, 10.0, math.exp(150.0))
+
+
+# ---------------------------------------------------------------------------
+# _m_parts of an array against _m_parts of each float
+
+
+def _parts_bits(w, ts):
+    with np.errstate(all="ignore"):
+        got = W._m_parts(w, np.array(ts, dtype=float))
+    want = zip(*(W._m_parts(w, t) for t in ts))
+    return [bits(g) for g in got], [bits(v) for v in want]
+
+
+@settings(max_examples=200)
+@given(weights, st.data())
+def test_array_parts_equal_float_parts_bitwise(w, data):
+    assume(w is not None)
+    ts = data.draw(st.lists(st.one_of(
+        st.floats(0.0, 1e-9).map(lambda e: w.t0 * (1.0 + e)),  # at and just past t0
+        st.floats(0.0, 50.0).map(lambda e: w.t0 * math.exp(e)),
+        st.floats(2.0**53, 2.0**64),
+        st.floats(1e300, sys.float_info.max) | st.just(math.inf),  # m overflows
+    ), min_size=1, max_size=30))
+    got, want = _parts_bits(w, ts)
+    assert got == want
+
+
+@pytest.mark.parametrize("mu,t0,alpha", [("zero", 1.5, None), ("log", 1.5, None),
+                                          ("loglog", 3.0, None), ("power", 1.5, 0.37)])
+def test_array_parts_equal_float_parts_on_many_points(mu, t0, alpha):
+    # numpy's own log and power loops differ from the math library's on some
+    # of these points on common hosts; the array's results may not
+    w = qk.make_weight(mu, t0, alpha=alpha)
+    ts = (t0 * np.exp(np.random.default_rng(0).uniform(0.0, math.log(100.0), 20000))).tolist()
+    got, want = _parts_bits(w, ts)
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the transforms against their former per-radius loops
+
+
+def loop_checked_omega(w, log_value, t):
+    value = -log_value
+    m, m1, _ = W._m_parts(w, t)
+    parametric = t * m1 - m
+    scale = max(1.0, abs(value))
+    if abs(parametric - value) > W._OMEGA_CHECK_RTOL * scale:
+        raise ConditioningError(
+            f"parametric cross-check failed: {value:g} vs t m'-m = {parametric:g}"
+        )
+    mu_prime = {"zero": lambda: 0.0, "log": lambda: 1.0 / t,
+                "loglog": lambda: 1.0 / (t * math.log(t)),
+                "power": lambda: w.alpha * t ** (w.alpha - 1.0)}[w.mu]()
+    mu_form = t + t * t * mu_prime
+    if abs(mu_form - value) > W._OMEGA_CHECK_RTOL * scale:
+        raise ConditioningError(
+            f"parametric cross-check failed: {value:g} vs t + t^2 mu' = {mu_form:g}"
+        )
+    return value
+
+
+def loop_integer_inf(w, log_r, t_star):
+    lo = max(math.ceil(w.t0), math.floor(t_star) - 2)
+    hi = math.ceil(t_star) + 2
+    if hi < lo:
+        hi = lo
+    best = math.inf
+    for n in range(int(lo), int(hi) + 1):
+        best = min(best, W._m_parts(w, float(n))[0] - n * log_r)
+    return best
+
+
+def loop_rows(w, radii, integer=True):
+    """(log Lambda, omega[, log lambda]) per radius from the scalar solve, up
+    to the first error, and that error as (type, message) or None."""
+    t_star, message = scalar_prefix(w, radii)
+    rows = []
+    for r, t in zip(radii, t_star):
+        log_r = math.log(r)
+        lam = W._m_parts(w, t)[0] - t * log_r
+        try:
+            row = (lam, loop_checked_omega(w, lam, t))
+            rows.append(row + (loop_integer_inf(w, log_r, t),) if integer else row[1])
+        except (ConditioningError, OverflowError) as exc:
+            return rows, (type(exc), str(exc))
+    return rows, None if message is None else (ValidationError, message)
+
+
+def taken(rows):
+    """The items a generator yields before it raises, and its error as
+    (type, message) or None."""
+    got = []
+    try:
+        for row in rows:
+            got.append(row)
+    except (QuasikitError, OverflowError) as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+def assert_rows_equal(w, radii):
+    for integer, batched in ((True, W._transform_rows), (False, W._omegas)):
+        got, got_error = taken(batched(w, radii))
+        want, want_error = loop_rows(w, radii, integer)
+        assert bits(got) == bits(want)
+        assert got_error == want_error
+
+
+def _zero_huge_t0():
+    # 2 t0 2^19 is 6.5e307: bisecting r = e^709.78 overflows lo + hi, so t* = inf
+    return qk.make_weight("zero", 6.5e307 / 2**20)
+
+
+ROW_CASES = {
+    # m(t*) overflows on the upper radii, and every t* is past 2^53
+    "zero-t0-1e300": (qk.make_weight("zero", 1e300),
+                      np.exp(np.linspace(691.8, 709.7, 300)).tolist() + [1.0]),
+    # integer candidates past 2^53, where a float sum would round them
+    "zero-t0-2^54": (qk.make_weight("zero", 2.0**54),
+                     np.exp(np.linspace(38.43, 42.0, 400)).tolist()),
+    "power-t0-2^53": (qk.make_weight("power", 2.0**53, alpha=0.01),
+                      np.exp(np.linspace(39.2, 41.0, 200)).tolist()),
+    # the omega cross-check fails at e^400, before or after a radius that is too small
+    "check-then-small": (qk.make_weight("loglog", 1e150), [math.exp(360.0), math.exp(400.0), 1.0]),
+    "small-then-check": (qk.make_weight("loglog", 1e150), [math.exp(360.0), 1.0, math.exp(400.0)]),
+    # t* = inf has no integer part, before or after a radius that is too small
+    "inf-then-small": (_zero_huge_t0(), [math.exp(709.0), 1.7928227943945155e308, 1.0]),
+    "small-then-inf": (_zero_huge_t0(), [math.exp(709.0), 1.0, 1.7928227943945155e308]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_transform_rows_equal_their_loops(case):
+    w, radii = ROW_CASES[case]
+    assert_rows_equal(w, radii)
+
+
+def test_row_cases_reach_their_errors():
+    w, radii = ROW_CASES["check-then-small"]
+    assert loop_rows(w, radii)[1][0] is ConditioningError
+    w, radii = ROW_CASES["inf-then-small"]
+    assert loop_rows(w, radii)[1][0] is OverflowError
+    assert math.isinf(scalar_stationary(w, radii[1]))
+    for case in ("small-then-check", "small-then-inf", "zero-t0-1e300"):
+        assert loop_rows(*ROW_CASES[case])[1][0] is ValidationError
+
+
+@settings(max_examples=100)
+@given(weights, st.lists(st.floats(-2.0, 300.0), min_size=1, max_size=20))
+def test_transform_rows_equal_their_loops_anywhere(w, exponents):
+    assume(w is not None)
+    assert_rows_equal(w, [10.0**e for e in exponents])
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +380,14 @@ def loop_shift_bound_check(w, j, p_lo, p_hi):
     return True
 
 
-def loop_algebra_check(w, n_max):
-    ext = [W._extended_m(w, float(t)) for t in range(n_max + 1)]
+def loop_extended_m(w, t):
+    if t <= w.t0:
+        return 0.0
+    return W._m_parts(w, t)[0] - W._m_parts(w, w.t0)[0]
+
+
+def loop_algebra_check(w, n_max, extended_m=loop_extended_m):
+    ext = [extended_m(w, float(t)) for t in range(n_max + 1)]
     for n in range(n_max + 1):
         tol = W._SLACK * max(1.0, abs(ext[n]))
         for j in range(n + 1):
@@ -270,5 +430,8 @@ def test_algebra_check_equals_its_loop(n_max, monkeypatch):
         assert W.algebra_check(w, n_max) is loop_algebra_check(w, n_max) is True
     # an extension that breaks the property only at n = 300, past the first block
     w = qk.make_weight("zero", 0.5)
-    monkeypatch.setattr(W, "_extended_m", lambda w, t: -1.0 if t == 300.0 else 0.0)
-    assert W.algebra_check(w, n_max) is loop_algebra_check(w, n_max) is (n_max < 300)
+    def broken(w, t):
+        return np.where(np.asarray(t) == 300.0, -1.0, 0.0)
+
+    monkeypatch.setattr(W, "_extended_m", broken)
+    assert W.algebra_check(w, n_max) is loop_algebra_check(w, n_max, broken) is (n_max < 300)

@@ -98,7 +98,7 @@ def _encode_spans(value) -> tuple[str, dict]:
     piece of text goes into one list, joined once at the end."""
     pieces: list[str] = []
     joined: dict = {}
-    _encode_into(value, "\n", pieces, joined)
+    _encode_into(value, "\n", pieces, joined, {})
     text = "".join(pieces)
     ends = list(itertools.accumulate(map(len, pieces)))
     spans = {key: _Items(text, ends[n] - len(pieces[n]), ends[n], sep)
@@ -106,10 +106,14 @@ def _encode_spans(value) -> tuple[str, dict]:
     return text, spans
 
 
-def _encode_into(value, indent: str, pieces: list, joined: dict) -> None:
+def _encode_into(value, indent: str, pieces: list, joined: dict, earlier: dict) -> None:
     """Append the text of ``value`` to ``pieces``; for a joined list ``xs``,
     ``joined[id(xs)]`` is the index of its items in ``pieces`` and their
-    separator."""
+    separator.  ``earlier[(type, sep, len)]`` lists the joined lists and
+    their indices, so a list equal item for item to an earlier one of the
+    same item type and separator takes that one's text.  Equal floats have
+    equal reprs except 0.0 == -0.0, so a float list holding a zero never
+    takes another's text."""
     if isinstance(value, (list, tuple)):
         if not value:
             pieces.append("[]")
@@ -121,13 +125,19 @@ def _encode_into(value, indent: str, pieces: list, joined: dict) -> None:
             (kind,) = kinds
             if kind is float and not all(map(math.isfinite, value)):
                 raise ValueError("Out of range float values are not JSON compliant")
-            joined[id(value)] = (len(pieces) + 1, sep)
-            pieces.extend(("[" + inner, sep.join(map(kind.__repr__, value)), indent + "]"))
+            n = len(pieces) + 1
+            joined[id(value)] = (n, sep)
+            same = earlier.setdefault((kind, sep, len(value)), [])
+            items = next((pieces[m] for xs, m in same if xs == value), None)
+            if items is None or (kind is float and 0.0 in value):
+                items = sep.join(map(kind.__repr__, value))
+                same.append((value, n))
+            pieces.extend(("[" + inner, items, indent + "]"))
             return
         lead = "[" + inner
         for item in value:
             pieces.append(lead)
-            _encode_into(item, inner, pieces, joined)
+            _encode_into(item, inner, pieces, joined, earlier)
             lead = sep
         pieces.append(indent + "]")
     elif isinstance(value, dict):
@@ -138,7 +148,7 @@ def _encode_into(value, indent: str, pieces: list, joined: dict) -> None:
         lead = "{" + inner
         for key, item in value.items():
             pieces.append(f"{lead}{_encode_key(key)}: ")
-            _encode_into(item, inner, pieces, joined)
+            _encode_into(item, inner, pieces, joined, earlier)
             lead = "," + inner
         pieces.append(indent + "}")
     else:

@@ -3,9 +3,9 @@
 A weight sequence (M_n) with M_0 = 1 is stored as L_n = log M_n.  All
 arithmetic stays in the log domain: the catalog families grow like n^n and
 would overflow doubles near n = 140 if materialized.  The convex
-regularization is the lower convex hull of the points (n, L_n), computed by a
-single monotone-chain scan; the principal index set is every n where the hull
-touches the input.
+regularization is the lower convex hull of the points (n, L_n), whose vertices
+are decided with exact orientation predicates; the principal index set is
+every n where the hull touches the input.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,16 +26,43 @@ TOL_CONVEX = 1e-9
 # Relative tolerance used to decide hull/input equality (principal indices).
 _EQ_RTOL = 1e-12
 
-# family -> (parameter key or None, first index, log M_n as term(n, param));
-# entries below the first index are padded with 0 and reported as ``filled``.
-# math per index: np.log differs from math.log in the last ulp at some n.
+# Forward error bound of the float cross product in _cross, as a multiple of
+# |p| + |q|: its three roundings err by at most 3u (|p| + |q|), u = 2**-53.
+# A rounding needs |p| + |q| >= 2**-1022, where the bound itself loses at
+# most u (|p| + |q|) among the subnormals; a bound of 0 means no operation
+# rounded, so the float cross product is exact.
+_CROSS_RTOL = 1e-15
+
+# Pruning passes of the hull before the monotone chain finishes the survivors.
+_PRUNE_PASSES = 16
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
+
+
+def _denjoy2(n: np.ndarray, c: float) -> np.ndarray:
+    log_n = _log(n)
+    return n * _log(c * n * log_n * _log(log_n))
+
+
+# family -> (parameter key or None, first index, log M_n as term(n, param))
+# with n the float64 array of indices from the first one on; entries below
+# the first index are padded with 0 and reported as ``filled``.  log and
+# lgamma go through the math library item by item (np.log differs from
+# math.log in the last ulp at some n) and + - * run on whole arrays, which
+# round as Python floats do, so each entry equals the per-index math
+# expression bit for bit.
 _CATALOG = {
-    "factorial": (None, 0, lambda n, _: math.lgamma(n + 1)),
-    "power_nn": (None, 0, lambda n, _: n * math.log(n or 1)),  # 0 log 0 = 0
-    "gevrey": ("s", 0, lambda n, s: s * math.lgamma(n + 1)),
-    "denjoy1": ("C", 2, lambda n, c: n * math.log(c * n * math.log(n))),
-    # validity requires n > e
-    "denjoy2": ("C", 3, lambda n, c: n * math.log(c * n * math.log(n) * math.log(math.log(n)))),
+    "factorial": (None, 0, lambda n, _: _lgamma(n + 1.0)),
+    "power_nn": (None, 0, lambda n, _: n * _log(np.maximum(n, 1.0))),  # 0 log 0 = 0
+    "gevrey": ("s", 0, lambda n, s: s * _lgamma(n + 1.0)),
+    "denjoy1": ("C", 2, lambda n, c: n * _log(c * n * _log(n))),
+    "denjoy2": ("C", 3, _denjoy2),  # validity requires n > e
 }
 FAMILIES = ("explicit", *_CATALOG)
 
@@ -178,27 +204,68 @@ def make_sequence(spec: SequenceSpec, horizon: int | None = None) -> LogSequence
     key, first, term = _CATALOG[spec.family]
     p = None if key is None else float(spec.params[key])
     logs = np.zeros(n_total)
-    logs[first:] = np.fromiter(map(term, range(first, n_total), repeat(p)), float, n_total - first)
+    with np.errstate(over="ignore"):  # LogSequence rejects an infinite entry
+        logs[first:] = term(np.arange(first, n_total, dtype=float), p)
     tag = spec.family if key is None else f"{spec.family}({key}={p:g})"
     return LogSequence(logs=logs, generator=tag, filled=tuple(range(first)))
+
+
+def _cross(ys, i, j, n):
+    """The float cross product (j-i)(y_n-y_i) - (n-i)(y_j-y_i), > 0 iff j lies
+    strictly below the chord i -> n, and whether its sign is certain: |cross|
+    beyond the forward error bound.  Takes Python floats and ints, or an
+    array ``ys`` with index arrays; overflow or NaN leaves the sign uncertain.
+    """
+    yi = ys[i]
+    p = (j - i) * (ys[n] - yi)
+    q = (n - i) * (ys[j] - yi)
+    cross = p - q
+    bound = _CROSS_RTOL * (abs(p) + abs(q))
+    return cross, (abs(cross) > bound) | (bound == 0)
+
+
+def _exactly_below(ys, i: int, j: int, n: int) -> bool:
+    """The sign of the cross product in rational arithmetic: floats and
+    indices are exact rationals (Shewchuk's filtered predicate, DCG 1997)."""
+    from fractions import Fraction
+
+    yi = Fraction(ys[i])
+    return (j - i) * (Fraction(ys[n]) - yi) - (n - i) * (Fraction(ys[j]) - yi) > 0
 
 
 def _lower_hull_vertices(logs: Sequence[float]) -> list[int]:
     """Indices of the lower convex hull vertices of the points (n, logs[n]).
 
-    Left-to-right monotone chain; a slope tie pops the middle point, so
-    collinear interior points never enter the vertex stack.
+    Each pass drops every middle point of the current chain that does not
+    lie strictly below the chord of its neighbours, all at once, so
+    collinear points never survive; a pass that drops nothing leaves the
+    hull.  After _PRUNE_PASSES passes the monotone chain (Andrew, IPL 1979)
+    finishes the survivors, which hold every vertex.  Both decide each
+    orientation exactly, so the vertex set does not depend on the algorithm.
     """
+    ys = np.asarray(logs, dtype=float)
+    chain = np.arange(ys.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_PRUNE_PASSES):
+            if chain.size < 3:
+                return chain.tolist()
+            i, j, n = chain[:-2], chain[1:-1], chain[2:]
+            cross, sure = _cross(ys, i, j, n)
+            below = cross > 0
+            for k in np.flatnonzero(~sure).tolist():
+                below[k] = _exactly_below(ys, int(i[k]), int(j[k]), int(n[k]))
+            if below.all():
+                return chain.tolist()
+            chain = chain[np.concatenate(([True], below, [True]))]
+    values = ys.tolist()
     stack: list[int] = []
-    for n, y in enumerate(logs):
+    for n in chain.tolist():
         while len(stack) >= 2:
             i, j = stack[-2], stack[-1]
-            # cross > 0 iff j lies strictly below the chord i -> n
-            cross = (j - i) * (y - logs[i]) - (n - i) * (logs[j] - logs[i])
-            if cross <= 0.0:
-                stack.pop()
-            else:
+            cross, sure = _cross(values, i, j, n)
+            if (cross > 0) if sure else _exactly_below(values, i, j, n):
                 break
+            stack.pop()
         stack.append(n)
     return stack
 
@@ -212,7 +279,7 @@ def convex_regularize(seq: LogSequence) -> RegularizedSequence:
     if seq.length < 2:
         raise ValidationError("convex_regularize needs at least 2 entries")
     logs = seq.logs
-    vertices = np.array(_lower_hull_vertices(logs.tolist()))
+    vertices = np.array(_lower_hull_vertices(logs))
 
     # each point between two vertices a < n < b sits on the chord a -> b
     inner = np.ones(seq.length, dtype=bool)

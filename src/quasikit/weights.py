@@ -189,12 +189,14 @@ def _stationary_points(
     interior) or a log r that m' does not reach by 2 t0 2^200.  Each radius
     brackets t* between t0 and the first 2 t0 2^k with m'(2 t0 2^k) > log r,
     then all radii bisect together until the midpoint hits an end (at most
-    200 halvings).  Each halving decides m'(mid) < log r over the array with
-    ``log`` and np.power, and again, exactly, wherever the difference lies
-    within ``rtol`` of its scale (see _DECISION_RTOL); once fewer than
-    _ARRAY_MIN radii are live, each finishes on its own.  So every decision,
-    and with it t*, equals that of a scalar bisection with math.log bit for
-    bit.
+    200 halvings).  A midpoint is 0.5 lo + 0.5 hi: halving is exact (t0 >
+    1/e), so it equals 0.5 (lo + hi) wherever that sum is finite, and it
+    stays finite where the sum does not.  Each halving decides m'(mid) <
+    log r over the array with ``log`` and np.power, and again, exactly,
+    wherever the difference lies within ``rtol`` of its scale (see
+    _DECISION_RTOL); once fewer than _ARRAY_MIN radii are live, each
+    finishes on its own.  So every decision, and with it t*, equals that of
+    a scalar bisection with math.log bit for bit.
     """
     m1_t0 = _m_parts(w, w.t0)[1]
     caps = [2.0 * w.t0]
@@ -229,7 +231,7 @@ def _stationary_points(
     with np.errstate(all="ignore"):
         while at.size >= _ARRAY_MIN and halvings < 200:
             halvings += 1
-            mid = 0.5 * (lo + hi)
+            mid = 0.5 * lo + 0.5 * hi
             inside = (mid > lo) & (mid < hi)
             if not inside.all():
                 t_star[at[~inside]] = mid[~inside]
@@ -243,14 +245,14 @@ def _stationary_points(
             hi = np.where(below, hi, mid)
     for i, v, a, b in zip(at.tolist(), target.tolist(), lo.tolist(), hi.tolist()):
         for _ in range(200 - halvings):
-            mid = 0.5 * (a + b)
+            mid = 0.5 * a + 0.5 * b
             if not a < mid < b:
                 break
             if _m_parts(w, mid)[1] < v:
                 a = mid
             else:
                 b = mid
-        t_star[i] = 0.5 * (a + b)
+        t_star[i] = 0.5 * a + 0.5 * b
     return log_r, t_star, error
 
 
@@ -320,7 +322,7 @@ def _checked_omegas(
         m, m1, _ = _m_parts(w, t)
         tol = _OMEGA_CHECK_RTOL * np.where(np.abs(value) > 1.0, np.abs(value), 1.0)
         parametric = t * m1 - m
-        mu_form = t + t * t * _mu_prime(w, t)
+        mu_form = t + t * (t * _mu_prime(w, t))  # t * t overflows first
         off_parametric = np.abs(parametric - value) > tol
         off = np.flatnonzero(off_parametric | (np.abs(mu_form - value) > tol))
     if not off.size:

@@ -5,10 +5,14 @@ the hull fill, the principal set, the suffix minimum, the convexity test,
 the liminf flag and Carleman's inequality before those stages became numpy
 expressions.  All but the last keep their arithmetic and must reproduce the
 loops bit for bit, signed zeros included, since the CLI reports print every
-float with its repr.
+float with its repr.  The hull's vertices come from a monotone chain that
+decides every orientation in exact rational arithmetic.
 """
 
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +20,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasikit as qk
-from quasikit.sequences import _EQ_RTOL, TOL_CONVEX, _lower_hull_vertices
+from quasikit import sequences as S
+from quasikit.sequences import _EQ_RTOL, TOL_CONVEX
+
+
+def exact_hull_vertices(logs):
+    """Monotone chain over (n, logs[n]); a middle point stays only strictly
+    below the chord of its neighbours, decided in Fraction."""
+    ys = [Fraction(v) for v in logs]
+    stack = []
+    for n, y in enumerate(ys):
+        while len(stack) >= 2:
+            i, j = stack[-2], stack[-1]
+            if (j - i) * (y - ys[i]) - (n - i) * (ys[j] - ys[i]) > 0:
+                break
+            stack.pop()
+        stack.append(n)
+    return stack
 
 
 def regularize_reference(logs):
-    vertices = _lower_hull_vertices(logs)
+    vertices = exact_hull_vertices(logs)
     hull = list(logs)
     for a, b in zip(vertices, vertices[1:]):
         ya, yb = logs[a], logs[b]
@@ -132,6 +152,82 @@ def test_global_principal_tolerance_is_pinned():
     reg = qk.convex_regularize(qk.LogSequence(logs=logs))
     assert 1 in reg.principal
     assert reg.logs_c[1] == 0.0
+
+
+# a float orientation scan drops index 2, whose exact cross product with its
+# neighbours 1 and 4 is +2**-49, and fills logs_c[2] one ulp above logs[2]
+MISSED_VERTEX = [0.0, 6.499999999985, 12.999999999972, 19.5, 25.999999999946]
+
+
+def test_a_vertex_the_float_scan_missed_is_kept():
+    logs = MISSED_VERTEX
+    y = [Fraction(v) for v in logs]
+    assert (2 - 1) * (y[4] - y[1]) - (4 - 1) * (y[2] - y[1]) == Fraction(2) ** -49
+    assert S._lower_hull_vertices(logs) == [0, 1, 2, 4]
+    reg = qk.convex_regularize(qk.LogSequence(logs=logs))
+    assert reg.logs_c[2] == logs[2]
+    assert np.all(reg.logs_c <= np.array(logs))
+    assert_matches_references(logs)
+
+
+@pytest.mark.parametrize("passes", [0, 1, S._PRUNE_PASSES])
+def test_hull_takes_the_exact_branch(monkeypatch, passes):
+    # the pruning passes (and with no passes, the monotone chain) cannot
+    # tell index 2's orientation from the float cross product
+    exact = []
+    decide = S._exactly_below
+    monkeypatch.setattr(S, "_PRUNE_PASSES", passes)
+    monkeypatch.setattr(S, "_exactly_below", lambda *a: exact.append(a[1:]) or decide(*a))
+    assert S._lower_hull_vertices(MISSED_VERTEX) == [0, 1, 2, 4]
+    assert (1, 2, 4) in exact
+
+
+def test_pass_cap_hands_the_survivors_to_the_monotone_chain(monkeypatch):
+    # each pass drops only the point next to the low last one: uncapped this
+    # takes N - 2 passes (13.7 s at N = 3e4 against 0.03 s for the scan).
+    # The chain then pushes the M = N - 16 survivors and pops all but the
+    # first for the last one: 2 M - 5 decisions.
+    n = np.arange(30000, dtype=float)
+    logs = n * np.log(np.maximum(n, 1.0))
+    logs[-1] = -1e9
+    calls = {"array": 0, "float": 0}
+    cross = S._cross
+
+    def counted(ys, *args):
+        calls["array" if isinstance(ys, np.ndarray) else "float"] += 1
+        return cross(ys, *args)
+
+    monkeypatch.setattr(S, "_cross", counted)
+    assert S._lower_hull_vertices(logs) == [0, n.size - 1]
+    assert calls["array"] == S._PRUNE_PASSES
+    assert calls["float"] == 2 * (n.size - S._PRUNE_PASSES) - 5
+
+
+@given(st.sampled_from([0.5, 0.1, 1 / 3]), st.sampled_from([0.0, 1e-13, 1e-3]),
+       st.lists(st.integers(-4, 4), min_size=2, max_size=40),
+       st.sampled_from([1.0, 1e-9, 3e-16]), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_vertex_set_does_not_depend_on_the_pass_cap(slope, curve, offsets, eps, passes):
+    # ties, collinear runs and near-ties within the float cross product's error
+    logs = [slope * n + curve * n * n + k * eps for n, k in enumerate(offsets)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "_PRUNE_PASSES", passes)
+        assert S._lower_hull_vertices(logs) == exact_hull_vertices(logs)
+
+
+def test_fractions_load_only_for_an_uncertain_sign():
+    code = (
+        "import sys, quasikit as qk\n"
+        "for family in ('factorial', 'power_nn', 'denjoy1', 'denjoy2'):\n"
+        "    spec = qk.SequenceSpec(family=family, horizon=3000, params={'C': 1.0})\n"
+        "    qk.analyze(qk.make_sequence(spec))\n"
+        "print('fractions' in sys.modules)\n"
+        f"qk.convex_regularize(qk.LogSequence(logs={MISSED_VERTEX!r}))\n"
+        "print('fractions' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                         text=True)
+    assert (res.stdout, res.stderr) == ("False\nTrue\n", "")
 
 
 @given(st.lists(st.floats(min_value=1e-8, max_value=1e8), min_size=1, max_size=200))

@@ -188,3 +188,62 @@ def test_csv_adds_at_most_one_column_to_the_peak(tmp_path):
     tracemalloc.stop()
     del column
     assert peak(str(tmp_path / "r.csv"), blocks) - peak(None, None) <= column_bytes
+
+
+# --- a list equal to one the report already joined takes its text ---------
+
+def test_equal_lists_share_their_text():
+    a = [0.5, 1e16, 5e-324]
+    same_depth, deeper = list(a), {"d": [list(a)], "e": [list(a)]}
+    ints, floats = [1, 2, 3], [1.0, 2.0, 3.0]
+    zero, minus_zero, zero_again = [0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]
+    doc = {"i": ints, "f": floats, "a": a, "b": same_depth, "c": deeper,
+           "z": zero, "m": minus_zero, "y": zero_again}
+    assert cli._encode(doc) == json.dumps(doc, indent=2)
+    pieces, joined = [], {}
+    cli._encode_into(doc, "\n", pieces, joined, {})
+
+    def text(xs):
+        return pieces[joined[id(xs)][0]]
+
+    assert text(same_depth) is text(a)
+    assert text(deeper["e"][0]) is text(deeper["d"][0]) != text(a)  # another separator
+    assert text(floats) != text(ints)
+    # 0.0 == -0.0, so a list holding a zero is joined again
+    assert text(zero) is not text(zero_again) and text(minus_zero) != text(zero)
+
+
+REPEATED = (st.lists(CSV_FLOATS, min_size=1, max_size=6)
+            | st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+
+
+@settings(max_examples=300)
+@given(lists=st.lists(REPEATED, min_size=1, max_size=3),
+       paths=st.lists(st.lists(st.sampled_from(["k", "v", 1, 2]), max_size=3), min_size=12,
+                      max_size=12))
+@example(lists=[[0.0, 1.0], [-0.0, 1.0], [0, 1]], paths=[[]] * 12)
+def test_repeated_lists_match_json_dumps(lists, paths):
+    # each list again, at the same or another depth, with the signs of its
+    # zeros flipped and with its ints as floats
+    variants = []
+    for xs in lists:
+        variants += [xs, list(xs), [-x if x == 0 else x for x in xs],
+                     [float(x) if type(x) is int else x for x in xs]]
+    doc = {f"r{n}": _nest(xs, paths[n]) for n, xs in enumerate(variants)}
+    assert cli._encode(doc) == json.dumps(doc, indent=2)
+
+
+def test_a_list_that_took_earlier_text_is_a_csv_column(tmp_path):
+    # b takes a's text; the deeper copy of a is joined with its own separator
+    a = [0.1, 2.5, 1e-5, 1e16]
+    b, deeper = list(a), list(a)
+    doc = {"a": a, "b": b, "d": {"c": [0.5], "d": deeper}}
+    _, spans = cli._encode_spans(doc)
+    for xs in (a, b, deeper):
+        assert cli._strings(spans[id(xs)]) == list(map(repr, a))
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    cli._write_outputs(doc, str(out), str(csv), [("b", b, deeper), ("c", itertools.count(1.0), b)])
+    rows = [f"{x!r},b,{v!r}\n" for x, v in zip(b, b)] + [f"{float(k)!r},c,{v!r}\n"
+                                                         for k, v in enumerate(b, start=1)]
+    assert csv.read_text() == "x,series,value\n" + "".join(rows)
+    assert out.read_text() == json.dumps(doc, indent=2) + "\n"

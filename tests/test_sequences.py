@@ -123,6 +123,27 @@ class TestMakeSequence:
                 with pytest.raises(qk.ValidationError, match=f"requires parameter {key} > 0"):
                     qk.SequenceSpec(family=family, horizon=8)
 
+    @pytest.mark.parametrize("horizon", [8, 2000, 100_000])
+    @pytest.mark.parametrize("family, param", [
+        ("factorial", None), ("power_nn", None), ("gevrey", 2.5), ("denjoy1", 0.7),
+        ("denjoy2", 1.3),
+    ])
+    def test_catalog_arrays_equal_the_per_index_formulas(self, family, param, horizon):
+        # the closed forms evaluated index by index with the math library,
+        # as the catalog was before it took the index array
+        formulas = {
+            "factorial": lambda n, _: math.lgamma(n + 1),
+            "power_nn": lambda n, _: n * math.log(n or 1),
+            "gevrey": lambda n, s: s * math.lgamma(n + 1),
+            "denjoy1": lambda n, c: n * math.log(c * n * math.log(n)),
+            "denjoy2": lambda n, c: n * math.log(c * n * math.log(n) * math.log(math.log(n))),
+        }
+        key, first, _ = qk.sequences._CATALOG[family]
+        params = {} if key is None else {key: param}
+        logs = qk.make_sequence(qk.SequenceSpec(family=family, horizon=horizon, params=params)).logs
+        want = [0.0] * first + [formulas[family](n, param) for n in range(first, horizon)]
+        assert logs.tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("params", [[["s", 1.0]], [], "s", 5])
     def test_spec_json_params_must_be_an_object(self, params):
         # a list of pairs passed through dict() as an object

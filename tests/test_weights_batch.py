@@ -27,7 +27,7 @@ def _m1(w, t):
 
 def _bisect(above, lo, hi):
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break
         if above(mid):
@@ -53,7 +53,7 @@ def scalar_stationary(w, r):
         if doublings > 200:
             raise ValidationError("bracket failure: m' never reached log r")
     lo, hi = _bisect(lambda t: not _m1(w, t) < log_r, w.t0, hi)
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def scalar_prefix(w, radii):
@@ -264,7 +264,7 @@ def loop_checked_omega(w, log_value, t):
     mu_prime = {"zero": lambda: 0.0, "log": lambda: 1.0 / t,
                 "loglog": lambda: 1.0 / (t * math.log(t)),
                 "power": lambda: w.alpha * t ** (w.alpha - 1.0)}[w.mu]()
-    mu_form = t + t * t * mu_prime
+    mu_form = t + t * (t * mu_prime)
     if abs(mu_form - value) > W._OMEGA_CHECK_RTOL * scale:
         raise ConditioningError(
             f"parametric cross-check failed: {value:g} vs t + t^2 mu' = {mu_form:g}"
@@ -320,7 +320,8 @@ def assert_rows_equal(w, radii):
 
 
 def _zero_huge_t0():
-    # 2 t0 2^19 is 6.5e307: bisecting r = e^709.78 overflows lo + hi, so t* = inf
+    # 2 t0 2^19 is 6.5e307: bisecting r = e^709.78 between it and 1.3e308
+    # would overflow lo + hi; t* is finite, and m(t*) and t* log r are inf
     return qk.make_weight("zero", 6.5e307 / 2**20)
 
 
@@ -333,10 +334,13 @@ ROW_CASES = {
                      np.exp(np.linspace(38.43, 42.0, 400)).tolist()),
     "power-t0-2^53": (qk.make_weight("power", 2.0**53, alpha=0.01),
                       np.exp(np.linspace(39.2, 41.0, 200)).tolist()),
-    # the omega cross-check fails at e^400, before or after a radius that is too small
-    "check-then-small": (qk.make_weight("loglog", 1e150), [math.exp(360.0), math.exp(400.0), 1.0]),
-    "small-then-check": (qk.make_weight("loglog", 1e150), [math.exp(360.0), 1.0, math.exp(400.0)]),
-    # t* = inf has no integer part, before or after a radius that is too small
+    # t* past 1.3e154, where t * t overflows though t^2 mu'(t) = t / log t does not
+    "loglog-1e150-then-small": (qk.make_weight("loglog", 1e150),
+                                [math.exp(360.0), math.exp(400.0), 1.0]),
+    "small-then-loglog-1e150": (qk.make_weight("loglog", 1e150),
+                                [math.exp(360.0), 1.0, math.exp(400.0)]),
+    # Lambda = inf - inf is NaN at t* near the top of the float range, before
+    # or after a radius that is too small
     "inf-then-small": (_zero_huge_t0(), [math.exp(709.0), 1.7928227943945155e308, 1.0]),
     "small-then-inf": (_zero_huge_t0(), [math.exp(709.0), 1.0, 1.7928227943945155e308]),
 }
@@ -349,13 +353,53 @@ def test_transform_rows_equal_their_loops(case):
 
 
 def test_row_cases_reach_their_errors():
-    w, radii = ROW_CASES["check-then-small"]
-    assert loop_rows(w, radii)[1][0] is ConditioningError
+    w, radii = ROW_CASES["loglog-1e150-then-small"]
+    rows, error = loop_rows(w, radii)
+    assert len(rows) == 2 and np.isfinite(rows).all() and error[0] is ValidationError
     w, radii = ROW_CASES["inf-then-small"]
-    assert loop_rows(w, radii)[1][0] is OverflowError
-    assert math.isinf(scalar_stationary(w, radii[1]))
-    for case in ("small-then-check", "small-then-inf", "zero-t0-1e300"):
+    rows, error = loop_rows(w, radii)
+    assert len(rows) == 2 and math.isnan(rows[1][0]) and error[0] is ValidationError
+    assert 1.3e308 > scalar_stationary(w, radii[1]) > 6.5e307
+    for case in ("small-then-loglog-1e150", "small-then-inf", "zero-t0-1e300"):
         assert loop_rows(*ROW_CASES[case])[1][0] is ValidationError
+
+
+def test_midpoints_stay_finite_at_the_top_of_the_float_range(monkeypatch):
+    # t* lies between 6.5e307 and 1.3e308, whose sum leaves the float range
+    w, radii = ROW_CASES["inf-then-small"]
+    want = scalar_stationary(w, radii[1])
+    assert math.isfinite(want)
+    for array_min in (W._ARRAY_MIN, 1):
+        monkeypatch.setattr(W, "_ARRAY_MIN", array_min)
+        assert bits(solved(w, radii[1:2])) == bits([want])
+
+
+@pytest.mark.parametrize("radii,fails", [
+    ([math.exp(360.0), math.exp(400.0), 1.0], "check"),
+    ([math.exp(360.0), 1.0, math.exp(400.0)], "small"),
+])
+def test_check_failure_and_small_radius_meet_in_radius_order(monkeypatch, radii, fails):
+    # the omega cross-check is made to fail from t*(e^400) on, before or
+    # after a radius that is too small; both row generators meet the
+    # earlier one, after the rows of the radius before it
+    w = qk.make_weight("loglog", 1e150)
+    t_fail = scalar_stationary(w, math.exp(400.0))
+    checked = W._checked_omegas
+
+    def failing_check(w, t_star, log_value):
+        value, error = checked(w, t_star, log_value)
+        bad = np.flatnonzero(t_star >= t_fail)
+        if bad.size:
+            return value[:bad[0]], ConditioningError("from t*(e^400) on")
+        return value, error
+
+    monkeypatch.setattr(W, "_checked_omegas", failing_check)
+    want_error = ((ConditioningError, "from t*(e^400) on") if fails == "check"
+                  else (ValidationError, scalar_prefix(w, radii)[1]))
+    for integer, batched in ((True, W._transform_rows), (False, W._omegas)):
+        got, got_error = taken(batched(w, radii))
+        assert bits(got) == bits(loop_rows(w, radii[:1], integer)[0])
+        assert got_error == want_error
 
 
 @settings(max_examples=100)

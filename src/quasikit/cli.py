@@ -73,15 +73,6 @@ def _field(path: InputFile, key: str):
     return path.doc[key]
 
 
-def _encode(value) -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)``, with each list of
-    exact floats or exact ints joined from one ``map`` over ``__repr__``
-    instead of one encoder step per item.  Keys, strings and every other
-    scalar go through ``json.dumps``, so escaping is the stdlib's; a
-    non-finite float raises ValueError as ``allow_nan=False`` does."""
-    return _encode_spans(value)[0]
-
-
 class _Items:
     """The items of a list that the report joined: ``text[start:stop]``,
     split at ``sep``."""
@@ -93,8 +84,12 @@ class _Items:
 
 
 def _encode_spans(value) -> tuple[str, dict]:
-    """The text of ``_encode(value)``, and ``spans[id(xs)]``, the ``_Items``
-    of each list ``xs`` of exact floats or exact ints in ``value``.  Every
+    """``json.dumps(value, indent=2, allow_nan=False)``, with each list of
+    exact floats or exact ints joined from one ``map`` over ``__repr__``
+    instead of one encoder step per item, and ``spans[id(xs)]``, the
+    ``_Items`` of each such list ``xs``.  Keys, strings and every other
+    scalar go through ``json.dumps``, so escaping is the stdlib's; a
+    non-finite float raises ValueError as ``allow_nan=False`` does.  Every
     piece of text goes into one list, joined once at the end."""
     pieces: list[str] = []
     joined: dict = {}

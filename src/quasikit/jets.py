@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConditioningError, DomainError, ValidationError, finite_float
-from . import sequences
+from . import sequences, series
 
 # up to K_MAX each op's c_k is within 5.5e-15 of its recurrence's sum of |terms|
 # of mpmath at 60 digits; exp(-1/x) on [0.1, 2] has relative error below 5e-13
@@ -399,8 +399,7 @@ def _tail_sup(derivs: np.ndarray, n: int, logs: np.ndarray) -> TailSup:
     js = np.flatnonzero(derivs[n:]) + n
     if not js.size:
         return TailSup(value=0.0, log_value=-math.inf, arg_j=-1, truncated=False)
-    # math.log, not np.log: the two differ in the last bit for some arguments
-    terms = np.fromiter(map(math.log, np.abs(derivs[js]).tolist()), float) - js - logs[js]
+    terms = series._libm(math.log, np.abs(derivs[js])) - js - logs[js]
     i = int(np.argmax(terms))
     best, arg = float(terms[i]), int(js[i])
     return TailSup(
@@ -603,7 +602,7 @@ def zero_spacing_experiment(
     x = np.array(chain)
     lhs = np.cumsum(np.r_[0.0, np.abs(np.diff(x))])
     logs = weights.logs
-    steps = [math.exp(logs[j - 1] - logs[j]) / math.e for j in range(1, nmax + 1)]
-    rhs = np.cumsum([0.0, *steps])
+    steps = series._libm(math.exp, logs[:nmax] - logs[1 : nmax + 1]) / math.e
+    rhs = np.cumsum(np.r_[0.0, steps])
     x.flags.writeable = lhs.flags.writeable = rhs.flags.writeable = False
     return SpacingResult(x=x, lhs_partial=lhs, rhs_partial=rhs)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError, finite_float
-from .series import _frozen
+from .series import _frozen, _libm
 
 # Log-domain tolerance for convexity checks.
 TOL_CONVEX = 1e-9
@@ -37,31 +37,20 @@ _CROSS_RTOL = 1e-15
 _PRUNE_PASSES = 16
 
 
-def _log(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.log, x.tolist()), float, x.size)
-
-
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
-
-
 def _denjoy2(n: np.ndarray, c: float) -> np.ndarray:
-    log_n = _log(n)
-    return n * _log(c * n * log_n * _log(log_n))
+    log_n = _libm(math.log, n)
+    return n * _libm(math.log, c * n * log_n * _libm(math.log, log_n))
 
 
 # family -> (parameter key or None, first index, log M_n as term(n, param))
 # with n the float64 array of indices from the first one on; entries below
-# the first index are padded with 0 and reported as ``filled``.  log and
-# lgamma go through the math library item by item (np.log differs from
-# math.log in the last ulp at some n) and + - * run on whole arrays, which
-# round as Python floats do, so each entry equals the per-index math
-# expression bit for bit.
+# the first index are padded with 0 and reported as ``filled``.  Through
+# _libm each entry equals the per-index math expression bit for bit.
 _CATALOG = {
-    "factorial": (None, 0, lambda n, _: _lgamma(n + 1.0)),
-    "power_nn": (None, 0, lambda n, _: n * _log(np.maximum(n, 1.0))),  # 0 log 0 = 0
-    "gevrey": ("s", 0, lambda n, s: s * _lgamma(n + 1.0)),
-    "denjoy1": ("C", 2, lambda n, c: n * _log(c * n * _log(n))),
+    "factorial": (None, 0, lambda n, _: _libm(math.lgamma, n + 1.0)),
+    "power_nn": (None, 0, lambda n, _: n * _libm(math.log, np.maximum(n, 1.0))),  # 0 log 0 = 0
+    "gevrey": ("s", 0, lambda n, s: s * _libm(math.lgamma, n + 1.0)),
+    "denjoy1": ("C", 2, lambda n, c: n * _libm(math.log, c * n * _libm(math.log, n))),
     "denjoy2": ("C", 3, _denjoy2),  # validity requires n > e
 }
 FAMILIES = ("explicit", *_CATALOG)
@@ -233,8 +222,8 @@ def _exactly_below(ys, i: int, j: int, n: int) -> bool:
     return (j - i) * (Fraction(ys[n]) - yi) - (n - i) * (Fraction(ys[j]) - yi) > 0
 
 
-def _lower_hull_vertices(logs: Sequence[float]) -> list[int]:
-    """Indices of the lower convex hull vertices of the points (n, logs[n]).
+def _lower_hull_vertices(logs: Sequence[float]) -> np.ndarray:
+    """Index array of the lower convex hull vertices of the points (n, logs[n]).
 
     Each pass drops every middle point of the current chain that does not
     lie strictly below the chord of its neighbours, all at once, so
@@ -248,14 +237,14 @@ def _lower_hull_vertices(logs: Sequence[float]) -> list[int]:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_PRUNE_PASSES):
             if chain.size < 3:
-                return chain.tolist()
+                return chain
             i, j, n = chain[:-2], chain[1:-1], chain[2:]
             cross, sure = _cross(ys, i, j, n)
             below = cross > 0
             for k in np.flatnonzero(~sure).tolist():
                 below[k] = _exactly_below(ys, int(i[k]), int(j[k]), int(n[k]))
             if below.all():
-                return chain.tolist()
+                return chain
             chain = chain[np.concatenate(([True], below, [True]))]
     values = ys.tolist()
     stack: list[int] = []
@@ -267,7 +256,7 @@ def _lower_hull_vertices(logs: Sequence[float]) -> list[int]:
                 break
             stack.pop()
         stack.append(n)
-    return stack
+    return np.array(stack)
 
 
 def convex_regularize(seq: LogSequence) -> RegularizedSequence:
@@ -279,7 +268,7 @@ def convex_regularize(seq: LogSequence) -> RegularizedSequence:
     if seq.length < 2:
         raise ValidationError("convex_regularize needs at least 2 entries")
     logs = seq.logs
-    vertices = np.array(_lower_hull_vertices(logs))
+    vertices = _lower_hull_vertices(logs)
 
     # each point between two vertices a < n < b sits on the chord a -> b
     inner = np.ones(seq.length, dtype=bool)

@@ -20,7 +20,7 @@ decreasing on every catalog entry, asserted on a validation grid).
 from __future__ import annotations
 
 import bisect
-import itertools
+import functools
 import math
 import sys
 from collections.abc import Iterator
@@ -30,7 +30,7 @@ import numpy as np
 
 from .constants import MU_FAMILIES
 from .errors import ConditioningError, ValidationError
-from .series import SeriesReport, diagnose_series
+from .series import SeriesReport, _libm, diagnose_series
 
 _VALIDATION_GRID = 64
 _VALIDATION_SPAN = 2.0**20
@@ -85,6 +85,8 @@ class WeightFunction:
                 raise ValidationError("power family needs 0 < alpha < 1")
         if not (self.t0 > 0 and math.isfinite(self.t0)):
             raise ValidationError("t0 must be a positive real")
+        if not self.t0 * _VALIDATION_SPAN < math.inf:
+            raise ValidationError(f"t0 = {self.t0:g} is too large: t0 2^20 leaves the float range")
         if self.mu == "loglog" and self.t0 <= 1.0:
             raise ValidationError("loglog needs t0 > 1 for log log t to exist")
         _, m1_at_t0, delta = _m_parts(self, self.t0)
@@ -104,30 +106,19 @@ class WeightFunction:
         object.__setattr__(self, "delta", delta)
 
 
-def _log(t):
-    """math.log of a float, or of each item of a float64 array."""
-    if isinstance(t, np.ndarray):
-        return np.fromiter(map(math.log, t.tolist()), float, t.size)
-    return math.log(t)
-
-
-def _pow(t, alpha: float):
-    """t ** alpha by the math library: of a float, or of each item of a
-    float64 array."""
-    if isinstance(t, np.ndarray):
-        return np.fromiter(map(pow, t.tolist(), itertools.repeat(alpha)), float, t.size)
-    return t**alpha
+# log t and t ** alpha by the math library, of a float or of each array item
+_log = functools.partial(_libm, math.log)
+_pow = functools.partial(_libm, pow)
 
 
 def _m_parts(w: WeightFunction, t, log=_log, power=_pow) -> tuple:
     """(m, m', m'') at t, a float or a float64 array.
 
-    numpy's float64 + - * / round as Python's float operations do, and the
-    default ``log`` and ``power`` take an array's items through the math
-    library one by one, so each item of an array's result equals the float
-    result bit for bit.  Array overflow follows numpy's error state; callers
-    run under ``np.errstate(all="ignore")``, where it gives inf silently, as
-    float arithmetic does.  The batched bisection's filter passes np.log and
+    The default ``log`` and ``power`` go through _libm, so each item of an
+    array's result equals the float result bit for bit.  Array overflow
+    follows numpy's error state; callers run under
+    ``np.errstate(all="ignore")``, where it gives inf silently, as float
+    arithmetic does.  The batched bisection's filter passes np.log and
     np.power instead.
     """
     lt = log(t)
@@ -514,9 +505,10 @@ def ratio_series_weight(w: WeightFunction, n0: int, n_max: int) -> SeriesReport:
         raise ValidationError(f"n0 = {n0} must be >= t0 = {w.t0:g}")
     if n_max <= n0 + 1:
         raise ValidationError("need n_max > n0 + 1")
-    m_values = [_m_parts(w, float(n))[0] for n in range(n0, n_max + 1)]
-    terms = [math.exp(a - b) for a, b in zip(m_values, m_values[1:])]
-    return diagnose_series(terms)
+    with np.errstate(all="ignore"):
+        m = _m_parts(w, np.array(range(n0, n_max + 1), dtype=float))[0]
+        steps = m[:-1] - m[1:]
+    return diagnose_series(_libm(math.exp, steps))
 
 
 def shift_bound_check(w: WeightFunction, j: int, p_lo: int, p_hi: int) -> bool:
@@ -622,8 +614,6 @@ def loglog_asymptotics_check(r_max: float) -> tuple[np.ndarray, np.ndarray]:
     w = make_weight("loglog", 10.0)
     r_start = math.exp(_m_parts(w, w.t0 + 1.0)[1]) * 1.01
     grid = np.exp(np.linspace(math.log(r_start), math.log(r_max), 64))
-    radii = grid.tolist()
-    ratios = np.array(
-        [omega_s * math.e * math.log(s) / s for s, omega_s in zip(radii, _omegas(w, radii))]
-    )
-    return grid, ratios
+    omegas = np.fromiter(_omegas(w, grid.tolist()), float, grid.size)
+    with np.errstate(over="ignore"):
+        return grid, omegas * math.e * _libm(math.log, grid) / grid

@@ -163,7 +163,7 @@ def test_a_vertex_the_float_scan_missed_is_kept():
     logs = MISSED_VERTEX
     y = [Fraction(v) for v in logs]
     assert (2 - 1) * (y[4] - y[1]) - (4 - 1) * (y[2] - y[1]) == Fraction(2) ** -49
-    assert S._lower_hull_vertices(logs) == [0, 1, 2, 4]
+    assert S._lower_hull_vertices(logs).tolist() == [0, 1, 2, 4]
     reg = qk.convex_regularize(qk.LogSequence(logs=logs))
     assert reg.logs_c[2] == logs[2]
     assert np.all(reg.logs_c <= np.array(logs))
@@ -178,7 +178,7 @@ def test_hull_takes_the_exact_branch(monkeypatch, passes):
     decide = S._exactly_below
     monkeypatch.setattr(S, "_PRUNE_PASSES", passes)
     monkeypatch.setattr(S, "_exactly_below", lambda *a: exact.append(a[1:]) or decide(*a))
-    assert S._lower_hull_vertices(MISSED_VERTEX) == [0, 1, 2, 4]
+    assert S._lower_hull_vertices(MISSED_VERTEX).tolist() == [0, 1, 2, 4]
     assert (1, 2, 4) in exact
 
 
@@ -198,7 +198,7 @@ def test_pass_cap_hands_the_survivors_to_the_monotone_chain(monkeypatch):
         return cross(ys, *args)
 
     monkeypatch.setattr(S, "_cross", counted)
-    assert S._lower_hull_vertices(logs) == [0, n.size - 1]
+    assert S._lower_hull_vertices(logs).tolist() == [0, n.size - 1]
     assert calls["array"] == S._PRUNE_PASSES
     assert calls["float"] == 2 * (n.size - S._PRUNE_PASSES) - 5
 
@@ -212,7 +212,7 @@ def test_vertex_set_does_not_depend_on_the_pass_cap(slope, curve, offsets, eps, 
     logs = [slope * n + curve * n * n + k * eps for n, k in enumerate(offsets)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(S, "_PRUNE_PASSES", passes)
-        assert S._lower_hull_vertices(logs) == exact_hull_vertices(logs)
+        assert S._lower_hull_vertices(logs).tolist() == exact_hull_vertices(logs)
 
 
 def test_fractions_load_only_for_an_uncertain_sign():

@@ -475,6 +475,40 @@ def test_pset_without_index_set_exits_2(tmp_path, capsys):
     assert "index_set" in capsys.readouterr().err
 
 
+HUGE_T0 = sys.float_info.max / 2**20  # the largest t0 whose validation grid t0 2^20 is finite
+
+
+@pytest.mark.parametrize("mu", ["zero", "log", "loglog", "power"])
+@pytest.mark.parametrize("t0", [HUGE_T0, math.nextafter(HUGE_T0, math.inf), 1e303,
+                                sys.float_info.max])
+def test_weight_check_at_huge_t0_leaks_no_warning(capsys, mu, t0):
+    import warnings
+
+    from quasikit.cli import dispatch
+
+    argv = ["weight", "check", "--mu", mu, "--t0", repr(t0), "--alpha", "0.5"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(argv)
+    out, err = capsys.readouterr()
+    assert caught == []
+    if t0 == HUGE_T0:
+        assert (code, err) == (0, "") or code == 2 and len(err.splitlines()) == 1
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"quasikit: t0 = {t0:g} is too large: t0 2^20 leaves the float range\n"
+
+
+def test_negative_exponent_form_flag_value_takes_the_equals_form(tmp_path, capsys):
+    # argparse reads "--x -1e-3" as a missing value and an option
+    from quasikit.cli import dispatch
+
+    path = tmp_path / "nodes.json"
+    path.write_text(json.dumps({"nodes": [0.0, 0.5, 1.0]}))
+    assert dispatch(["gont", "eval", "--nodes", str(path), "--x=-1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["x"] == -0.001
+
+
 def test_plotdata_streams_column_blocks(tmp_path):
     import itertools
 

@@ -1,6 +1,6 @@
-"""The report writer ``cli._encode`` against its oracle, the interpreter's
-``json.dumps(doc, indent=2)``, on random nested documents; and the CSV
-columns that take their strings from the report's text, against rows
+"""The report writer ``cli._encode_spans`` against its oracle, the
+interpreter's ``json.dumps(doc, indent=2)``, on random nested documents; and
+the CSV columns that take their strings from the report's text, against rows
 formatted column by column with ``repr``."""
 
 import itertools
@@ -61,7 +61,7 @@ documents = st.recursive(leaves, _containers, max_leaves=24)
 @example({"f": EDGE_FLOATS, "n": [np.float64(0.1), 1, True], "e": [[], {}, ()],
           "k": {1e16: [], None: {}, True: (), -0.0: [[]]}, "s": "\x00é"})
 def test_writer_matches_json_dumps(doc):
-    assert cli._encode(doc) == json.dumps(doc, indent=2)
+    assert cli._encode_spans(doc)[0] == json.dumps(doc, indent=2)
 
 
 BAD = [math.inf, -math.inf, math.nan, np.float64(math.inf)]
@@ -199,7 +199,7 @@ def test_equal_lists_share_their_text():
     zero, minus_zero, zero_again = [0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]
     doc = {"i": ints, "f": floats, "a": a, "b": same_depth, "c": deeper,
            "z": zero, "m": minus_zero, "y": zero_again}
-    assert cli._encode(doc) == json.dumps(doc, indent=2)
+    assert cli._encode_spans(doc)[0] == json.dumps(doc, indent=2)
     pieces, joined = [], {}
     cli._encode_into(doc, "\n", pieces, joined, {})
 
@@ -230,7 +230,7 @@ def test_repeated_lists_match_json_dumps(lists, paths):
         variants += [xs, list(xs), [-x if x == 0 else x for x in xs],
                      [float(x) if type(x) is int else x for x in xs]]
     doc = {f"r{n}": _nest(xs, paths[n]) for n, xs in enumerate(variants)}
-    assert cli._encode(doc) == json.dumps(doc, indent=2)
+    assert cli._encode_spans(doc)[0] == json.dumps(doc, indent=2)
 
 
 def test_a_list_that_took_earlier_text_is_a_csv_column(tmp_path):

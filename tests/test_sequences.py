@@ -262,7 +262,7 @@ class TestConvexRegularize:
 
     def test_vertex_scan_drops_collinear_points(self):
         # interior point on a straight segment: on the hull but not a vertex
-        assert _lower_hull_vertices([0.0, 1.0, 2.0, 5.0]) == [0, 2, 3]
+        assert _lower_hull_vertices([0.0, 1.0, 2.0, 5.0]).tolist() == [0, 2, 3]
 
 
 class TestDerivedSequences:

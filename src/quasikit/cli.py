@@ -21,7 +21,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import __version__
-from .constants import EPS_CONV, MU_FAMILIES, SIGMA_DIV
+from .constants import EPS_CONV, MU_FAMILIES, SAMPLES_MAX, SIGMA_DIV
 from .errors import QuasikitError, ValidationError
 from .manifest import RunManifest
 from . import bang, gontcharoff, jets, qa, sequences, weights
@@ -29,9 +29,6 @@ from . import bang, gontcharoff, jets, qa, sequences, weights
 log = logging.getLogger("quasikit")
 
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-# Largest --samples for ``weight analyze``.
-SAMPLES_MAX = 2**14
 
 
 def _configure_logging() -> None:

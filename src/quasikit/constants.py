@@ -9,3 +9,6 @@ EPS_CONV = 1e-6
 
 # the mu(t) families of the weight functions m(t) = t log t + t mu(t)
 MU_FAMILIES = ("zero", "loglog", "log", "power")
+
+# largest number of radii a transform grid samples
+SAMPLES_MAX = 2**14

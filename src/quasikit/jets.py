@@ -453,8 +453,11 @@ def translation_estimate_check(
     base, shifted = (_tail_sup(table[:, i], n, weights.logs) for i in (0, 1))
     if base.arg_j < 0 or shifted.arg_j < 0:
         raise ValidationError("suffix sup vanished on the horizon; nothing to check")
-    ratio = math.exp(weights.logs[q] - weights.logs[q - 1])
-    rhs_log = max(base.log_value, -float(q)) + math.e * abs(tau) * ratio
+    try:
+        ratio = math.exp(weights.logs[q] - weights.logs[q - 1])
+    except OverflowError:  # an infinite bound holds
+        ratio = math.inf
+    rhs_log = max(base.log_value, -float(q)) + (math.e * abs(tau) * ratio if tau else 0.0)
     ok = shifted.log_value <= rhs_log + math.log1p(1e-9)
     return TranslationCheck(
         lhs_log=shifted.log_value,
@@ -508,9 +511,10 @@ def _zeros_by_order(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zeros of every f^{(n)} in the table as (n, x) pairs in (n, then x)
     order: grid points where it vanishes, and sign changes between
-    neighbouring points bisected to 1e-12 in x (or to an exact zero at a
-    midpoint); a zero within 1e-9 of the last one kept is dropped.  Rejects a
-    table with an order that has none."""
+    neighbouring points bisected to 1e-12 in x, to an exact zero at a
+    midpoint, or until the midpoint is no longer strictly inside (past
+    |x| = 2^13 an ulp exceeds 1e-12); a zero within 1e-9 of the last one
+    kept is dropped.  Rejects a table with an order that has none."""
     exact = table == 0.0
     pos = table > 0.0
     found = exact.copy()
@@ -528,7 +532,7 @@ def _zeros_by_order(
             break
         z[live] = mid = 0.5 * (lo + hi)
         f_mid = _derivative_table(f, mid, len(table) - 1)[rows[live], np.arange(live.size)]
-        going = (f_mid != 0.0) & (hi - lo >= 1e-12)
+        going = (f_mid != 0.0) & (hi - lo >= 1e-12) & (lo < mid) & (mid < hi)
         same = (f_lo > 0) == (f_mid > 0)
         lo, hi = np.where(same, mid, lo)[going], np.where(same, hi, mid)[going]
         f_lo = np.where(same, f_mid, f_lo)[going]
@@ -584,9 +588,12 @@ def zero_spacing_experiment(
     table = _derivative_table(f, grid, nmax)
     if not np.any(table[0]):
         raise ValidationError("f vanishes at every grid point; nothing to chain")
-    grid_max = np.abs(table).max(axis=1).tolist()
-    for n in range(nmax + 1):
-        if grid_max[n] > math.exp(weights.logs[n]) * (1.0 + 1e-9):
+    for n, g in enumerate(np.abs(table).max(axis=1).tolist()):
+        try:
+            bound = math.exp(weights.logs[n]) * (1.0 + 1e-9)
+        except OverflowError:  # M_n past the float range bounds every float
+            continue
+        if g > bound:
             raise ValidationError(
                 f"|f^({n})| exceeds M_{n} on the grid; the spacing bound needs "
                 "the envelope hypothesis"

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import MU_FAMILIES
+from .constants import MU_FAMILIES, SAMPLES_MAX
 from .errors import ConditioningError, ValidationError
 from .series import SeriesReport, _libm, diagnose_series
 
@@ -188,6 +188,10 @@ def _stationary_points(
     _DECISION_RTOL); once fewer than _ARRAY_MIN radii are live, each
     finishes on its own.  So every decision, and with it t*, equals that of
     a scalar bisection with math.log bit for bit.
+
+    Every t* is finite, a midpoint of finite ends: no cap overflows, since
+    above float max / 2 every catalog m' exceeds 710 > log r for any finite
+    r, and an infinite r ends in a bracket failure before any t* exists.
     """
     m1_t0 = _m_parts(w, w.t0)[1]
     caps = [2.0 * w.t0]
@@ -199,9 +203,11 @@ def _stationary_points(
             break
         lr = math.log(r)
         if lr <= m1_t0:
-            error = ValidationError(
-                f"r = {r:g} too small: need r > exp(m'(t0)) = {math.exp(m1_t0):g}"
-            )
+            try:
+                bound = f"{math.exp(m1_t0):g}"
+            except OverflowError:  # no finite r is large enough
+                bound = f"e^{m1_t0:g}"
+            error = ValidationError(f"r = {r:g} too small: need r > exp(m'(t0)) = {bound}")
             break
         while cap_m1[-1] <= lr and len(caps) <= 200:
             caps.append(2.0 * caps[-1])
@@ -262,7 +268,8 @@ def weight_inf(w: WeightFunction, r: float) -> WeightInf:
     boundary and the sandwich reasoning needs an interior minimizer.
     """
     _, t_star, log_value, error = _infima(w, [r])
-    _raise_first(error)
+    if error:
+        raise error
     return WeightInf(log_value=float(log_value[0]), t_star=float(t_star[0]))
 
 
@@ -281,25 +288,12 @@ def _infima(
 def omega(w: WeightFunction, r: float) -> float:
     """omega(r) = -log Lambda(r), cross-checked against the parametric forms
     t m'(t) - m(t) and t + t^2 mu'(t) at the stationary point."""
-    return next(_omegas(w, [r]))
+    return transforms(w, r)[1]
 
 
 def _omegas(w: WeightFunction, radii) -> Iterator[float]:
-    """omega at each radius in turn, from one batched solve.  An error for a
-    radius is raised only once every earlier radius has been yielded, so a
-    caller that checks each radius as it comes meets its errors in radius
-    order."""
-    _, t_star, log_value, error = _infima(w, radii)
-    values, check_error = _checked_omegas(w, t_star, log_value)
-    yield from values.tolist()
-    _raise_first(check_error, error)
-
-
-def _raise_first(*errors: Exception | None) -> None:
-    """Raise the first error given, if any: the one of the earliest radius."""
-    for error in errors:
-        if error is not None:
-            raise error
+    """omega of each row of _transform_rows, errors included."""
+    return (row[1] for row in _transform_rows(w, radii))
 
 
 def _checked_omegas(
@@ -333,38 +327,31 @@ def weight_inf_integer(w: WeightFunction, r: float) -> float:
     integers within two of t* (clipped to >= t0) suffices.
     """
     log_r, t_star, _, error = _infima(w, [r])
-    values, int_error = _integer_infs(w, log_r, t_star)
-    _raise_first(int_error, error)
-    return float(values[0])
+    if error:
+        raise error
+    return float(_integer_infs(w, log_r, t_star)[0])
 
 
-def _integer_infs(
-    w: WeightFunction, log_r: np.ndarray, t_star: np.ndarray
-) -> tuple[np.ndarray, OverflowError | None]:
-    """log lambda(r) at each (log r, t*), up to the first t* = inf, and the
-    error math.floor raises there (or None).
+def _integer_infs(w: WeightFunction, log_r: np.ndarray, t_star: np.ndarray) -> np.ndarray:
+    """log lambda(r) at each (log r, t*), every t* finite (see _stationary_points).
 
     Each candidate n is a Python int converted by float(), as ``n * log r``
     converts it; floor(t*) - 2 + k in float arithmetic would round past 2^53.
     A NaN objective never wins the minimum, which is inf when every
     candidate's objective is NaN, as in a running ``min(best, value)``.
     """
-    first, error = math.ceil(w.t0), None
+    first = math.ceil(w.t0)
     candidates, starts = [], []
     for t in t_star.tolist():
-        try:
-            lo = max(first, math.floor(t) - 2)
-        except OverflowError as exc:  # the bisection's lo + hi overflowed
-            error = exc
-            break
+        lo = max(first, math.floor(t) - 2)
         starts.append(len(candidates))
         candidates.extend(map(float, range(lo, max(lo, math.ceil(t) + 2) + 1)))
     n = np.array(candidates, dtype=float)
     counts = np.diff(starts + [n.size])
     with np.errstate(all="ignore"):
-        values = _m_parts(w, n)[0] - n * np.repeat(log_r[: len(starts)], counts)
+        values = _m_parts(w, n)[0] - n * np.repeat(log_r, counts)
     values[np.isnan(values)] = math.inf
-    return (np.minimum.reduceat(values, starts) if starts else values), error
+    return np.minimum.reduceat(values, starts) if starts else values
 
 
 def transforms(w: WeightFunction, r: float) -> tuple[float, float, float]:
@@ -374,15 +361,16 @@ def transforms(w: WeightFunction, r: float) -> tuple[float, float, float]:
 
 
 def _transform_rows(w: WeightFunction, radii) -> Iterator[tuple[float, float, float]]:
-    """transforms(w, r) for each radius in turn, from one batched solve, with
-    errors in radius order as in _omegas.  At one radius the omega
-    cross-check comes before the integer infimum."""
+    """transforms(w, r) for each radius in turn, from one batched solve.  An
+    error for a radius is raised only once every earlier radius has been
+    yielded, so a caller that checks each radius as it comes meets its
+    errors in radius order."""
     log_r, t_star, log_value, error = _infima(w, radii)
     omegas, check_error = _checked_omegas(w, t_star, log_value)
-    lam_int, int_error = _integer_infs(w, log_r[: omegas.size], t_star[: omegas.size])
-    rows = len(lam_int)
-    yield from zip(log_value[:rows].tolist(), omegas[:rows].tolist(), lam_int.tolist())
-    _raise_first(int_error, check_error, error)
+    lam_int = _integer_infs(w, log_r, t_star)
+    yield from zip(log_value.tolist(), omegas.tolist(), lam_int.tolist())
+    if check_error or error:  # a failed check's radius precedes the solve's
+        raise check_error or error
 
 
 def _start_radius(w: WeightFunction, offset: float, factor: float, reach: float) -> float:
@@ -399,7 +387,9 @@ def _start_radius(w: WeightFunction, offset: float, factor: float, reach: float)
 
 def transform_grid(w: WeightFunction, r_max: float, samples: int) -> dict:
     """log Lambda, omega and log lambda at ``samples`` log-spaced radii from
-    1.01 e^{m'(t0 + 1)} up to ``r_max``."""
+    1.01 e^{m'(t0 + 1)} up to ``r_max``, for 1 <= samples <= SAMPLES_MAX."""
+    if not 1 <= samples <= SAMPLES_MAX:
+        raise ValidationError(f"samples must be in [1, {SAMPLES_MAX}], got {samples}")
     r_start = _start_radius(w, 1.0, 1.01, 2.0)
     if not r_start * 2 < r_max < math.inf:
         raise ValidationError(f"r_max must be finite and exceed {r_start * 2:g} for this t0")

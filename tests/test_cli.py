@@ -464,6 +464,20 @@ def test_weight_samples_outside_bounds_exit_2(capsys, samples):
     assert "--samples" in err and len(err.strip().splitlines()) == 1
 
 
+def test_spacing_envelope_past_the_float_range_exits_0(tmp_path, capsys):
+    # log M_64 is about 817 for Gevrey s = 4, where math.exp overflows
+    from quasikit.cli import dispatch
+
+    fn, seq = tmp_path / "sin.json", tmp_path / "gevrey.json"
+    fn.write_text(json.dumps({"expr": {"op": "sin", "arg": {"op": "x"}},
+                              "domain": [0.0, 4 * math.pi]}))
+    seq.write_text(json.dumps({"family": "gevrey", "params": {"s": 4}, "horizon": 70}))
+    argv = ["lab", "spacing", "--fn", str(fn), "--seq", str(seq), "--nmax", "64", "--grid", "64"]
+    assert dispatch(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(json.loads(out)["x"]) == 65
+
+
 def test_pset_without_index_set_exits_2(tmp_path, capsys):
     from quasikit.cli import dispatch
 

@@ -296,6 +296,15 @@ class TestTranslationEstimate:
                 assert chk.rhs_log == rhs
                 assert type(chk.ok) is bool and type(chk.lhs_log) is float
 
+    def test_ratio_past_the_float_range_bounds_nothing(self):
+        # M_2 / M_1 = e^1000: the bound is infinite and holds, except at
+        # tau = 0, where the translation term is 0 rather than inf * 0
+        seq = qk.LogSequence(logs=(0.0, 0.0, 1000.0, 2001.0))
+        chk = qk.translation_estimate_check(sin_spec(), seq, 0.5, 0.25, 1, 2, 3)
+        assert chk.rhs_log == math.inf and chk.ok
+        still = qk.translation_estimate_check(sin_spec(), seq, 0.5, 0.0, 1, 2, 3)
+        assert still.rhs_log == max(still.lhs_log, -2.0) and still.ok
+
 
 class TestMonotonicity:
     def test_exp_holds(self):
@@ -366,3 +375,25 @@ class TestZeroSpacing:
     def test_envelope_hypothesis_enforced(self):
         with pytest.raises(qk.ValidationError, match="exceeds"):
             qk.zero_spacing_experiment(exp_spec(), ones_sequence(8), 4)
+
+    def test_envelope_bound_past_the_float_range_holds(self):
+        # e^{log M_n} overflows from n = 2 on; such an M_n bounds any grid max
+        seq = qk.LogSequence(logs=(0.0, 1.0, 800.0, 1600.0))
+        res = qk.zero_spacing_experiment(sin_spec((0.0, 4 * math.pi)), seq, 3, grid_size=64)
+        assert res.x.tolist() == pytest.approx([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+
+    def test_brackets_stop_once_the_midpoint_is_an_end(self, monkeypatch):
+        # past |x| = 2^13 an ulp exceeds 1e-12: each bracket stops when its
+        # midpoint is no longer strictly inside, not at the 200-halving cap,
+        # and every zero keeps its bits
+        calls = []
+        table = J._derivative_table
+        monkeypatch.setattr(J, "_derivative_table", lambda *a: calls.append(1) or table(*a))
+        f = qk.FunctionSpec(J.expr_sin(J.expr_affine(J.expr_x(), 1.0, -1e8)),
+                            (1e8, 1e8 + 4 * math.pi))
+        res = qk.zero_spacing_experiment(f, ones_sequence(8), 3, grid_size=256)
+        assert len(calls) <= 40
+        assert [x.hex() for x in res.x.tolist()] == [
+            "0x1.7d78400000000p+26", "0x1.7d78406487ed6p+26", "0x1.7d7840c90fdaap+26",
+            "0x1.7d78406487ed6p+26",
+        ]

@@ -93,6 +93,18 @@ class TestInfimumTransform:
         with pytest.raises(qk.ValidationError, match="positive"):
             fn(w_zero, -1.0)
 
+    @pytest.mark.parametrize("mu,t0,alpha", [("log", 1e300, None), ("power", 1e300, 0.01),
+                                             ("power", 1e150, 0.5)])
+    @pytest.mark.parametrize("fn", [qk.weight_inf, qk.omega, qk.weight_inf_integer, qk.transforms])
+    def test_boundary_past_the_float_range_rejects_every_radius(self, mu, t0, alpha, fn):
+        # e^{m'(t0)} overflows, so the message states it as a power of e
+        w = qk.make_weight(mu, t0, alpha=alpha)
+        m1 = qk.m_eval(w, t0).m1
+        assert m1 > 710.0
+        with pytest.raises(qk.ValidationError) as info:
+            fn(w, 1e300)
+        assert str(info.value) == f"r = 1e+300 too small: need r > exp(m'(t0)) = e^{m1:g}"
+
     def test_inf_below_boundary_value(self, w_loglog):
         for r in (1e3, 1e5):
             res = qk.weight_inf(w_loglog, r)
@@ -275,6 +287,12 @@ class TestOmegaGrowthProxy:
         for r in (100.0, 1e4):
             inc = qk.omega(w_zero, 2.0 * r) - qk.omega(w_zero, r)
             assert inc == pytest.approx(r / math.e, rel=1e-9)
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2**14 + 1])
+def test_transform_grid_samples_outside_bounds_rejected(w_zero, samples):
+    with pytest.raises(qk.ValidationError, match=r"^samples must be in \[1, 16384\], got "):
+        qk.transform_grid(w_zero, 1e6, samples)
 
 
 @pytest.mark.parametrize("mu", ["zero", "loglog"])

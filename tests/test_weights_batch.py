@@ -374,6 +374,32 @@ def test_midpoints_stay_finite_at_the_top_of_the_float_range(monkeypatch):
         assert bits(solved(w, radii[1:2])) == bits([want])
 
 
+@pytest.mark.parametrize("mu,alpha", [("zero", None), ("loglog", None), ("log", None),
+                                      ("power", 0.5), ("power", 0.01)])
+def test_every_stationary_point_is_finite(mu, alpha):
+    # from t0 = 10 up to the largest t0 the constructor admits, each radius
+    # up to the float max gets a finite t* or a ValidationError, alone or
+    # in an ascending batch past the boundary; none raises anything else
+    solved_any = False
+    for t0 in (10.0, 1e10, 1e50, 1e100, 1e150, 1e200, 1e300, sys.float_info.max / 2**20):
+        w = qk.make_weight(mu, t0, alpha=alpha)
+        m1 = _m1(w, t0)
+        above = [sys.float_info.max]
+        if m1 < 709.0:
+            r = math.exp(m1)
+            while not math.log(r) > m1:
+                r = math.nextafter(r, math.inf)
+            grid = np.exp(np.linspace(math.log(r), 709.78, 64)).tolist()
+            above = sorted({r, *(x for x in grid if math.log(x) > m1), *above})
+        for batch in [[1.0], [math.exp(min(m1, 709.0))]] + [[r] for r in above] + [above]:
+            _, t_star, error = W._stationary_points(w, batch)
+            assert np.isfinite(t_star).all()
+            assert error is None or type(error) is ValidationError
+            assert t_star.size == len(batch) if error is None else t_star.size < len(batch)
+            solved_any |= t_star.size > 0
+    assert solved_any
+
+
 @pytest.mark.parametrize("radii,fails", [
     ([math.exp(360.0), math.exp(400.0), 1.0], "check"),
     ([math.exp(360.0), 1.0, math.exp(400.0)], "small"),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import jets, sequences
-from .series import _frozen
+from .series import _exp, _frozen
 
 # e^{-k} for k = 0..746 from math.exp, whose rounding the reports carry
 # (numpy's exp differs in the last ulp at some k); from k = 746 on e^{-k}
@@ -158,7 +158,8 @@ def _scaled_vectors(f, points, reg) -> list[BangVector]:
     """function_sequence at every point, from one derivative table."""
     n_len = reg.length
     table = jets._derivative_table(f, points, n_len - 1)
-    scaled = table * np.exp(-reg.logs_c - np.arange(n_len))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # BangVector rejects what is not finite
+        scaled = table * np.exp(-reg.logs_c - np.arange(n_len))[:, None]
     return [BangVector(entries=x, index_set=reg.principal) for x in scaled.T]
 
 
@@ -203,8 +204,8 @@ def growth_estimate_check(
         )
 
     logs_c = reg.logs_c
-    ratio = math.exp(logs_c[witness_l] - logs_c[witness_l - 1])
-    rhs = base_norm.value * math.exp(math.e * abs(tau) * ratio)
+    ratio = _exp(logs_c[witness_l] - logs_c[witness_l - 1])
+    rhs = base_norm.value * (_exp(math.e * abs(tau) * ratio) if tau else 1.0)
     lhs = bang_norm(shifted).value
     return GrowthCheck(
         lhs=lhs, rhs=rhs, witness_l=witness_l, ok=lhs <= rhs * (1.0 + 1e-9)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditioningError, ValidationError, finite_float
-from . import jets
+from . import jets, series
 
 DEGREE_CAP = 30
 
@@ -290,10 +290,7 @@ def _spread(nodes: list, x):
 def _power_over_factorial(spread: float, n: int) -> float:
     if spread == 0.0:
         return 0.0
-    try:
-        return math.exp(n * math.log(spread) - math.lgamma(n + 1))
-    except OverflowError:
-        return math.inf
+    return series._exp(n * math.log(spread) - math.lgamma(n + 1))
 
 
 def identity_sweep(

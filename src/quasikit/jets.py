@@ -348,7 +348,7 @@ class EnvelopeReport:
 
     def m_est(self, n: int) -> float:
         """Grid max of |f^{(n)}| in the linear domain."""
-        return math.exp(self.m_est_log[n]) if self.m_est_log[n] > -math.inf else 0.0
+        return series._exp(self.m_est_log[n])
 
     def to_json(self) -> dict:
         return {
@@ -403,7 +403,7 @@ def _tail_sup(derivs: np.ndarray, n: int, logs: np.ndarray) -> TailSup:
     i = int(np.argmax(terms))
     best, arg = float(terms[i]), int(js[i])
     return TailSup(
-        value=math.exp(best) if best < 700 else math.inf,
+        value=series._exp(best),
         log_value=best,
         arg_j=arg,
         truncated=(arg == len(derivs) - 1),
@@ -453,10 +453,7 @@ def translation_estimate_check(
     base, shifted = (_tail_sup(table[:, i], n, weights.logs) for i in (0, 1))
     if base.arg_j < 0 or shifted.arg_j < 0:
         raise ValidationError("suffix sup vanished on the horizon; nothing to check")
-    try:
-        ratio = math.exp(weights.logs[q] - weights.logs[q - 1])
-    except OverflowError:  # an infinite bound holds
-        ratio = math.inf
+    ratio = series._exp(weights.logs[q] - weights.logs[q - 1])
     rhs_log = max(base.log_value, -float(q)) + (math.e * abs(tau) * ratio if tau else 0.0)
     ok = shifted.log_value <= rhs_log + math.log1p(1e-9)
     return TranslationCheck(
@@ -589,11 +586,7 @@ def zero_spacing_experiment(
     if not np.any(table[0]):
         raise ValidationError("f vanishes at every grid point; nothing to chain")
     for n, g in enumerate(np.abs(table).max(axis=1).tolist()):
-        try:
-            bound = math.exp(weights.logs[n]) * (1.0 + 1e-9)
-        except OverflowError:  # M_n past the float range bounds every float
-            continue
-        if g > bound:
+        if g > series._exp(weights.logs[n]) * (1.0 + 1e-9):
             raise ValidationError(
                 f"|f^({n})| exceeds M_{n} on the grid; the spacing bound needs "
                 "the envelope hypothesis"
@@ -609,7 +602,7 @@ def zero_spacing_experiment(
     x = np.array(chain)
     lhs = np.cumsum(np.r_[0.0, np.abs(np.diff(x))])
     logs = weights.logs
-    steps = series._libm(math.exp, logs[:nmax] - logs[1 : nmax + 1]) / math.e
+    steps = series._exp(logs[:nmax] - logs[1 : nmax + 1]) / math.e
     rhs = np.cumsum(np.r_[0.0, steps])
     x.flags.writeable = lhs.flags.writeable = rhs.flags.writeable = False
     return SpacingResult(x=x, lhs_partial=lhs, rhs_partial=rhs)

@@ -15,6 +15,7 @@ Reports carry the fitted slope so callers can re-threshold.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,6 +67,17 @@ def _libm(fn, x, *consts):
     if not isinstance(x, np.ndarray):
         return fn(x, *consts)
     return np.fromiter(map(fn, x.tolist(), *map(itertools.repeat, consts)), float, x.size)
+
+
+def _exp(x):
+    """``_libm(math.exp, x)``, with +inf wherever math.exp overflows: the one
+    exit from the log domain, where a bound past the float range holds."""
+    if isinstance(x, np.ndarray):
+        return _libm(_exp, x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .constants import MU_FAMILIES, SAMPLES_MAX
 from .errors import ConditioningError, ValidationError
-from .series import SeriesReport, _libm, diagnose_series
+from .series import SeriesReport, _exp, _libm, diagnose_series
 
 _VALIDATION_GRID = 64
 _VALIDATION_SPAN = 2.0**20
@@ -203,10 +203,8 @@ def _stationary_points(
             break
         lr = math.log(r)
         if lr <= m1_t0:
-            try:
-                bound = f"{math.exp(m1_t0):g}"
-            except OverflowError:  # no finite r is large enough
-                bound = f"e^{m1_t0:g}"
+            exp_m1 = _exp(m1_t0)  # past the float range, written as a power of e
+            bound = f"{exp_m1:g}" if exp_m1 < math.inf else f"e^{m1_t0:g}"
             error = ValidationError(f"r = {r:g} too small: need r > exp(m'(t0)) = {bound}")
             break
         while cap_m1[-1] <= lr and len(caps) <= 200:
@@ -575,10 +573,9 @@ def analytic_criterion(w: WeightFunction, c: float, r_lo: float, p_lo: int, p_hi
         raise ValidationError(f"r_lo must be positive and finite, got {r_lo!r}")
     ps = _p_range(w, p_lo, p_hi)
     u_lo = math.log(r_lo)
-    try:
-        radii = [math.exp(u) for u in np.linspace(u_lo, u_lo + 10.0 * math.log(2.0), 33).tolist()]
-    except OverflowError:
-        raise ValidationError(f"r_lo * 2^10 leaves the float range (r_lo = {r_lo!r})") from None
+    radii = _exp(np.linspace(u_lo, u_lo + 10.0 * math.log(2.0), 33)).tolist()
+    if math.inf in radii:
+        raise ValidationError(f"r_lo * 2^10 leaves the float range (r_lo = {r_lo!r})")
     for r, omega_r in zip(radii, _omegas(w, radii)):
         if omega_r < c * r:
             raise ValidationError(f"hypothesis fails: omega({r:g}) = {omega_r:g} < c r = {c * r:g}")

@@ -180,6 +180,13 @@ class TestFunctionSequence:
         v = qk.function_sequence(zero, 0.5, reg_ones_40)
         assert all(e == 0.0 for e in v.entries)
 
+    def test_scale_past_the_float_range_is_rejected_without_a_warning(self):
+        # 1 / (M_n e^n) = e^{799 n} overflows; the vector's finite check
+        # names the entry, and numpy's overflow warning does not leak
+        reg = qk.convex_regularize(qk.LogSequence(logs=[0.0, -800.0, -1600.0, -2400.0]))
+        with pytest.raises(qk.ValidationError, match=r"^entries\[1\] = inf is not finite$"):
+            qk.function_sequence(sin_spec((0.0, 1000.0)), 1.0, reg)
+
 
 class TestGrowthEstimate:
     def test_zero_shift_holds_with_equality(self, reg_factorial_40):
@@ -206,6 +213,20 @@ class TestGrowthEstimate:
         zero = qk.FunctionSpec({"op": "const", "value": 0.0}, (0.0, 1.0))
         with pytest.raises(qk.ValidationError):
             qk.growth_estimate_check(zero, 0.5, 0.1, reg_ones_40)
+
+    def test_bound_past_the_float_range_holds(self, reg_factorial_40):
+        # e |tau| M_1 / M_0 = 500 e leaves math.exp's range: the bound is +inf
+        f = sin_spec((0.0, 1000.0))
+        chk = qk.growth_estimate_check(f, 0.0, 500.0, reg_factorial_40)
+        assert chk.ok and chk.rhs == math.inf
+        assert qk.growth_estimate_check(f, 0.0, 0.5, reg_factorial_40).rhs == 1.4320985904233343
+
+    def test_ratio_past_the_float_range_bounds_nothing(self):
+        # M_1 / M_0 = e^800 is +inf; tau = 0 multiplies by 1, not by e^(inf * 0)
+        reg = qk.convex_regularize(qk.LogSequence(logs=[0.0, 800.0, 1600.0, 2400.0]))
+        chk = qk.growth_estimate_check(exp_spec(), 0.3, 0.0, reg)
+        assert chk.witness_l == 1 and chk.ok and chk.lhs == chk.rhs == math.exp(0.3)
+        assert qk.growth_estimate_check(exp_spec(), 0.3, 0.1, reg).rhs == math.inf
 
 
 def test_from_json_defaults_to_full_index_set():

@@ -478,6 +478,20 @@ def test_spacing_envelope_past_the_float_range_exits_0(tmp_path, capsys):
     assert err == "" and len(json.loads(out)["x"]) == 65
 
 
+def test_spacing_step_past_the_float_range_exits_2(tmp_path, capsys):
+    # the partial-sum step M_0 / M_1 = e^710 is +inf, which no report carries
+    from quasikit.cli import dispatch
+
+    fn, seq = tmp_path / "fn.json", tmp_path / "seq.json"
+    fn.write_text(json.dumps({"expr": {"op": "mul", "left": {"op": "const", "value": 1e-310},
+                                       "right": {"op": "sin", "arg": {"op": "x"}}},
+                              "domain": [0.5, 10.0]}))
+    seq.write_text(json.dumps({"family": "explicit", "logs": [0, -710, -1419, -2127]}))
+    argv = ["lab", "spacing", "--fn", str(fn), "--seq", str(seq), "--nmax", "1", "--grid", "64"]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr() == ("", "quasikit: a report value leaves the float range\n")
+
+
 def test_pset_without_index_set_exits_2(tmp_path, capsys):
     from quasikit.cli import dispatch
 

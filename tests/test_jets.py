@@ -251,6 +251,13 @@ class TestTailSup:
         res = qk.derivative_tail_sup(rational_spec(), 0.5, 0, ones, 39)
         assert res.truncated and res.arg_j == 39
 
+    def test_sup_below_float_max_is_finite(self):
+        # |f'| e^{-1} / M_1 = e^704 is a float; only a log past 709.78 reads inf
+        f = qk.FunctionSpec(J.expr_x(), (0.0, 2.0))
+        seq = qk.LogSequence(logs=(0.0, -705.0, -1400.0, -2100.0))
+        res = qk.derivative_tail_sup(f, 1.0, 1, seq, 2)
+        assert (res.log_value, res.value, res.arg_j) == (704.0, math.exp(704.0), 1)
+
 
 class TestTranslationEstimate:
     @pytest.mark.parametrize("fn,weights", [("exp", "factorial"), ("sin", "ones")])
@@ -397,3 +404,26 @@ class TestZeroSpacing:
             "0x1.7d78400000000p+26", "0x1.7d78406487ed6p+26", "0x1.7d7840c90fdaap+26",
             "0x1.7d78406487ed6p+26",
         ]
+
+
+def test_x_tolerances_are_absolute():
+    # the domain slack 1e-12 admits the next float past an end only below
+    # |x| = 2^14, where half an ulp is still under it
+    below = float(np.nextafter(2.0**14, 0.0))
+    for b, admitted in ((below, True), (2.0**14, False)):
+        f = qk.FunctionSpec(J.expr_x(), (-b, b))
+        for end in (-b, b):
+            beyond = float(np.nextafter(end, math.copysign(math.inf, end)))
+            if admitted:
+                assert J._taylor_table(f, [beyond], 0).tolist() == [[beyond]]
+            else:
+                with pytest.raises(qk.ValidationError, match="outside domain"):
+                    J._taylor_table(f, [beyond], 0)
+    # zeros within 1e-9 of the last one kept are dropped: one ulp apart,
+    # both stay from |x| = 2^23 on, where an ulp exceeds 1e-9
+    zero = qk.FunctionSpec(J.expr_const(0.0), (0.0, 2.0**24))
+    below = float(np.nextafter(2.0**23, 0.0))
+    for x, kept in ((below, 1), (2.0**23, 2)):
+        grid = np.array([x, np.nextafter(x, math.inf)])
+        rows, z = J._zeros_by_order(zero, grid, np.zeros((1, 2)))
+        assert z.tolist() == grid[:kept].tolist() and rows.tolist() == [0] * kept

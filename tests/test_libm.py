@@ -1,5 +1,6 @@
 """``series._libm``, the one map of a math-library function over an array,
-and the array code built on it against the per-index loops it replaced.
+``series._exp``, the one exit from the log domain, and the array code built
+on them against the per-index loops it replaced.
 
 ``_libm(fn, x)`` of a float64 array must equal ``fn`` of each item bit for
 bit, also where numpy's own loop for the same function rounds differently.
@@ -8,16 +9,18 @@ the former per-index lists of ``ratio_series_weight``,
 ``loglog_asymptotics_check`` and ``zero_spacing_experiment``.
 """
 
+import ast
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quasikit as qk
 from quasikit import weights as W
-from quasikit.series import _libm
+from quasikit.series import _exp, _libm
 
 from conftest import sin_spec
 
@@ -74,6 +77,69 @@ def test_an_empty_array_maps_to_an_empty_array():
     assert _libm(math.log, np.empty(0)).shape == (0,)
     spec = qk.SequenceSpec(family="denjoy2", horizon=3, params={"C": 1.0})
     assert qk.make_sequence(spec).logs.tolist() == [0.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# _exp: math.exp, with +inf past the float range
+
+
+def _exp_arguments() -> np.ndarray:
+    """Random floats in [-745, 709), with every one of 1e5 where np.exp
+    differs from math.exp on the host running the test placed first."""
+    x = np.random.default_rng(18).uniform(-745.0, 709.0, 10**5)
+    exact = np.fromiter(map(math.exp, x.tolist()), float, x.size)
+    differ = np.exp(x) != exact
+    return np.concatenate((x[differ], x[~differ][:2000]))
+
+
+EXP_ARGUMENTS = _exp_arguments()
+# math.exp raises OverflowError at the first three
+PAST_THE_RANGE = [(709.79, math.inf), (1e308, math.inf), (math.inf, math.inf), (-math.inf, 0.0)]
+
+
+def test_exp_is_math_exp_wherever_it_is_finite():
+    got = _exp(EXP_ARGUMENTS)
+    assert got.dtype == np.float64 and got.shape == EXP_ARGUMENTS.shape
+    assert bits(got) == bits([math.exp(v) for v in EXP_ARGUMENTS.tolist()])
+    for v in EXP_ARGUMENTS[:50].tolist():
+        assert type(_exp(v)) is float and bits(_exp(v)) == bits(math.exp(v))
+
+
+def test_exp_past_the_float_range_is_inf():
+    for x, want in PAST_THE_RANGE:
+        assert type(_exp(x)) is float and _exp(x) == want
+    x = np.array([1.0, *(x for x, _ in PAST_THE_RANGE), 2.0])
+    assert _exp(x).tolist() == [math.exp(1.0), *(w for _, w in PAST_THE_RANGE), math.exp(2.0)]
+
+
+def test_exp_passes_nan_through():
+    assert math.isnan(_exp(math.nan))
+    assert np.isnan(_exp(np.array([0.0, math.nan]))).tolist() == [False, True]
+
+
+# the functions that may handle OverflowError: a number of an input document
+# past the float range (errors.finite_float, series._frozen), and math.exp
+# past it (series._exp); every other exit from the log domain calls _exp
+OVERFLOW_HANDLERS = {("errors.py", "finite_float"), ("series.py", "_frozen"),
+                     ("series.py", "_exp")}
+
+
+def _overflow_handlers(node, where):
+    for child in ast.iter_child_nodes(node):
+        scope = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        name = child.name if isinstance(child, scope) else where
+        if (isinstance(child, ast.ExceptHandler) and child.type is not None
+                and "OverflowError" in ast.unparse(child.type)):
+            yield name
+        yield from _overflow_handlers(child, name)
+
+
+def test_overflow_is_handled_only_where_the_rule_is_stated():
+    found = set()
+    for path in sorted(Path(qk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.update((path.name, name) for name in _overflow_handlers(tree, "<module>"))
+    assert found == OVERFLOW_HANDLERS
 
 
 # ---------------------------------------------------------------------------

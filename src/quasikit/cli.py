@@ -2,17 +2,19 @@
 
 Exit codes: 0 success, 2 validation, usage or I/O error, 1 internal error.  The
 QUASIKIT_LOG environment variable ({quiet, info, debug}) controls stderr
-logging; at debug an internal error also logs its traceback.  Outputs embed a run manifest; a fixed manifest (command line,
-input digests, version, seed) reproduces byte-identical output files.
+logging, which imports ``logging`` only at info and debug; at debug an
+internal error also logs its traceback.  Outputs embed a run manifest; a
+fixed manifest (command line, input digests, version, seed) reproduces
+byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
-import logging
 import math
 import os
 import sys
@@ -26,14 +28,18 @@ from .errors import QuasikitError, ValidationError
 from .manifest import RunManifest
 from . import bang, gontcharoff, jets, qa, sequences, weights
 
-log = logging.getLogger("quasikit")
 
-_LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+def _logger():
+    """The "quasikit" logger at the QUASIKIT_LOG level, or None at the
+    default, quiet, which logs nothing: ``logging`` is imported only when a
+    level logs."""
+    level = os.environ.get("QUASIKIT_LOG", "quiet")
+    if level not in ("info", "debug"):
+        return None
+    import logging
 
-
-def _configure_logging() -> None:
-    level = _LOG_LEVELS.get(os.environ.get("QUASIKIT_LOG", "quiet"), logging.ERROR)
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s: %(message)s")
+    logging.basicConfig(stream=sys.stderr, level=level.upper(), format="%(name)s: %(message)s")
+    return logging.getLogger("quasikit")
 
 
 class InputFile(str):
@@ -464,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str]) -> int:
     """Parse and run one command; returns the process exit code."""
-    _configure_logging()
+    log = _logger()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -484,9 +490,11 @@ def dispatch(argv: list[str]) -> int:
         return 1
     except Exception as exc:
         print(f"quasikit: internal error: {exc}", file=sys.stderr)
-        log.debug("traceback of the internal error", exc_info=True)
+        if log:
+            log.debug("traceback of the internal error", exc_info=True)
         return 1
-    log.info("completed in %.3f s", time.monotonic() - started)
+    if log:
+        log.info("completed in %.3f s", time.monotonic() - started)
 
     output = {"manifest": manifest.to_json()}
     output.update(doc)
@@ -502,7 +510,14 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    code = dispatch(sys.argv[1:])
+    # Freezing moves every tracked object into the permanent generation, so
+    # the interpreter's collections at exit skip what numpy, the modules and
+    # the command left behind.  Only the process's last act may do it:
+    # dispatch runs many times in one process, where a freeze would pin each
+    # run's garbage.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ serialized manifest.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -22,7 +21,11 @@ class RunManifest:
     seed: int | None = None
 
     def add_input(self, path: str, data: bytes) -> None:
-        """Record the digest of ``data``, the bytes read from ``path``."""
+        """Record the digest of ``data``, the bytes read from ``path``.
+        ``hashlib`` is imported here, so a command that reads no input
+        file never loads it."""
+        import hashlib
+
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
 
     def to_json(self) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .sequences import LogSequence, RegularizedSequence, convex_regularize
-from .series import EPS_CONV, SIGMA_DIV, SeriesReport, _frozen, diagnose_series
+from .series import EPS_CONV, SIGMA_DIV, SeriesReport, _down_scale, _frozen, diagnose_series
 
 # Flag threshold for the trivial quasianalytic case: the sequence's n-th
 # roots stay below e**LIMINF_CAP on the tail of the horizon.  A flag, not a
@@ -97,7 +97,10 @@ def carleman_inequality_check(a: Sequence[float]) -> CarlemanCheck:
     """Check sum_k (a_1...a_k)^(1/k) <= e * sum_k a_k for positive a.
 
     The left side accumulates running log-sums so products of thousands of
-    factors never overflow.
+    factors never overflow.  Both sides are homogeneous of degree 1 in a, so
+    the check decides on a / s, with s = ``_down_scale(max(a))``, where
+    neither sum can overflow; lhs and rhs are s times the scaled sums, inf
+    past the float range.
     """
     values = _frozen(a, "a")
     if not values.size:
@@ -106,9 +109,11 @@ def carleman_inequality_check(a: Sequence[float]) -> CarlemanCheck:
     if bad.size:
         i = int(bad[0])
         raise ValidationError(f"entry a[{i}] = {values[i].item()!r} is not a positive real")
-    lhs = float(np.exp(np.cumsum(np.log(values)) / np.arange(1, values.size + 1)).sum())
-    rhs = math.e * math.fsum(values.tolist())
-    return CarlemanCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs)
+    scale = _down_scale(values.max())
+    means = np.cumsum(np.log(values)) / np.arange(1, values.size + 1)
+    lhs = float(np.exp(means - math.log(scale)).sum())
+    rhs = math.e * math.fsum((values / scale).tolist())
+    return CarlemanCheck(lhs=scale * lhs, rhs=scale * rhs, ok=lhs <= rhs)
 
 
 def liminf_check(seq: LogSequence, cap: float = LIMINF_CAP) -> bool:
@@ -158,10 +163,14 @@ def chain_holds(
 
     sum exp(-L^c_n/n) >= sum 1/beta_n >= sum M^c_{n-1}/M^c_n,
     and sum exp(-L^c_n/n) <= e * sum M^c_{n-1}/M^c_n.
+
+    Each report's partial sums are finite, but an exact sum can pass the
+    float range where the rounded one did not, so the terms are summed
+    through ``_down_scale``; the chain is homogeneous of degree 1.
     """
-    s_root = math.fsum(root_rep.terms.tolist())
-    s_beta = math.fsum(carleman_rep.terms.tolist())
-    s_ratio = math.fsum(ratio_rep.terms.tolist())
+    reps = (root_rep, carleman_rep, ratio_rep)
+    scale = _down_scale(max(rep.partial_sums[-1] for rep in reps))
+    s_root, s_beta, s_ratio = (math.fsum((rep.terms / scale).tolist()) for rep in reps)
     return (
         s_root >= s_beta * (1.0 - CHAIN_RTOL)
         and s_beta >= s_ratio * (1.0 - CHAIN_RTOL)

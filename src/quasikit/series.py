@@ -98,20 +98,35 @@ class SeriesReport:
         }
 
 
+# a sum over finite partial sums below 2**_SUM_TOP cannot overflow
+_SUM_TOP = 900
+
+
+def _down_scale(top: float) -> float:
+    """The power of two that brings ``top`` below 2**_SUM_TOP, or 1.0 if it
+    is below already.  Dividing by a power of two is exact, so a sum that is
+    homogeneous of degree 1 in values up to ``top`` is taken over the scaled
+    values and multiplied back."""
+    return 2.0 ** max(0, math.frexp(top)[1] - _SUM_TOP)
+
+
 def _tail_slope(xs: np.ndarray, sums: np.ndarray) -> float:
-    """Least-squares slope of sums against xs over the last quartile."""
+    """Least-squares slope of sums against xs over the last quartile.  The
+    slope is homogeneous of degree 1 in the sums, and the last is the
+    largest, so large sums are fitted through ``_down_scale``."""
     k = len(sums)
     start = (3 * (k - 1)) // 4
     if k - start < 2:
         start = max(0, k - 2)
     x = xs[start:]
-    y = sums[start:]
+    scale = _down_scale(sums[-1])
+    y = sums[start:] / scale
     xbar = x.mean()
     ybar = y.mean()
     denom = float(((x - xbar) ** 2).sum())
     if denom == 0.0:
         return 0.0
-    return float(((x - xbar) * (y - ybar)).sum() / denom)
+    return float(((x - xbar) * (y - ybar)).sum() / denom) * scale
 
 
 def diagnose_series(
@@ -132,7 +147,12 @@ def diagnose_series(
         raise ValidationError("diagnose_series needs at least 2 terms")
     if np.any(t < 0):
         raise ValidationError("series terms must be nonnegative")
-    sums = np.cumsum(t)
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(t)
+    # the sums never fall, so the last is finite exactly when all are
+    if not math.isfinite(sums[-1]):
+        n = int(np.argmax(~np.isfinite(sums)))
+        raise ValidationError(f"partial_sums[{n}] of the series leaves the float range")
     if xs is None:
         x = np.log(np.arange(1, t.size + 1, dtype=float))
     else:

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,6 @@ CLI = [sys.executable, "-m", "quasikit.cli"]
 
 
 def run_cli(*argv, env_extra=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -685,20 +684,25 @@ STRICT_JSON_INPUTS = {
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def strict_json_outputs(case: str) -> tuple[bytes, bytes | None]:
-    """The report and CSV bytes of one STRICT_JSON_COMMANDS form, run in the
-    current directory on relative paths, so the manifest holds no temporary
-    directory."""
-    from quasikit.cli import dispatch
-
+def golden_argv(case: str) -> list[str]:
+    """The argv of one STRICT_JSON_COMMANDS form on relative paths, with its
+    inputs written to the current directory, so the manifest holds no
+    temporary directory."""
     names = {"csv": "rows.csv"}
     for name, doc in STRICT_JSON_INPUTS.items():
         names[name] = f"{name}.json"
         Path(names[name]).write_text(json.dumps(doc))
-    command = STRICT_JSON_COMMANDS[case]
-    code = dispatch([*command.format(**names).split(), "--out", "report.json"])
+    return STRICT_JSON_COMMANDS[case].format(**names).split()
+
+
+def strict_json_outputs(case: str) -> tuple[bytes, bytes | None]:
+    """The report and CSV bytes of one STRICT_JSON_COMMANDS form, run in the
+    current directory."""
+    from quasikit.cli import dispatch
+
+    code = dispatch([*golden_argv(case), "--out", "report.json"])
     assert code == 0
-    csv = Path("rows.csv").read_bytes() if "{csv}" in command else None
+    csv = Path("rows.csv").read_bytes() if "{csv}" in STRICT_JSON_COMMANDS[case] else None
     return Path("report.json").read_bytes(), csv
 
 
@@ -737,6 +741,72 @@ def test_report_matches_golden(tmp_path, monkeypatch, case):
     assert report == (GOLDEN / f"{case}.json").read_bytes()
     golden_csv = GOLDEN / f"{case}.csv"
     assert csv == (golden_csv.read_bytes() if golden_csv.exists() else None)
+
+
+CSV_CASES = sorted(case for case, command in STRICT_JSON_COMMANDS.items() if "{csv}" in command)
+
+
+@pytest.mark.parametrize("case", [*CSV_CASES, "weight-check"])
+def test_main_writes_the_golden_bytes(tmp_path, monkeypatch, case):
+    # python -m runs cli.main, which freezes the heap before the interpreter
+    # exits: every file and stdout still come out whole; weight-check writes
+    # its report to stdout
+    monkeypatch.chdir(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(qk.__file__).resolve().parents[1])}
+    env.pop("QUASIKIT_LOG", None)
+    to_file = case in CSV_CASES
+    argv = [*golden_argv(case), *(["--out", "report.json"] if to_file else [])]
+    res = subprocess.run([*CLI, *argv], capture_output=True, env=env)
+    assert (res.returncode, res.stderr) == (0, b"")
+    golden = (GOLDEN / f"{case}.json").read_bytes()
+    if to_file:
+        assert res.stdout == b""
+        assert Path("report.json").read_bytes() == golden
+        assert Path("rows.csv").read_bytes() == (GOLDEN / f"{case}.csv").read_bytes()
+    else:
+        # the golden manifest's command ends in --out report.json
+        out_flag = b',\n      "--out",\n      "report.json"\n'
+        assert golden.count(out_flag) == 1
+        assert res.stdout == golden.replace(out_flag, b"\n")
+
+
+def test_dispatch_leaves_the_heap_unfrozen():
+    # only main, the process's last act, may freeze: a library caller or a
+    # long-lived worker runs dispatch many times
+    import gc
+
+    from quasikit.cli import dispatch
+
+    assert gc.get_freeze_count() == 0
+    assert dispatch(["weight", "check", "--mu", "zero", "--t0", "2"]) == 0
+    assert dispatch(["frobnicate"]) == 2
+    assert gc.get_freeze_count() == 0
+
+
+def test_partial_sums_past_the_float_range_exit_2(tmp_path, capsys):
+    # every term e^(709 n) / e^(709 (n - 1)) = e^709 is finite, their sum is not
+    from quasikit.cli import dispatch
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "explicit", "logs": [-709.0 * n for n in range(12)]}))
+    assert dispatch(["seq", "analyze", "--spec", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "quasikit: partial_sums[2] of the series leaves the float range\n"
+
+
+def test_partial_sums_near_the_float_range_are_fitted(tmp_path, capsys):
+    # the last quartile's partial sums reach 7e307, so summing them for the
+    # trend fit would overflow unscaled
+    from quasikit.cli import dispatch
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "explicit", "logs": [-700.0 * n for n in range(1000)]}))
+    assert dispatch(["seq", "analyze", "--spec", str(spec)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    slopes = [doc[name]["slope_estimate"] for name in ("carleman", "root_c", "ratio_c")]
+    assert all(1e306 < slope < 1e307 for slope in slopes)
+    assert doc["chain_ok"] is True
 
 
 def test_vanishing_envelope_order_is_null_without_csv_row(tmp_path):

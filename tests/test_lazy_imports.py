@@ -5,10 +5,13 @@ loads no numpy, and one that runs a command executes only that command's
 modules.  Each case runs the CLI in a subprocess under ``-W error`` through
 ``runpy`` (what ``python -m`` does) and lists the quasikit modules whose
 bodies ran: a module still waiting to load is a ``quasikit._LazyModule``,
-not a plain ``types.ModuleType``.
+not a plain ``types.ModuleType``.  It also reports whether numpy and the
+two stdlib modules the CLI imports only on use, ``logging`` and
+``hashlib``, were loaded.
 """
 
 import json
+import os
 import subprocess
 import sys
 import types
@@ -29,7 +32,8 @@ except SystemExit:
 ran = [n.split(".")[1] for n, m in sys.modules.items()
        if n.startswith("quasikit.") and type(m) is types.ModuleType]
 print()
-print(json.dumps({"ran": ran, "numpy": "numpy" in sys.modules}))
+loaded = [n for n in ("numpy", "logging", "hashlib") if n in sys.modules]
+print(json.dumps({"ran": ran, "loaded": loaded}))
 """
 
 # the package's public names, as listed before its modules loaded lazily
@@ -51,19 +55,24 @@ PUBLIC = """
 """.split()
 
 
-def probe(*argv):
-    """Library modules run and whether numpy loaded, for one CLI command."""
+def probe(*argv, log_level=None):
+    """The library modules run for one CLI command, and which of numpy,
+    logging and hashlib it loaded.  QUASIKIT_LOG is ``log_level``, or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "QUASIKIT_LOG"}
+    if log_level:
+        env["QUASIKIT_LOG"] = log_level
     res = subprocess.run(
-        [sys.executable, "-W", "error", "-c", PROBE, *argv], capture_output=True, text=True
+        [sys.executable, "-W", "error", "-c", PROBE, *argv], capture_output=True, text=True,
+        env=env,
     )
-    assert res.stderr == "" or argv[0] == "frobnicate", res.stderr
+    assert res.stderr == "" or argv[0] == "frobnicate" or log_level, res.stderr
     seen = json.loads(res.stdout.splitlines()[-1])
-    return set(seen["ran"]) & LIBRARY, seen["numpy"]
+    return set(seen["ran"]) & LIBRARY, set(seen["loaded"])
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["seq", "--help"], ["frobnicate"]])
 def test_parser_alone_loads_no_library(argv):
-    assert probe(*argv) == (set(), False)
+    assert probe(*argv) == (set(), set())
 
 
 def test_version_prints_no_warning():
@@ -79,6 +88,8 @@ INPUTS = {
     "vector.json": {"entries": [0.0, 0.5, 0.25]},
     "nodes.json": {"nodes": [0.0, 0.5, 1.0]},
     "fn.json": {"expr": {"op": "exp", "arg": {"op": "x"}}, "domain": [0.0, 1.0]},
+    # M_n = n! bounds every derivative of sin, as lab spacing requires
+    "sin.json": {"expr": {"op": "sin", "arg": {"op": "x"}}, "domain": [0.0, 6.0]},
 }
 
 
@@ -87,22 +98,43 @@ INPUTS = {
     [
         (["seq", "analyze", "--spec", "spec.json"], {"sequences", "series", "qa"}),
         (["bang", "norm", "--vector", "vector.json"], {"bang", "series"}),
+        (["bang", "distance", "--vector", "vector.json", "--other", "vector.json"],
+         {"bang", "series"}),
         (["gont", "build", "--nodes", "nodes.json"], {"gontcharoff"}),
+        (["gont", "eval", "--nodes", "nodes.json", "--x", "0.25"], {"gontcharoff"}),
+        # the sweep's magnitude bound leaves the log domain through series._exp
+        (["gont", "check", "--nodes", "nodes.json", "--sweep", "4"], {"gontcharoff", "series"}),
         # jets takes sequences as a module, and series holds _frozen itself
         (["lab", "envelope", "--fn", "fn.json", "--nmax", "4", "--grid", "8"], {"jets"}),
         (["weight", "check", "--mu", "zero"], {"weights", "series"}),
+        (["weight", "analyze", "--mu", "zero", "--samples", "4"], {"weights", "series"}),
         (["seq", "make", "--spec", "spec.json"], {"sequences", "series"}),
+        (["seq", "regularize", "--spec", "spec.json"], {"sequences", "series"}),
         (["lab", "monotonic", "--fn", "fn.json", "--seq", "spec.json", "--nmax", "4",
+          "--grid", "8"], {"jets", "sequences", "series"}),
+        (["lab", "spacing", "--fn", "sin.json", "--seq", "spec.json", "--nmax", "4",
           "--grid", "8"], {"jets", "sequences", "series"}),
     ],
 )
 def test_command_runs_only_its_modules(tmp_path, argv, modules):
+    # at the default log level no command loads logging; the manifest's
+    # digests load hashlib, so a command with no input file does not
     for name, doc in INPUTS.items():
         (tmp_path / name).write_text(json.dumps(doc))
+    loaded = {"numpy", "hashlib"} if set(argv) & INPUTS.keys() else {"numpy"}
     argv = [str(tmp_path / arg) if arg in INPUTS else arg for arg in argv]
     report = tmp_path / "report.json"
-    assert probe(*argv, "--out", str(report)) == (modules, True)
+    assert probe(*argv, "--out", str(report)) == (modules, loaded)
     assert json.loads(report.read_text())["manifest"]["version"] == qk.__version__
+
+
+@pytest.mark.parametrize("level, logs", [("quiet", False), ("info", True), ("debug", True),
+                                         ("loud", False)])
+def test_logging_loads_only_at_a_level_that_logs(tmp_path, level, logs):
+    report = tmp_path / "report.json"
+    ran, loaded = probe("weight", "check", "--mu", "zero", "--out", str(report), log_level=level)
+    assert ran == {"weights", "series"}
+    assert loaded == ({"numpy", "logging"} if logs else {"numpy"})
 
 
 def test_import_registers_every_library_module():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ class TestSeriesReports:
     def test_constant_terms_diverge(self):
         rep = diagnose_series([1.0] * 100)
         assert rep.verdict == DIVERGING
+
+    def test_partial_sums_past_the_float_range_are_rejected(self):
+        # each term is finite, the second partial sum is not
+        with pytest.raises(qk.ValidationError, match=r"partial_sums\[1\] .* float range"):
+            diagnose_series([1e308, 1e308, 1e308])
+
+    @pytest.mark.parametrize("k", [0, 900, 1017])
+    def test_slope_scales_exactly_with_the_terms(self, k):
+        # at 2^1017 the last quartile's partial sums reach 1.4e308, and their
+        # sum for the fit would overflow unscaled
+        terms = np.linspace(1.0, 1.5, 100)
+        scaled = diagnose_series(terms * 2.0**k)
+        assert scaled.slope_estimate == diagnose_series(terms).slope_estimate * 2.0**k
+        assert math.isfinite(scaled.partial_sums[-1])
 
     def test_catalog_verdicts(self, catalog_reports):
         for name in ("factorial", "power_nn", "denjoy1", "denjoy2"):
@@ -128,6 +143,19 @@ class TestCarlemanInequality:
     def test_holds_for_any_positive_vector(self, a):
         assert qk.carleman_inequality_check(a).ok
 
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1e-300, 1e300, 2.0**1000])
+    def test_scaled_copy_keeps_its_verdict(self, scale):
+        # both sides are homogeneous of degree 1 in a
+        res = qk.carleman_inequality_check([4.0 * scale, 1.0 * scale])
+        assert res.ok
+        assert res.lhs == pytest.approx(6.0 * scale, rel=1e-12)
+        assert res.rhs == pytest.approx(5 * math.e * scale, rel=1e-12)
+
+    def test_sides_past_the_float_range_hold(self):
+        # the scaled sums are finite; 2e308 and 2e308 e are not
+        res = qk.carleman_inequality_check([1e308, 1e308])
+        assert (res.lhs, res.rhs, res.ok) == (math.inf, math.inf, True)
+
     def test_long_input_no_overflow(self):
         # products of 10^4 factors only survive through the log accumulator
         a = np.full(10_000, 1e200)
@@ -197,6 +225,19 @@ class TestAnalyze:
         good = diagnose_series([1.0, 1.0])
         bad = diagnose_series([10.0, 10.0])
         assert not chain_holds(good, bad, good)
+
+    @pytest.mark.parametrize("k", [900, 1015])
+    def test_chain_is_decided_on_large_sums(self, k):
+        good = diagnose_series([2.0**k, 2.0**k])
+        bad = diagnose_series([10 * 2.0**k, 10 * 2.0**k])
+        assert chain_holds(good, good, good) and not chain_holds(good, bad, good)
+
+    def test_chain_sums_past_the_rounded_partial_sums(self):
+        # each partial sum rounds to float max, the exact sum of the terms
+        # passes it by more than half an ulp
+        big = diagnose_series([sys.float_info.max, 0.6 * 2.0**970, 0.6 * 2.0**970])
+        assert big.partial_sums[-1] == sys.float_info.max
+        assert chain_holds(big, big, big)
 
 
 def test_analyze_needs_enough_entries():

@@ -77,65 +77,70 @@ def _field(path: InputFile, key: str):
 
 
 class _Items:
-    """The items of a list that the report joined: ``text[start:stop]``,
-    split at ``sep``."""
+    """The items of a list or array that the report joined: ``text``, split
+    at ``sep``."""
 
-    __slots__ = ("text", "start", "stop", "sep")
+    __slots__ = ("text", "sep")
 
-    def __init__(self, text: str, start: int, stop: int, sep: str):
-        self.text, self.start, self.stop, self.sep = text, start, stop, sep
+    def __init__(self, text: str, sep: str):
+        self.text, self.sep = text, sep
 
 
-def _encode_spans(value) -> tuple[str, dict]:
-    """``json.dumps(value, indent=2, allow_nan=False)``, with each list of
-    exact floats or exact ints joined from one ``map`` over ``__repr__``
-    instead of one encoder step per item, and ``spans[id(xs)]``, the
-    ``_Items`` of each such list ``xs``.  Keys, strings and every other
-    scalar go through ``json.dumps``, so escaping is the stdlib's; a
-    non-finite float raises ValueError as ``allow_nan=False`` does.  Every
-    piece of text goes into one list, joined once at the end."""
+def _ndarray():
+    """numpy's array type, or ``()`` while numpy is not loaded, when no value
+    can be an array."""
+    numpy = sys.modules.get("numpy")
+    return numpy.ndarray if numpy else ()
+
+
+def _encode_spans(value) -> tuple[list, dict]:
+    """The pieces of ``json.dumps(value, indent=2, allow_nan=False,
+    default=numpy.ndarray.tolist)``, in order, and ``spans[id(xs)]``, the
+    ``_Items`` of each list or 1-D array ``xs`` of exact floats or exact ints,
+    whose items are joined from one ``map`` over ``__repr__`` instead of one
+    encoder step per item.  Keys, strings and every other scalar go through
+    ``json.dumps``, so escaping is the stdlib's; a non-finite float raises
+    ValueError as ``allow_nan=False`` does.  The pieces are not joined: the
+    report is written from them."""
     pieces: list[str] = []
-    joined: dict = {}
-    _encode_into(value, "\n", pieces, joined, {})
-    text = "".join(pieces)
-    ends = list(itertools.accumulate(map(len, pieces)))
-    spans = {key: _Items(text, ends[n] - len(pieces[n]), ends[n], sep)
-             for key, (n, sep) in joined.items()}
-    return text, spans
+    spans: dict = {}
+    _encode_into(value, "\n", pieces, spans, {})
+    return pieces, spans
 
 
-def _encode_into(value, indent: str, pieces: list, joined: dict, earlier: dict) -> None:
-    """Append the text of ``value`` to ``pieces``; for a joined list ``xs``,
-    ``joined[id(xs)]`` is the index of its items in ``pieces`` and their
-    separator.  ``earlier[(type, sep, len)]`` lists the joined lists and
-    their indices, so a list equal item for item to an earlier one of the
-    same item type and separator takes that one's text.  Equal floats have
-    equal reprs except 0.0 == -0.0, so a float list holding a zero never
+def _encode_into(value, indent: str, pieces: list, spans: dict, earlier: dict) -> None:
+    """Append the text of ``value`` to ``pieces``; for a joined list or array
+    ``xs``, ``spans[id(xs)]`` is the ``_Items`` of its text.  An array is
+    boxed with ``tolist`` just before it is joined, so one boxed list is alive
+    at a time.  ``earlier[(type, sep, len)]`` lists the joined lists and
+    arrays with their text, so one equal item for item to an earlier one of
+    the same item type and separator takes that one's text.  Equal floats
+    have equal reprs except 0.0 == -0.0, so a float list holding a zero never
     takes another's text."""
-    if isinstance(value, (list, tuple)):
-        if not value:
+    items = value.tolist() if isinstance(value, _ndarray()) else value
+    if isinstance(items, (list, tuple)):
+        if not items:
             pieces.append("[]")
             return
         inner = indent + "  "
         sep = "," + inner
-        kinds = set(map(type, value))
+        kinds = set(map(type, items))
         if kinds == {float} or kinds == {int}:
             (kind,) = kinds
-            if kind is float and not all(map(math.isfinite, value)):
+            if kind is float and not all(map(math.isfinite, items)):
                 raise ValueError("Out of range float values are not JSON compliant")
-            n = len(pieces) + 1
-            joined[id(value)] = (n, sep)
-            same = earlier.setdefault((kind, sep, len(value)), [])
-            items = next((pieces[m] for xs, m in same if xs == value), None)
-            if items is None or (kind is float and 0.0 in value):
-                items = sep.join(map(kind.__repr__, value))
-                same.append((value, n))
-            pieces.extend(("[" + inner, items, indent + "]"))
+            same = earlier.setdefault((kind, sep, len(items)), [])
+            text = next((text for xs, text in same if _equal(xs, value, items)), None)
+            if text is None or (kind is float and 0.0 in items):
+                text = sep.join(map(kind.__repr__, items))
+                same.append((value, text))
+            spans[id(value)] = _Items(text, sep)
+            pieces.extend(("[" + inner, text, indent + "]"))
             return
         lead = "[" + inner
-        for item in value:
+        for item in items:
             pieces.append(lead)
-            _encode_into(item, inner, pieces, joined, earlier)
+            _encode_into(item, inner, pieces, spans, earlier)
             lead = sep
         pieces.append(indent + "]")
     elif isinstance(value, dict):
@@ -146,11 +151,22 @@ def _encode_into(value, indent: str, pieces: list, joined: dict, earlier: dict) 
         lead = "{" + inner
         for key, item in value.items():
             pieces.append(f"{lead}{_encode_key(key)}: ")
-            _encode_into(item, inner, pieces, joined, earlier)
+            _encode_into(item, inner, pieces, spans, earlier)
             lead = "," + inner
         pieces.append(indent + "}")
     else:
-        pieces.append(json.dumps(value, allow_nan=False))
+        pieces.append(json.dumps(items, allow_nan=False))
+
+
+def _equal(xs, value, items) -> bool:
+    """Whether the joined ``xs`` equals ``value``, whose items are ``items``,
+    item for item.  Two arrays are compared as arrays, so no second list is
+    boxed."""
+    if isinstance(xs, _ndarray()):
+        if isinstance(value, _ndarray()):
+            return bool((xs == value).all())
+        xs = xs.tolist()
+    return xs == items
 
 
 def _encode_key(key) -> str:
@@ -168,9 +184,10 @@ def _write_outputs(doc: dict, out: str | None, csv_path: str | None, blocks) -> 
     first and written last, so no report comes out when either fails.  A
     report holding Infinity or NaN, which JSON (RFC 8259) has no token for,
     is rejected before anything is written.  A CSV column that is one of the
-    report's joined lists takes its strings from the report's text."""
+    report's joined lists or arrays takes its strings from the report's
+    text, and the report is written piece by piece, never joined."""
     try:
-        text, spans = _encode_spans(doc)
+        pieces, spans = _encode_spans(doc)
     except ValueError:
         raise ValidationError("a report value leaves the float range") from None
     with (
@@ -181,7 +198,7 @@ def _write_outputs(doc: dict, out: str | None, csv_path: str | None, blocks) -> 
             with _naming(csv_path):
                 emit_plotdata([(series, spans.get(id(xs), xs), spans.get(id(values), values))
                                for series, xs, values in blocks or []], csv_path)
-        handle.write(text)
+        handle.writelines(pieces)
         handle.write("\n")
 
 
@@ -203,9 +220,12 @@ CSV_CHUNK = 4096
 
 def _strings(column):
     """The ``repr`` strings of a column's items: split from the report's text
-    for ``_Items``, a list for a list or tuple, else an iterator."""
+    for ``_Items``, a list for a list, tuple or array, else an iterator.  An
+    array is boxed first: numpy's scalars have reprs of their own."""
     if isinstance(column, _Items):
-        return column.text[column.start:column.stop].split(column.sep)
+        return column.text.split(column.sep)
+    if isinstance(column, _ndarray()):
+        column = column.tolist()
     strings = map(repr, column)
     return list(strings) if isinstance(column, (list, tuple)) else strings
 
@@ -227,6 +247,7 @@ def emit_plotdata(blocks, path: str) -> None:
             parts = itertools.chain.from_iterable(rows)
             while chunk := "".join(itertools.islice(parts, 4 * CSV_CHUNK)):
                 handle.write(chunk)
+            del rows, parts  # free this column before the next one is split
 
 
 def _load_sequence(spec: InputFile, horizon: int | None) -> sequences.LogSequence:
@@ -235,13 +256,13 @@ def _load_sequence(spec: InputFile, horizon: int | None) -> sequences.LogSequenc
 
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns the result document plus the CSV column
-# blocks, built from the document's own lists)
+# blocks, built from the document's own lists and arrays)
 
 def _cmd_seq_make(args):
     seq = _load_sequence(args.spec, args.horizon)
     return {
         "length": seq.length,
-        "logs": seq.logs.tolist(),
+        "logs": seq.logs,
         "generator": seq.generator,
         "filled": list(seq.filled),
     }, None

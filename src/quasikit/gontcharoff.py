@@ -75,8 +75,8 @@ class GontcharoffPoly:
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
-            "nodes": self.nodes.tolist(),
-            "scaled_coeffs": self.scaled_coeffs.tolist(),
+            "nodes": self.nodes,
+            "scaled_coeffs": self.scaled_coeffs,
         }
 
 

@@ -352,7 +352,7 @@ class EnvelopeReport:
 
     def to_json(self) -> dict:
         return {
-            "grid": self.grid.tolist(),
+            "grid": self.grid,
             "m_est_log": [v if v > -math.inf else None for v in self.m_est_log.tolist()],
         }
 
@@ -556,9 +556,9 @@ class SpacingResult:
 
     def to_json(self) -> dict:
         return {
-            "x": self.x.tolist(),
-            "lhs_partial": self.lhs_partial.tolist(),
-            "rhs_partial": self.rhs_partial.tolist(),
+            "x": self.x,
+            "lhs_partial": self.lhs_partial,
+            "rhs_partial": self.rhs_partial,
         }
 
 

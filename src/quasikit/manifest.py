@@ -9,16 +9,19 @@ serialized manifest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import __version__
 
 
-@dataclass
 class RunManifest:
-    command: list[str]
-    inputs: dict[str, str] = field(default_factory=dict)
-    seed: int | None = None
+    """The command line and sweep seed of one run, and the digest of each
+    input file it read.  A plain class: ``dataclasses`` imports ``inspect``,
+    which a command that builds no manifest (``--version``, ``--help``, a
+    usage error) would load for nothing."""
+
+    def __init__(self, command: list[str], seed: int | None = None):
+        self.command = command
+        self.inputs: dict[str, str] = {}
+        self.seed = seed
 
     def add_input(self, path: str, data: bytes) -> None:
         """Record the digest of ``data``, the bytes read from ``path``.

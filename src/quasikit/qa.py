@@ -145,7 +145,7 @@ class QAReport:
 
     def to_json(self) -> dict:
         return {
-            "beta": self.beta.tolist(),
+            "beta": self.beta,
             "carleman": self.carleman.to_json(),
             "root_c": self.root_c.to_json(),
             "ratio_c": self.ratio_c.to_json(),

@@ -112,7 +112,7 @@ class RegularizedSequence:
         return len(self.logs_c)
 
     def to_json(self) -> dict:
-        return {"logs_c": self.logs_c.tolist(), "principal": list(self.principal)}
+        return {"logs_c": self.logs_c, "principal": list(self.principal)}
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,17 @@ class TestGrowthEstimate:
         chk = qk.growth_estimate_check(exp_spec(), 0.3, 0.0, reg)
         assert chk.witness_l == 1 and chk.ok and chk.lhs == chk.rhs == math.exp(0.3)
         assert qk.growth_estimate_check(exp_spec(), 0.3, 0.1, reg).rhs == math.inf
+
+
+@pytest.mark.parametrize("doc, item", [
+    ({"entries": [0.5, 0.0], "index_set": ["0", True]}, "index_set[0] = '0'"),
+    ({"entries": [0.5, 0.0], "index_set": [0, True]}, "index_set[1] = True"),
+    ({"entries": [0.5, True]}, "entries[1] = True"),
+    ({"entries": ["0.5", 0.0]}, "entries[0] = '0.5'"),
+])
+def test_strings_and_bools_are_no_numbers(doc, item):
+    with pytest.raises(qk.ValidationError, match=f"^{re.escape(item)} is not a number$"):
+        qk.BangVector.from_json(doc)
 
 
 def test_from_json_defaults_to_full_index_set():

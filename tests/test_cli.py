@@ -373,6 +373,34 @@ MALFORMED_INPUTS = {
 }
 
 
+# numeric strings and booleans convert to floats, but a JSON number is the
+# only number an input document holds
+NON_NUMBERS = {
+    "logs-numeric-strings": ("seq make --spec", {"family": "explicit", "logs": ["0", "1.5", "4", "9"]},
+                             "logs[0] = '0'"),
+    "logs-bools": ("seq make --spec", {"family": "explicit", "logs": [False, True, True, True]},
+                   "logs[0] = False"),
+    "index-set-string-and-bool": ("bang norm --vector",
+                                  {"entries": [0.5, 0.0], "index_set": ["0", True]},
+                                  "index_set[0] = '0'"),
+    "pset-bool": ("bang norm --pset {} --vector", {"entries": [0.5, 0.0], "index_set": [0, True]},
+                  "index_set[1] = True"),
+    "entries-bool": ("bang distance --other {} --vector", {"entries": [0.5, True]},
+                     "entries[1] = True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_NUMBERS))
+def test_strings_and_bools_exit_2_naming_the_field(tmp_path, capsys, case):
+    from quasikit.cli import dispatch
+
+    command, doc, item = NON_NUMBERS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code = dispatch([*command.format(path).split(), str(path)])
+    assert (code, *capsys.readouterr()) == (2, "", f"quasikit: {item} is not a number\n")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     from quasikit.cli import dispatch

@@ -5,9 +5,9 @@ loads no numpy, and one that runs a command executes only that command's
 modules.  Each case runs the CLI in a subprocess under ``-W error`` through
 ``runpy`` (what ``python -m`` does) and lists the quasikit modules whose
 bodies ran: a module still waiting to load is a ``quasikit._LazyModule``,
-not a plain ``types.ModuleType``.  It also reports whether numpy and the
-two stdlib modules the CLI imports only on use, ``logging`` and
-``hashlib``, were loaded.
+not a plain ``types.ModuleType``.  It also reports whether numpy, the two
+stdlib modules the CLI imports only on use, ``logging`` and ``hashlib``, and
+``dataclasses``, which only the library modules import, were loaded.
 """
 
 import json
@@ -32,7 +32,7 @@ except SystemExit:
 ran = [n.split(".")[1] for n, m in sys.modules.items()
        if n.startswith("quasikit.") and type(m) is types.ModuleType]
 print()
-loaded = [n for n in ("numpy", "logging", "hashlib") if n in sys.modules]
+loaded = [n for n in ("numpy", "logging", "hashlib", "dataclasses") if n in sys.modules]
 print(json.dumps({"ran": ran, "loaded": loaded}))
 """
 
@@ -57,7 +57,7 @@ PUBLIC = """
 
 def probe(*argv, log_level=None):
     """The library modules run for one CLI command, and which of numpy,
-    logging and hashlib it loaded.  QUASIKIT_LOG is ``log_level``, or unset."""
+    logging, hashlib and dataclasses it loaded.  QUASIKIT_LOG is ``log_level``, or unset."""
     env = {k: v for k, v in os.environ.items() if k != "QUASIKIT_LOG"}
     if log_level:
         env["QUASIKIT_LOG"] = log_level
@@ -121,7 +121,7 @@ def test_command_runs_only_its_modules(tmp_path, argv, modules):
     # digests load hashlib, so a command with no input file does not
     for name, doc in INPUTS.items():
         (tmp_path / name).write_text(json.dumps(doc))
-    loaded = {"numpy", "hashlib"} if set(argv) & INPUTS.keys() else {"numpy"}
+    loaded = {"numpy", "dataclasses"} | ({"hashlib"} if set(argv) & INPUTS.keys() else set())
     argv = [str(tmp_path / arg) if arg in INPUTS else arg for arg in argv]
     report = tmp_path / "report.json"
     assert probe(*argv, "--out", str(report)) == (modules, loaded)
@@ -134,7 +134,7 @@ def test_logging_loads_only_at_a_level_that_logs(tmp_path, level, logs):
     report = tmp_path / "report.json"
     ran, loaded = probe("weight", "check", "--mu", "zero", "--out", str(report), log_level=level)
     assert ran == {"weights", "series"}
-    assert loaded == ({"numpy", "logging"} if logs else {"numpy"})
+    assert loaded == {"numpy", "dataclasses"} | ({"logging"} if logs else set())
 
 
 def test_import_registers_every_library_module():

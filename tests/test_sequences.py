@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,29 @@ class TestMakeSequence:
         bad.flags.writeable = False  # a caller's read-only array is still scanned
         with pytest.raises(qk.ValidationError, match=r"logs\[1\] = inf"):
             _frozen(bad)
+
+    @pytest.mark.parametrize("logs, item", [
+        (["0", "1.5", "4", "9"], "logs[0] = '0'"),
+        ([False, True, True, True], "logs[0] = False"),
+        ([0.0, 1.0, np.bool_(True)], f"logs[2] = {np.bool_(True)!r}"),
+        ([0.0, b"1"], "logs[1] = b'1'"),
+        (np.array(["0", "1"]), "logs[0] = '0'"),
+        (np.array([False, True]), "logs[0] = False"),
+    ])
+    def test_strings_and_bools_are_no_numbers(self, logs, item):
+        # each converts to a float, as errors.finite_float's scalars would
+        with pytest.raises(qk.ValidationError, match=f"^{re.escape(item)} is not a number$"):
+            qk.SequenceSpec(family="explicit", logs=logs)
+        with pytest.raises(qk.ValidationError, match=re.escape(item.replace("logs", "terms"))):
+            qk.diagnose_series(logs)
+
+    def test_numpy_and_python_numbers_are_numbers(self):
+        from quasikit.sequences import _frozen
+
+        mixed = [0, 1.5, np.float64(2.5), np.int64(3), np.float32(0.5)]
+        assert _frozen(mixed).tolist() == [0.0, 1.5, 2.5, 3.0, 0.5]
+        assert _frozen(np.arange(3)).tolist() == [0.0, 1.0, 2.0]
+        assert _frozen(range(3)).tolist() == [0.0, 1.0, 2.0]
 
     def test_spec_json_round_trip(self):
         spec = qk.SequenceSpec(family="denjoy1", horizon=10, params={"C": 3.0})

@@ -6,7 +6,8 @@ c_k = f^{(k)}(t)/k!.  Jets propagate exactly through the expression catalog
 via the standard convolution recurrences, so high-order derivatives come out
 with no truncation error beyond double rounding.  The catalog is closed-form
 only; user-supplied numeric callables would break the exactness the
-inequality checks downstream rely on.
+inequality checks downstream rely on.  A tree is a JSON dict, the same in
+the library as on the CLI; README's "Expression tree JSON" lists its nodes.
 
 One propagator runs a whole batch of points; grid experiments read one
 derivative table from it and ``jet_eval`` is the batch of one, at about 3x
@@ -37,62 +38,6 @@ GRID_MAX = 2**14
 # largest |num| and |den| of a pow node: the exponent num/den is then a
 # nonzero float, and an integer power takes at most 20 squarings
 POW_MAX = 2**20
-
-
-# ---------------------------------------------------------------------------
-# expression builders (the dict form doubles as the JSON wire format)
-
-def expr_x() -> dict:
-    return {"op": "x"}
-
-
-def expr_const(value: float) -> dict:
-    return {"op": "const", "value": float(value)}
-
-
-def expr_add(left: dict, right: dict) -> dict:
-    return {"op": "add", "left": left, "right": right}
-
-
-def expr_sub(left: dict, right: dict) -> dict:
-    return {"op": "sub", "left": left, "right": right}
-
-
-def expr_mul(left: dict, right: dict) -> dict:
-    return {"op": "mul", "left": left, "right": right}
-
-
-def expr_div(left: dict, right: dict) -> dict:
-    return {"op": "div", "left": left, "right": right}
-
-
-def expr_neg(arg: dict) -> dict:
-    return {"op": "neg", "arg": arg}
-
-
-def expr_exp(arg: dict) -> dict:
-    return {"op": "exp", "arg": arg}
-
-
-def expr_log(arg: dict) -> dict:
-    return {"op": "log", "arg": arg}
-
-
-def expr_sin(arg: dict) -> dict:
-    return {"op": "sin", "arg": arg}
-
-
-def expr_cos(arg: dict) -> dict:
-    return {"op": "cos", "arg": arg}
-
-
-def expr_pow(arg: dict, num: int, den: int = 1) -> dict:
-    return {"op": "pow", "arg": arg, "num": int(num), "den": int(den)}
-
-
-def expr_affine(arg: dict, scale: float, shift: float) -> dict:
-    """x |-> arg(scale * x + shift)."""
-    return {"op": "affine", "arg": arg, "a": float(scale), "b": float(shift)}
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,13 @@ def carleman_series(
     eps_conv: float = EPS_CONV,
 ) -> SeriesReport:
     """Terms 1/beta_n for n = 1..N-1, with the trend verdict."""
-    return _carleman_from_beta(beta_sequence(seq), sigma_div, eps_conv)
+    return _series(-beta_sequence(seq), sigma_div, eps_conv)
 
 
-def _carleman_from_beta(log_beta: np.ndarray, sigma_div: float, eps_conv: float) -> SeriesReport:
+def _series(log_terms: np.ndarray, sigma_div: float, eps_conv: float) -> SeriesReport:
+    """The series with terms exp(log_terms), with the trend verdict."""
     with np.errstate(over="ignore"):  # diagnose_series rejects an overflowing term
-        terms = np.exp(-log_beta)
+        terms = np.exp(log_terms)
     return diagnose_series(terms, sigma_div=sigma_div, eps_conv=eps_conv)
 
 
@@ -67,9 +68,7 @@ def root_series(
     """Terms exp(-L^c_n / n) for n = 1..N-1."""
     if reg.length < 2:
         raise ValidationError("root_series needs at least 2 entries")
-    with np.errstate(over="ignore"):
-        terms = np.exp(-reg.logs_c[1:] / np.arange(1, reg.length, dtype=float))
-    return diagnose_series(terms, sigma_div=sigma_div, eps_conv=eps_conv)
+    return _series(-reg.logs_c[1:] / np.arange(1, reg.length, dtype=float), sigma_div, eps_conv)
 
 
 def ratio_series(
@@ -81,9 +80,7 @@ def ratio_series(
     if reg.length < 2:
         raise ValidationError("ratio_series needs at least 2 entries")
     logs_c = reg.logs_c
-    with np.errstate(over="ignore"):
-        terms = np.exp(logs_c[:-1] - logs_c[1:])
-    return diagnose_series(terms, sigma_div=sigma_div, eps_conv=eps_conv)
+    return _series(logs_c[:-1] - logs_c[1:], sigma_div, eps_conv)
 
 
 @dataclass(frozen=True)
@@ -189,7 +186,7 @@ def analyze(
     reg = convex_regularize(seq)
     log_beta = beta_sequence(seq)
     log_beta.flags.writeable = False
-    rep_c = _carleman_from_beta(log_beta, sigma_div, eps_conv)
+    rep_c = _series(-log_beta, sigma_div, eps_conv)
     rep_root = root_series(reg, sigma_div=sigma_div, eps_conv=eps_conv)
     rep_ratio = ratio_series(reg, sigma_div=sigma_div, eps_conv=eps_conv)
     return QAReport(

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ValidationError, finite_float
 from .series import _frozen, _libm
 
-# Log-domain tolerance for convexity checks.
+# Log-domain tolerance for convexity checks, relative to max(1, max|L_n|): at
+# large logs the rounding of L_{n-1} + L_{n+1} is an ulp of max|L_n|.
 TOL_CONVEX = 1e-9
 
 # Relative tolerance used to decide hull/input equality (principal indices).
@@ -287,11 +288,13 @@ def convex_regularize(seq: LogSequence) -> RegularizedSequence:
 
 
 def is_log_convex(seq: LogSequence, tol: float = TOL_CONVEX) -> bool:
-    """True iff 2 L_n <= L_{n-1} + L_{n+1} for every interior n, within tol."""
+    """True iff 2 L_n <= L_{n-1} + L_{n+1} for every interior n, within
+    tol * max(1, max|L_n|)."""
     if seq.length < 3:
         raise ValidationError("is_log_convex needs at least 3 entries")
     logs = seq.logs
-    return bool(np.all(2.0 * logs[1:-1] <= logs[:-2] + logs[2:] + tol))
+    slack = tol * max(1.0, float(np.abs(logs).max()))
+    return bool(np.all(2.0 * logs[1:-1] <= logs[:-2] + logs[2:] + slack))
 
 
 def ratio_sequence(seq: LogSequence) -> np.ndarray:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import settings
 
 import quasikit as qk
-from quasikit import jets as J
 
 # property sweeps must reproduce bit-for-bit across runs
 settings.register_profile("repro", derandomize=True, deadline=None)
@@ -13,31 +12,39 @@ settings.load_profile("repro")
 
 
 # ---------------------------------------------------------------------------
-# catalog function specs used across the suite
+# catalog function specs used across the suite; a tree is written as its JSON
+# dict (README, "Expression tree JSON")
+
+X = {"op": "x"}
+ONE = {"op": "const", "value": 1.0}
+ONE_PLUS_X = {"op": "add", "left": ONE, "right": X}
+EXP, SIN = {"op": "exp", "arg": X}, {"op": "sin", "arg": X}
+CUBE = {"op": "pow", "arg": X, "num": 3}
+
 
 def exp_spec(domain=(0.0, 1.0)):
-    return qk.FunctionSpec(J.expr_exp(J.expr_x()), domain)
+    return qk.FunctionSpec(EXP, domain)
 
 
 def sin_spec(domain=(0.0, 1.0)):
-    return qk.FunctionSpec(J.expr_sin(J.expr_x()), domain)
+    return qk.FunctionSpec(SIN, domain)
 
 
 def cos_spec(domain=(0.0, 1.0)):
-    return qk.FunctionSpec(J.expr_cos(J.expr_x()), domain)
+    return qk.FunctionSpec({"op": "cos", "arg": X}, domain)
 
 
 def rational_spec(domain=(0.0, 1.0)):
     # 1 / (1 - x/2)
-    denom = J.expr_sub(J.expr_const(1.0), J.expr_mul(J.expr_const(0.5), J.expr_x()))
-    return qk.FunctionSpec(J.expr_div(J.expr_const(1.0), denom), domain)
+    half_x = {"op": "mul", "left": {"op": "const", "value": 0.5}, "right": X}
+    denom = {"op": "sub", "left": ONE, "right": half_x}
+    return qk.FunctionSpec({"op": "div", "left": ONE, "right": denom}, domain)
 
 
 def flat_spec(domain=(0.1, 2.0)):
     # exp(-1/x), the classical flat-at-zero function
-    return qk.FunctionSpec(
-        J.expr_exp(J.expr_neg(J.expr_div(J.expr_const(1.0), J.expr_x()))), domain
-    )
+    inv = {"op": "div", "left": ONE, "right": X}
+    return qk.FunctionSpec({"op": "exp", "arg": {"op": "neg", "arg": inv}}, domain)
 
 
 def ones_sequence(n):

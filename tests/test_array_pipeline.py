@@ -63,8 +63,9 @@ def beta_reference(logs):
 
 
 def is_log_convex_reference(logs, tol=TOL_CONVEX):
+    slack = tol * max(1.0, max(abs(v) for v in logs))
     return all(
-        2.0 * logs[n] <= logs[n - 1] + logs[n + 1] + tol for n in range(1, len(logs) - 1)
+        2.0 * logs[n] <= logs[n - 1] + logs[n + 1] + slack for n in range(1, len(logs) - 1)
     )
 
 

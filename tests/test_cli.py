@@ -519,6 +519,24 @@ def test_spacing_step_past_the_float_range_exits_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", "quasikit: a report value leaves the float range\n")
 
 
+def test_monotonic_reads_the_hull_seq_regularize_writes(tmp_path, capsys):
+    # a line of slope 1e8/3 and its hull are log-convex up to the rounding of
+    # L_{n-1} + L_{n+1}, which at max|L_n| = 1.3e9 is past an absolute 1e-9
+    from quasikit.cli import dispatch
+
+    fn, line, hull = tmp_path / "exp.json", tmp_path / "line.json", tmp_path / "hull.json"
+    fn.write_text(json.dumps({"expr": {"op": "exp", "arg": {"op": "x"}}, "domain": [0.0, 1.0]}))
+    line.write_text(json.dumps({"family": "explicit", "logs": [1e8 / 3 * n for n in range(40)]}))
+    assert dispatch(["seq", "regularize", "--spec", str(line)]) == 0
+    reg = json.loads(capsys.readouterr().out)
+    assert reg["principal"] == list(range(40))
+    hull.write_text(json.dumps({"family": "explicit", "logs": reg["logs_c"]}))
+    for seq in (line, hull):
+        argv = ["lab", "monotonic", "--fn", str(fn), "--seq", str(seq), "--nmax", "8"]
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_pset_without_index_set_exits_2(tmp_path, capsys):
     from quasikit.cli import dispatch
 

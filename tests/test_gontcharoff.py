@@ -6,9 +6,8 @@ import pytest
 
 import quasikit as qk
 from quasikit import gontcharoff as G
-from quasikit import jets as J
 
-from conftest import exp_spec, flat_spec, rational_spec, sin_spec
+from conftest import CUBE, exp_spec, flat_spec, rational_spec, sin_spec
 
 
 def printed_q2(x, x0, x1):
@@ -260,7 +259,7 @@ class TestAbelExpansion:
         assert abs(res.remainder) <= res.remainder_bound * (1 + 1e-6)
 
     def test_polynomial_has_zero_remainder(self):
-        cube = qk.FunctionSpec(J.expr_pow(J.expr_x(), 3), (0.0, 1.0))
+        cube = qk.FunctionSpec(CUBE, (0.0, 1.0))
         rng = np.random.default_rng(10)
         nodes = rng.uniform(0, 1, 6)
         res = G.abel_expand(cube, nodes, 5, 0.7)

@@ -7,6 +7,12 @@ import quasikit as qk
 from quasikit import jets as J
 
 from conftest import (
+    CUBE,
+    EXP,
+    ONE,
+    ONE_PLUS_X,
+    SIN,
+    X,
     cos_spec,
     exp_spec,
     flat_spec,
@@ -21,6 +27,8 @@ _STENCILS = {
     3: ([(-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)], 3),
     4: ([(-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)], 4),
 }
+ZERO = {"op": "const", "value": 0.0}
+TWO = {"op": "const", "value": 2.0}
 
 
 def finite_difference(f, t, order, h):
@@ -109,15 +117,11 @@ class TestJetEval:
         order = 18
         f = qk.jet_eval(exp_spec(), t, order).coeffs
         g = qk.jet_eval(sin_spec(), t, order).coeffs
-        combo = qk.FunctionSpec(
-            J.expr_add(J.expr_exp(J.expr_x()), J.expr_sin(J.expr_x())), (0.0, 1.0)
-        )
+        combo = qk.FunctionSpec({"op": "add", "left": EXP, "right": SIN}, (0.0, 1.0))
         assert qk.jet_eval(combo, t, order).coeffs == pytest.approx(
             [a + b for a, b in zip(f, g)], rel=1e-14
         )
-        prod = qk.FunctionSpec(
-            J.expr_mul(J.expr_exp(J.expr_x()), J.expr_sin(J.expr_x())), (0.0, 1.0)
-        )
+        prod = qk.FunctionSpec({"op": "mul", "left": EXP, "right": SIN}, (0.0, 1.0))
         convolution = [
             math.fsum(f[j] * g[k - j] for j in range(k + 1)) for k in range(order + 1)
         ]
@@ -127,7 +131,7 @@ class TestJetEval:
 
     def test_affine_reparametrization(self):
         # x |-> sin(2x + 0.3)
-        spec = qk.FunctionSpec(J.expr_affine(J.expr_sin(J.expr_x()), 2.0, 0.3), (0.0, 1.0))
+        spec = qk.FunctionSpec({"op": "affine", "arg": SIN, "a": 2.0, "b": 0.3}, (0.0, 1.0))
         t = 0.25
         jet = qk.jet_eval(spec, t, 10)
         inner = 2.0 * t + 0.3
@@ -136,45 +140,40 @@ class TestJetEval:
             assert jet.coeffs[k] == pytest.approx(expected, abs=1e-13)
 
     def test_log_and_pow_series(self):
-        log1p = qk.FunctionSpec(
-            J.expr_log(J.expr_add(J.expr_const(1.0), J.expr_x())), (-0.5, 1.0)
-        )
+        log1p = qk.FunctionSpec({"op": "log", "arg": ONE_PLUS_X}, (-0.5, 1.0))
         jet = qk.jet_eval(log1p, 0.0, 6)
         assert jet.coeffs == pytest.approx(
             [0, 1, -1 / 2, 1 / 3, -1 / 4, 1 / 5, -1 / 6], abs=1e-15
         )
-        sqrt1p = qk.FunctionSpec(
-            J.expr_pow(J.expr_add(J.expr_const(1.0), J.expr_x()), 1, 2), (-0.5, 1.0)
-        )
+        sqrt1p = qk.FunctionSpec({"op": "pow", "arg": ONE_PLUS_X, "num": 1, "den": 2}, (-0.5, 1.0))
         jet = qk.jet_eval(sqrt1p, 0.0, 4)
         assert jet.coeffs == pytest.approx([1, 0.5, -0.125, 0.0625, -0.0390625], rel=1e-14)
 
     def test_integer_pow_handles_zero_base(self):
-        cube = qk.FunctionSpec(J.expr_pow(J.expr_x(), 3), (-1.0, 1.0))
+        cube = qk.FunctionSpec(CUBE, (-1.0, 1.0))
         jet = qk.jet_eval(cube, 0.0, 4)
         assert jet.coeffs.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
 
     def test_pow_den_defaults_to_one(self):
         # a pow node without "den" reads as den = 1
-        bare = qk.FunctionSpec({"op": "pow", "arg": J.expr_x(), "num": 3}, (-1.0, 1.0))
-        cube = qk.FunctionSpec(J.expr_pow(J.expr_x(), 3), (-1.0, 1.0))
+        bare = qk.FunctionSpec({"op": "pow", "arg": X, "num": 3}, (-1.0, 1.0))
+        cube = qk.FunctionSpec({"op": "pow", "arg": X, "num": 3, "den": 1}, (-1.0, 1.0))
         assert qk.jet_eval(bare, 0.5, 4).coeffs.tolist() == qk.jet_eval(cube, 0.5, 4).coeffs.tolist()
 
     def test_domain_errors_name_the_node(self):
-        bad_log = qk.FunctionSpec(
-            J.expr_log(J.expr_sub(J.expr_x(), J.expr_const(1.0))), (0.0, 2.0)
-        )
+        x_minus_one = {"op": "sub", "left": X, "right": ONE}
+        bad_log = qk.FunctionSpec({"op": "log", "arg": x_minus_one}, (0.0, 2.0))
         with pytest.raises(qk.DomainError, match="root"):
             qk.jet_eval(bad_log, 0.5, 3)
-        bad_div = qk.FunctionSpec(J.expr_div(J.expr_const(1.0), J.expr_x()), (-1.0, 1.0))
+        bad_div = qk.FunctionSpec({"op": "div", "left": ONE, "right": X}, (-1.0, 1.0))
         with pytest.raises(qk.DomainError, match="division"):
             qk.jet_eval(bad_div, 0.0, 3)
-        bad_pow = qk.FunctionSpec(J.expr_pow(J.expr_x(), 1, 2), (-1.0, 1.0))
+        bad_pow = qk.FunctionSpec({"op": "pow", "arg": X, "num": 1, "den": 2}, (-1.0, 1.0))
         with pytest.raises(qk.DomainError, match="pow"):
             qk.jet_eval(bad_pow, -0.5, 3)
 
     def test_conditioning_cap(self):
-        inv = qk.FunctionSpec(J.expr_div(J.expr_const(1.0), J.expr_x()), (1e-6, 1.0))
+        inv = qk.FunctionSpec({"op": "div", "left": ONE, "right": X}, (1e-6, 1.0))
         with pytest.raises(qk.ConditioningError):
             qk.jet_eval(inv, 1e-5, 64)
 
@@ -203,9 +202,7 @@ class TestEnvelope:
             assert env.m_est(n) == pytest.approx(1.0, abs=1e-9)
 
     def test_constant(self):
-        env = qk.derivative_envelope(
-            qk.FunctionSpec(J.expr_const(5.0), (0.0, 1.0)), 3
-        )
+        env = qk.derivative_envelope(qk.FunctionSpec({"op": "const", "value": 5.0}, (0.0, 1.0)), 3)
         assert env.m_est(0) == pytest.approx(5.0, rel=1e-12)
         assert env.m_est(1) == 0.0 and env.m_est(2) == 0.0
 
@@ -253,7 +250,7 @@ class TestTailSup:
 
     def test_sup_below_float_max_is_finite(self):
         # |f'| e^{-1} / M_1 = e^704 is a float; only a log past 709.78 reads inf
-        f = qk.FunctionSpec(J.expr_x(), (0.0, 2.0))
+        f = qk.FunctionSpec(X, (0.0, 2.0))
         seq = qk.LogSequence(logs=(0.0, -705.0, -1400.0, -2100.0))
         res = qk.derivative_tail_sup(f, 1.0, 1, seq, 2)
         assert (res.log_value, res.value, res.arg_j) == (704.0, math.exp(704.0), 1)
@@ -283,7 +280,7 @@ class TestTranslationEstimate:
             qk.translation_estimate_check(exp_spec(), bumpy, 0.2, 0.1, 0, 2, 39)
 
     def test_zero_function_rejected(self):
-        zero = qk.FunctionSpec(J.expr_const(0.0), (0.0, 1.0))
+        zero = qk.FunctionSpec(ZERO, (0.0, 1.0))
         with pytest.raises(qk.ValidationError):
             qk.translation_estimate_check(zero, ones_sequence(40), 0.2, 0.1, 0, 2, 39)
 
@@ -326,7 +323,7 @@ class TestMonotonicity:
 
     def test_hypothesis_rejection_lists_orders(self):
         sin2 = qk.FunctionSpec(
-            J.expr_add(J.expr_sin(J.expr_x()), J.expr_const(2.0)),
+            {"op": "add", "left": SIN, "right": TWO},
             (0.0, 2 * math.pi),
         )
         geom = qk.LogSequence(logs=tuple(float(n) for n in range(8)))
@@ -334,11 +331,9 @@ class TestMonotonicity:
             qk.monotonicity_check(sin2, geom, 5)
 
     def test_shifted_variant_yields_witness(self):
+        x_plus_pi_4 = {"op": "add", "left": X, "right": {"op": "const", "value": math.pi / 4}}
         shifted = qk.FunctionSpec(
-            J.expr_add(
-                J.expr_sin(J.expr_add(J.expr_x(), J.expr_const(math.pi / 4))),
-                J.expr_const(2.0),
-            ),
+            {"op": "add", "left": {"op": "sin", "arg": x_plus_pi_4}, "right": TWO},
             (0.0, 2 * math.pi),
         )
         geom = qk.LogSequence(logs=tuple(float(n) for n in range(8)))
@@ -375,7 +370,7 @@ class TestZeroSpacing:
             qk.zero_spacing_experiment(f, ones_sequence(8), 4)
 
     def test_identically_zero_rejected(self):
-        zero = qk.FunctionSpec(J.expr_const(0.0), (0.0, 1.0))
+        zero = qk.FunctionSpec(ZERO, (0.0, 1.0))
         with pytest.raises(qk.ValidationError, match="vanishes"):
             qk.zero_spacing_experiment(zero, ones_sequence(8), 4)
 
@@ -396,8 +391,8 @@ class TestZeroSpacing:
         calls = []
         table = J._derivative_table
         monkeypatch.setattr(J, "_derivative_table", lambda *a: calls.append(1) or table(*a))
-        f = qk.FunctionSpec(J.expr_sin(J.expr_affine(J.expr_x(), 1.0, -1e8)),
-                            (1e8, 1e8 + 4 * math.pi))
+        x_minus_1e8 = {"op": "affine", "arg": X, "a": 1.0, "b": -1e8}
+        f = qk.FunctionSpec({"op": "sin", "arg": x_minus_1e8}, (1e8, 1e8 + 4 * math.pi))
         res = qk.zero_spacing_experiment(f, ones_sequence(8), 3, grid_size=256)
         assert len(calls) <= 40
         assert [x.hex() for x in res.x.tolist()] == [
@@ -411,7 +406,7 @@ def test_x_tolerances_are_absolute():
     # |x| = 2^14, where half an ulp is still under it
     below = float(np.nextafter(2.0**14, 0.0))
     for b, admitted in ((below, True), (2.0**14, False)):
-        f = qk.FunctionSpec(J.expr_x(), (-b, b))
+        f = qk.FunctionSpec(X, (-b, b))
         for end in (-b, b):
             beyond = float(np.nextafter(end, math.copysign(math.inf, end)))
             if admitted:
@@ -421,7 +416,7 @@ def test_x_tolerances_are_absolute():
                     J._taylor_table(f, [beyond], 0)
     # zeros within 1e-9 of the last one kept are dropped: one ulp apart,
     # both stay from |x| = 2^23 on, where an ulp exceeds 1e-9
-    zero = qk.FunctionSpec(J.expr_const(0.0), (0.0, 2.0**24))
+    zero = qk.FunctionSpec(ZERO, (0.0, 2.0**24))
     below = float(np.nextafter(2.0**23, 0.0))
     for x, kept in ((below, 1), (2.0**23, 2)):
         grid = np.array([x, np.nextafter(x, math.inf)])

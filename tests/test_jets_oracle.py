@@ -20,6 +20,8 @@ import pytest
 import quasikit as qk
 from quasikit import jets as J
 
+from conftest import EXP, ONE_PLUS_X, SIN, X, flat_spec
+
 K = J.K_MAX
 T = 0.37
 DOMAIN = (-4.0, 4.0)
@@ -27,27 +29,24 @@ DOMAIN = (-4.0, 4.0)
 # units); the bound leaves about 20x headroom
 SCALE_RTOL = 1e-13
 
-X = J.expr_x()
-EXP, SIN = J.expr_exp(X), J.expr_sin(X)
-ONE_PLUS_X = J.expr_add(J.expr_const(1.0), X)
 MP_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
 CASES = {
     "x": X,
-    "const": J.expr_const(-2.5),
-    "add": J.expr_add(EXP, SIN),
-    "sub": J.expr_sub(EXP, SIN),
-    "mul": J.expr_mul(EXP, SIN),
-    "div": J.expr_div(SIN, ONE_PLUS_X),
-    "neg": J.expr_neg(SIN),
+    "const": {"op": "const", "value": -2.5},
+    "add": {"op": "add", "left": EXP, "right": SIN},
+    "sub": {"op": "sub", "left": EXP, "right": SIN},
+    "mul": {"op": "mul", "left": EXP, "right": SIN},
+    "div": {"op": "div", "left": SIN, "right": ONE_PLUS_X},
+    "neg": {"op": "neg", "arg": SIN},
     "exp": EXP,
-    "log": J.expr_log(X),
+    "log": {"op": "log", "arg": X},
     "sin": SIN,
-    "cos": J.expr_cos(X),
-    "pow_int": J.expr_pow(ONE_PLUS_X, 5),
-    "pow_negative_int": J.expr_pow(ONE_PLUS_X, -3),
-    "pow_rational": J.expr_pow(ONE_PLUS_X, 2, 3),
-    "affine": J.expr_affine(SIN, -1.5, 0.25),
+    "cos": {"op": "cos", "arg": X},
+    "pow_int": {"op": "pow", "arg": ONE_PLUS_X, "num": 5, "den": 1},
+    "pow_negative_int": {"op": "pow", "arg": ONE_PLUS_X, "num": -3, "den": 1},
+    "pow_rational": {"op": "pow", "arg": ONE_PLUS_X, "num": 2, "den": 3},
+    "affine": {"op": "affine", "arg": SIN, "a": -1.5, "b": 0.25},
 }
 
 
@@ -147,7 +146,7 @@ def test_every_op_matches_mpmath_on_its_recurrence_scale(name):
 
 
 def test_grid_column_equals_one_point_jet():
-    f = qk.FunctionSpec(J.expr_exp(J.expr_neg(J.expr_div(J.expr_const(1.0), X))), (0.1, 2.0))
+    f = flat_spec()
     grid = np.linspace(0.1, 2.0, 17)
     table = J._derivative_table(f, grid, K)
     for i in (0, 7, 16):

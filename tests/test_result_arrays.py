@@ -15,7 +15,7 @@ import quasikit as qk
 from quasikit import gontcharoff as G
 from quasikit import jets as J
 
-from conftest import cos_spec, exp_spec, flat_spec, rational_spec, sin_spec
+from conftest import CUBE, cos_spec, exp_spec, flat_spec, rational_spec, sin_spec
 
 FUNCTIONS = {
     "exp": exp_spec(),
@@ -23,8 +23,8 @@ FUNCTIONS = {
     "cos": cos_spec(),
     "rational": rational_spec(),
     "flat": flat_spec(),
-    "cube": qk.FunctionSpec(J.expr_pow(J.expr_x(), 3), (-1.0, 1.0)),
-    "zero": qk.FunctionSpec(J.expr_const(0.0), (0.0, 1.0)),
+    "cube": qk.FunctionSpec(CUBE, (-1.0, 1.0)),
+    "zero": qk.FunctionSpec({"op": "const", "value": 0.0}, (0.0, 1.0)),
 }
 WEIGHTS = {
     "ones": qk.LogSequence(logs=(0.0,) * (J.K_MAX + 1)),

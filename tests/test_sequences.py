@@ -280,7 +280,7 @@ class TestConvexRegularize:
         scale = max(1.0, float(np.max(np.abs(logs))))
         assert np.all(hull <= logs + 1e-9 * scale)
         if seq.length >= 3:
-            assert qk.is_log_convex(qk.LogSequence(logs=(0.0, *hull[1:])), tol=1e-9 * scale)
+            assert qk.is_log_convex(qk.LogSequence(logs=(0.0, *hull[1:])))
         for idx in reg.principal:
             assert hull[idx] == pytest.approx(logs[idx], abs=1e-9 * scale)
 
@@ -328,6 +328,13 @@ class TestDerivedSequences:
         assert not qk.is_log_convex(qk.LogSequence(logs=(0.0, 3.0, 1.0, 4.0)))
         reg = qk.convex_regularize(qk.LogSequence(logs=(0.0, 3.0, 1.0, 4.0)))
         assert qk.is_log_convex(qk.LogSequence(logs=reg.logs_c))
+        # at max|L_n| = 5.6e10 the sum L_{n-1} + L_{n+1} rounds by up to 7.6e-6
+        line = [1e10 / 7 * n for n in range(40)]
+        assert qk.is_log_convex(qk.LogSequence(logs=line))
+        # a dent of 1e-6 max|L_n| is still found at scale 1e9
+        dented = [1e9 / 39 * n for n in range(40)]
+        dented[20] += 1e3
+        assert not qk.is_log_convex(qk.LogSequence(logs=dented))
 
 
 def test_hull_oracle_with_negative_dips():

@@ -77,8 +77,8 @@ def _field(path: InputFile, key: str):
 
 
 class _Items:
-    """The items of a list or array that the report joined: ``text``, split
-    at ``sep``."""
+    """The items of an array that the report joined: ``text``, split at
+    ``sep``."""
 
     __slots__ = ("text", "sep")
 
@@ -96,77 +96,54 @@ def _ndarray():
 def _encode_spans(value) -> tuple[list, dict]:
     """The pieces of ``json.dumps(value, indent=2, allow_nan=False,
     default=numpy.ndarray.tolist)``, in order, and ``spans[id(xs)]``, the
-    ``_Items`` of each list or 1-D array ``xs`` of exact floats or exact ints,
-    whose items are joined from one ``map`` over ``__repr__`` instead of one
-    encoder step per item.  Keys, strings and every other scalar go through
-    ``json.dumps``, so escaping is the stdlib's; a non-finite float raises
-    ValueError as ``allow_nan=False`` does.  The pieces are not joined: the
-    report is written from them."""
+    ``_Items`` of each 1-D int64 or float64 array ``xs``, whose items are
+    joined from one ``map`` over ``__repr__`` instead of one encoder step per
+    item.  Every other value goes through ``json.dumps``, so escaping is the
+    stdlib's; a non-finite float raises ValueError as ``allow_nan=False``
+    does.  The pieces are not joined: the report is written from them."""
     pieces: list[str] = []
     spans: dict = {}
-    _encode_into(value, "\n", pieces, spans, {})
+    _encode_into(value, "\n", pieces, spans)
     return pieces, spans
 
 
-def _encode_into(value, indent: str, pieces: list, spans: dict, earlier: dict) -> None:
-    """Append the text of ``value`` to ``pieces``; for a joined list or array
-    ``xs``, ``spans[id(xs)]`` is the ``_Items`` of its text.  An array is
-    boxed with ``tolist`` just before it is joined, so one boxed list is alive
-    at a time.  ``earlier[(type, sep, len)]`` lists the joined lists and
-    arrays with their text, so one equal item for item to an earlier one of
-    the same item type and separator takes that one's text.  Equal floats
-    have equal reprs except 0.0 == -0.0, so a float list holding a zero never
-    takes another's text."""
-    items = value.tolist() if isinstance(value, _ndarray()) else value
-    if isinstance(items, (list, tuple)):
-        if not items:
-            pieces.append("[]")
-            return
-        inner = indent + "  "
-        sep = "," + inner
-        kinds = set(map(type, items))
-        if kinds == {float} or kinds == {int}:
-            (kind,) = kinds
-            if kind is float and not all(map(math.isfinite, items)):
+def _encode_into(value, indent: str, pieces: list, spans: dict) -> None:
+    """Append the text of ``value`` to ``pieces``; for a joined array ``xs``,
+    ``spans[id(xs)]`` is the ``_Items`` of its text.  An array is boxed with
+    ``tolist`` just before it is joined, so one boxed list is alive at a
+    time.  An array met again at the same depth takes its text from
+    ``spans``; at another depth it is joined with its own separator, and
+    ``spans`` keeps the first text."""
+    is_array = isinstance(value, _ndarray())
+    inner = indent + "  "
+    sep = "," + inner
+    if is_array and value.ndim == 1 and value.size and value.dtype.str[1:] in ("f8", "i8"):
+        span = spans.get(id(value))
+        if span is None or span.sep != sep:
+            items = value.tolist()
+            if value.dtype.kind == "f" and not all(map(math.isfinite, items)):
                 raise ValueError("Out of range float values are not JSON compliant")
-            same = earlier.setdefault((kind, sep, len(items)), [])
-            text = next((text for xs, text in same if _equal(xs, value, items)), None)
-            if text is None or (kind is float and 0.0 in items):
-                text = sep.join(map(kind.__repr__, items))
-                same.append((value, text))
-            spans[id(value)] = _Items(text, sep)
-            pieces.extend(("[" + inner, text, indent + "]"))
-            return
+            span = _Items(sep.join(map(repr, items)), sep)
+            spans.setdefault(id(value), span)
+        pieces.extend(("[" + inner, span.text, indent + "]"))
+        return
+    items = value.tolist() if is_array else value
+    if isinstance(items, (list, tuple)) and items:
         lead = "[" + inner
         for item in items:
             pieces.append(lead)
-            _encode_into(item, inner, pieces, spans, earlier)
+            _encode_into(item, inner, pieces, spans)
             lead = sep
         pieces.append(indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            pieces.append("{}")
-            return
-        inner = indent + "  "
+    elif isinstance(value, dict) and value:
         lead = "{" + inner
         for key, item in value.items():
             pieces.append(f"{lead}{_encode_key(key)}: ")
-            _encode_into(item, inner, pieces, spans, earlier)
-            lead = "," + inner
+            _encode_into(item, inner, pieces, spans)
+            lead = sep
         pieces.append(indent + "}")
     else:
         pieces.append(json.dumps(items, allow_nan=False))
-
-
-def _equal(xs, value, items) -> bool:
-    """Whether the joined ``xs`` equals ``value``, whose items are ``items``,
-    item for item.  Two arrays are compared as arrays, so no second list is
-    boxed."""
-    if isinstance(xs, _ndarray()):
-        if isinstance(value, _ndarray()):
-            return bool((xs == value).all())
-        xs = xs.tolist()
-    return xs == items
 
 
 def _encode_key(key) -> str:
@@ -184,8 +161,8 @@ def _write_outputs(doc: dict, out: str | None, csv_path: str | None, blocks) -> 
     first and written last, so no report comes out when either fails.  A
     report holding Infinity or NaN, which JSON (RFC 8259) has no token for,
     is rejected before anything is written.  A CSV column that is one of the
-    report's joined lists or arrays takes its strings from the report's
-    text, and the report is written piece by piece, never joined."""
+    report's joined arrays takes its strings from the report's text, and the
+    report is written piece by piece, never joined."""
     try:
         pieces, spans = _encode_spans(doc)
     except ValueError:

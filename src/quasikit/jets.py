@@ -330,6 +330,11 @@ class TailSup:
     truncated: bool
 
 
+def _check_log_convex(weights: sequences.LogSequence) -> None:
+    if weights.length >= 3 and not sequences.is_log_convex(weights):
+        raise ValidationError("weight sequence must be log-convex")
+
+
 def _check_horizon(n: int, horizon: int, weights: sequences.LogSequence) -> None:
     if not (0 <= n <= horizon):
         raise ValidationError(f"need 0 <= n <= horizon, got n={n}, horizon={horizon}")
@@ -391,8 +396,7 @@ def translation_estimate_check(
         raise ValidationError(f"need 0 <= n < q, got n={n}, q={q}")
     if q >= weights.length:
         raise ValidationError("q exceeds weight sequence length")
-    if weights.length >= 3 and not sequences.is_log_convex(weights):
-        raise ValidationError("weight sequence must be log-convex")
+    _check_log_convex(weights)
     _check_horizon(n, horizon, weights)
     table = _derivative_table(f, [t, t + tau], horizon)
     base, shifted = (_tail_sup(table[:, i], n, weights.logs) for i in (0, 1))
@@ -431,9 +435,8 @@ def monotonicity_check(
     the first violation in (increasing n, then increasing x) order.
     """
     if nmax < 0 or nmax > K_MAX:
-        raise ValidationError(f"nmax must be in [0, {K_MAX}]")
-    if weights.length >= 3 and not sequences.is_log_convex(weights):
-        raise ValidationError("weight sequence must be log-convex")
+        raise ValidationError(f"nmax must be in [0, {K_MAX}], got {nmax}")
+    _check_log_convex(weights)
     grid = domain_grid(f, grid_size)
     table = _derivative_table(f, grid, nmax)  # column 0 is the left endpoint
     bad = np.flatnonzero(~(table[:, 0] > 0.0)).tolist()
@@ -520,11 +523,10 @@ def zero_spacing_experiment(
     log-convex with |f^{(n)}| <= M_n on the grid, and f not identically zero.
     """
     if nmax < 1 or nmax > K_MAX:
-        raise ValidationError(f"nmax must be in [1, {K_MAX}]")
+        raise ValidationError(f"nmax must be in [1, {K_MAX}], got {nmax}")
     if nmax >= weights.length:
         raise ValidationError("nmax exceeds weight sequence length")
-    if weights.length >= 3 and not sequences.is_log_convex(weights):
-        raise ValidationError("weight sequence must be log-convex")
+    _check_log_convex(weights)
 
     grid = domain_grid(f, grid_size)
     table = _derivative_table(f, grid, nmax)

@@ -128,7 +128,8 @@ def liminf_check(seq: LogSequence, cap: float = LIMINF_CAP) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class QAReport:
-    """Aggregate of the three criterion series for one sequence."""
+    """Aggregate of the three criterion series for one sequence.  ``root_c``
+    is ``carleman`` itself where the two series are equal bit for bit."""
 
     beta: np.ndarray
     carleman: SeriesReport
@@ -188,6 +189,10 @@ def analyze(
     log_beta.flags.writeable = False
     rep_c = _series(-log_beta, sigma_div, eps_conv)
     rep_root = root_series(reg, sigma_div=sigma_div, eps_conv=eps_conv)
+    # terms equal bit for bit, as on a log-convex sequence, give equal partial
+    # sums, slope and verdict: the report then holds the Carleman series once
+    if np.array_equal(rep_root.terms.view(np.int64), rep_c.terms.view(np.int64)):
+        rep_root = rep_c
     rep_ratio = ratio_series(reg, sigma_div=sigma_div, eps_conv=eps_conv)
     return QAReport(
         beta=log_beta,

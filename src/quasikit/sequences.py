@@ -113,7 +113,7 @@ class RegularizedSequence:
         return len(self.logs_c)
 
     def to_json(self) -> dict:
-        return {"logs_c": self.logs_c, "principal": list(self.principal)}
+        return {"logs_c": self.logs_c, "principal": np.array(self.principal, dtype=np.int64)}
 
 
 @dataclass(frozen=True)

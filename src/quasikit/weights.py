@@ -384,15 +384,15 @@ def _start_radius(w: WeightFunction, offset: float, factor: float, reach: float)
 
 
 def transform_grid(w: WeightFunction, r_max: float, samples: int) -> dict:
-    """log Lambda, omega and log lambda at ``samples`` log-spaced radii from
-    1.01 e^{m'(t0 + 1)} up to ``r_max``, for 1 <= samples <= SAMPLES_MAX."""
+    """float64 arrays of log Lambda, omega and log lambda at ``samples`` radii
+    ``r``, log-spaced from 1.01 e^{m'(t0 + 1)} to ``r_max`` (1 <= samples <= SAMPLES_MAX)."""
     if not 1 <= samples <= SAMPLES_MAX:
         raise ValidationError(f"samples must be in [1, {SAMPLES_MAX}], got {samples}")
     r_start = _start_radius(w, 1.0, 1.01, 2.0)
     if not r_start * 2 < r_max < math.inf:
         raise ValidationError(f"r_max must be finite and exceed {r_start * 2:g} for this t0")
-    r_values = np.exp(np.linspace(np.log(r_start), np.log(r_max), samples)).tolist()
-    lam, omega_values, lam_int = (list(col) for col in zip(*_transform_rows(w, r_values)))
+    r_values = np.exp(np.linspace(np.log(r_start), np.log(r_max), samples))
+    lam, omega_values, lam_int = map(np.array, zip(*_transform_rows(w, r_values.tolist())))
     return {"r": r_values, "Lambda_log": lam, "omega": omega_values, "lambda_log": lam_int}
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quasikit as qk
@@ -787,6 +788,43 @@ def test_report_matches_golden(tmp_path, monkeypatch, case):
     assert report == (GOLDEN / f"{case}.json").read_bytes()
     golden_csv = GOLDEN / f"{case}.csv"
     assert csv == (golden_csv.read_bytes() if golden_csv.exists() else None)
+
+
+# the lists of numbers a report may hold: short, or holding null
+REPORT_LISTS = {"m_est_log", "filled", "witness"}
+
+
+def _numeric_containers(value, key=None):
+    """(key, container) for each list, tuple or array of numbers in
+    ``value``, with the dict key it sits under."""
+    if isinstance(value, dict):
+        for k, item in value.items():
+            yield from _numeric_containers(item, k)
+    elif isinstance(value, np.ndarray):
+        yield key, value
+    elif isinstance(value, (list, tuple)):
+        if any(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+            yield key, value
+        for item in value:
+            yield from _numeric_containers(item, key)
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_JSON_COMMANDS))
+def test_reports_hold_numbers_in_arrays(tmp_path, monkeypatch, case):
+    # every run of numbers is a 1-D int64 or float64 array, which the writer
+    # joins in one call, apart from the few short lists REPORT_LISTS names
+    from quasikit.cli import _build_parser, _load_inputs
+    from quasikit.manifest import RunManifest
+
+    monkeypatch.chdir(tmp_path)
+    args = _build_parser().parse_args(golden_argv(case))
+    _load_inputs(args, RunManifest(command=[]))
+    doc, _ = args.handler(args)
+    for key, values in _numeric_containers(doc):
+        if isinstance(values, np.ndarray):
+            assert values.ndim == 1 and values.dtype in (np.float64, np.int64), (case, key)
+        else:
+            assert key in REPORT_LISTS, (case, key)
 
 
 CSV_CASES = sorted(case for case, command in STRICT_JSON_COMMANDS.items() if "{csv}" in command)

@@ -245,6 +245,34 @@ class TestAnalyze:
         assert chain_holds(big, big, big)
 
 
+def _noisy_vector(n=400):
+    # n log n plus noise: not log-convex, so the hull fills between vertices
+    rng = np.random.default_rng(37)
+    k = np.arange(n, dtype=float)
+    logs = k * np.log(np.maximum(k, 1.0)) + rng.uniform(0.0, 3.0, n)
+    logs[0] = 0.0
+    return qk.LogSequence(logs=logs)
+
+
+@pytest.mark.parametrize("name, shared", [("factorial", True), ("gevrey2", True),
+                                          ("denjoy2", False), ("noisy", False)])
+def test_analyze_shares_the_carleman_report_where_the_root_series_equals_it(
+        monkeypatch, catalog_2000, name, shared):
+    # denjoy2 is not log-convex at its padded start, the noisy vector nowhere
+    seq = _noisy_vector() if name == "noisy" else catalog_2000[name]
+    calls = []
+    real = qk.qa.root_series
+    monkeypatch.setattr(qk.qa, "root_series", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    report = qk.analyze(seq)
+    assert len(calls) == 1
+    assert (report.root_c is report.carleman) is shared
+    alone = real(qk.convex_regularize(seq))
+    for key in ("terms", "partial_sums"):
+        assert getattr(report.root_c, key).tobytes() == getattr(alone, key).tobytes()
+    assert report.root_c.verdict == alone.verdict
+    assert report.root_c.slope_estimate.hex() == alone.slope_estimate.hex()
+
+
 def test_analyze_needs_enough_entries():
     with pytest.raises(qk.ValidationError):
         qk.analyze(ones_sequence(6))

@@ -240,36 +240,27 @@ def test_the_report_exists_once_while_it_is_written(tmp_path, analyze_doc):
     assert peak < out.stat().st_size + boxed_bytes + column_bytes + x_bytes
 
 
-# --- a list equal to one the report already joined takes its text ---------
+# --- an array met again takes its text by identity -------------------------
 
-def test_equal_lists_share_their_text():
-    a = [0.5, 1e16, 5e-324]
-    same_depth, deeper = list(a), {"d": [list(a)], "e": [list(a)]}
-    ints, floats = [1, 2, 3], [1.0, 2.0, 3.0]
-    zero, minus_zero, zero_again = [0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]
-    # arrays: equal to an earlier list, to each other, and a list equal to one
-    array_a, array_again, list_again = np.array(a), np.array(a), list(a)
-    int_array, float_array = np.array(ints), np.array(ints, dtype=float)
-    zero_array = np.array(zero)
-    doc = {"i": ints, "f": floats, "a": a, "b": same_depth, "c": deeper,
-           "z": zero, "m": minus_zero, "y": zero_again,
-           "aa": array_a, "ab": array_again, "al": list_again,
-           "ia": int_array, "fa": float_array, "za": zero_array}
-    assert report(doc) == oracle(doc)
-    spans = cli._encode_spans(doc)[1]
+def test_an_array_is_joined_once_per_depth():
+    # the same array twice at one depth is joined once: both keys read
+    # spans[id(a)]; one level deeper it is joined with its own separator
+    a = np.array([0.5, 1e16, 5e-324, -0.0, 1e-4])
+    n = np.array([0, -(2**63), 2**63 - 1])
+    same_depth = {"a": a, "b": a, "n": n, "m": n}
+    deeper = {"a": a, "d": {"c": [0.5], "a": a}}
+    for doc in (same_depth, deeper):
+        assert report(doc) == oracle(doc)
 
-    def text(xs):
-        return spans[id(xs)].text
+    pieces, spans = cli._encode_spans(same_depth)
+    for xs in (a, n):
+        assert sum(piece is spans[id(xs)].text for piece in pieces) == 2
 
-    assert text(same_depth) is text(a)
-    assert text(deeper["e"][0]) is text(deeper["d"][0]) != text(a)  # another separator
-    assert text(floats) != text(ints)
-    # 0.0 == -0.0, so a list holding a zero is joined again
-    assert text(zero) is not text(zero_again) and text(minus_zero) != text(zero)
-    assert text(array_a) is text(a) and text(array_again) is text(a)
-    assert text(list_again) is text(a)
-    assert text(int_array) is text(ints) and text(float_array) is text(floats)
-    assert text(zero_array) is not text(zero) and text(zero_array) == text(zero)
+    pieces, spans = cli._encode_spans(deeper)
+    top = spans[id(a)]
+    assert top.sep == ",\n    " and sum(piece is top.text for piece in pieces) == 1
+    inner = ",\n      ".join(map(repr, a.tolist()))
+    assert inner in pieces and top.text != inner
 
 
 REPEATED = (st.lists(CSV_FLOATS, min_size=1, max_size=6)
@@ -294,17 +285,24 @@ def test_repeated_lists_match_json_dumps(lists, paths):
     assert report(doc) == oracle(doc)
 
 
-def test_a_list_that_took_earlier_text_is_a_csv_column(tmp_path):
-    # b takes a's text; the deeper copy of a is joined with its own separator
-    a = [0.1, 2.5, 1e-5, 1e16]
-    b, deeper = list(a), list(a)
-    doc = {"a": a, "b": b, "d": {"c": [0.5], "d": deeper}}
-    _, spans = cli._encode_spans(doc)
-    for xs in (a, b, deeper):
-        assert cli._strings(spans[id(xs)]) == list(map(repr, a))
+def test_an_array_the_report_holds_is_a_csv_column(tmp_path, monkeypatch):
+    # a column that is one of the report's arrays is split from the report's
+    # text; the first span is kept when the array comes again deeper
+    a = np.array([0.1, 2.5, 1e-5, 1e16, -0.0])
+    doc = {"a": a, "b": a, "d": {"c": [0.5], "a": a}}
+    encoded, columns = [], []
+    encode, emit = cli._encode_spans, cli.emit_plotdata
+    monkeypatch.setattr(cli, "_encode_spans", lambda doc: encoded.append(encode(doc)) or encoded[0])
+    monkeypatch.setattr(cli, "emit_plotdata",
+                        lambda blocks, path: columns.extend(blocks) or emit(blocks, path))
     out, csv = tmp_path / "r.json", tmp_path / "r.csv"
-    cli._write_outputs(doc, str(out), str(csv), [("b", b, deeper), ("c", itertools.count(1.0), b)])
-    rows = [f"{x!r},b,{v!r}\n" for x, v in zip(b, b)] + [f"{float(k)!r},c,{v!r}\n"
-                                                         for k, v in enumerate(b, start=1)]
+    cli._write_outputs(doc, str(out), str(csv), [("b", a, a), ("c", itertools.count(1.0), a)])
+    ((pieces, spans),) = encoded
+    assert [values for _, _, values in columns] == [spans[id(a)]] * 2
+    assert columns[0][1] is spans[id(a)] and spans[id(a)].text in pieces
+    strings = list(map(repr, a.tolist()))
+    assert cli._strings(spans[id(a)]) == strings
+    rows = [f"{x},b,{v}\n" for x, v in zip(strings, strings)] + [
+        f"{float(k)!r},c,{v}\n" for k, v in enumerate(strings, start=1)]
     assert csv.read_text() == "x,series,value\n" + "".join(rows)
-    assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert out.read_text() == oracle(doc) + "\n"

@@ -125,9 +125,7 @@ def _tail_slope(xs: np.ndarray, sums: np.ndarray) -> float:
     slope is homogeneous of degree 1 in the sums, and the last is the
     largest, so large sums are fitted through ``_down_scale``."""
     k = len(sums)
-    start = (3 * (k - 1)) // 4
-    if k - start < 2:
-        start = max(0, k - 2)
+    start = (3 * (k - 1)) // 4  # leaves at least 2 points, since k >= 2
     x = xs[start:]
     scale = _down_scale(sums[-1])
     y = sums[start:] / scale

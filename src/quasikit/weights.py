@@ -23,7 +23,6 @@ import bisect
 import functools
 import math
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,63 +258,59 @@ class WeightInf:
     t_star: float
 
 
+def _transforms(w: WeightFunction, radii) -> tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, ValidationError | ConditioningError | None
+]:
+    """t*, log Lambda = m(t*) - t* log r, omega = -log Lambda and log lambda
+    as float64 arrays from one solve over the radii, up to the first radius
+    that the solve rejects or whose omega fails a cross-check against
+    t m'(t) - m(t) or t + t^2 mu'(t), and that radius's error (or None).  A
+    caller checks its own condition over the arrays before it raises the
+    error, and so meets errors in radius order."""
+    log_r, t_star, error = _stationary_points(w, radii)
+    log_r = np.array(log_r, dtype=float)
+    with np.errstate(all="ignore"):
+        m, m1, _ = _m_parts(w, t_star)
+        log_value = m - t_star * log_r
+        value = -log_value
+        tol = _OMEGA_CHECK_RTOL * np.where(np.abs(value) > 1.0, np.abs(value), 1.0)
+        parametric = t_star * m1 - m
+        mu_form = t_star + t_star * (t_star * _mu_prime(w, t_star))  # t * t overflows first
+        off_parametric = np.abs(parametric - value) > tol
+        off = np.flatnonzero(off_parametric | (np.abs(mu_form - value) > tol))
+    if off.size:  # a failed check's radius precedes the solve's
+        i = off[0]
+        if off_parametric[i]:
+            message = f"{value[i]:g} vs t m'-m = {parametric[i]:g}"
+        else:
+            message = f"{value[i]:g} vs t + t^2 mu' = {mu_form[i]:g}"
+        error = ConditioningError(f"parametric cross-check failed: {message}")
+        log_r, t_star, log_value, value = log_r[:i], t_star[:i], log_value[:i], value[:i]
+    return t_star, log_value, value, _integer_infs(w, log_r, t_star), error
+
+
+def _transform(w: WeightFunction, r: float) -> tuple[float, float, float, float]:
+    """_transforms of the one radius r as floats; raises its error."""
+    *values, error = _transforms(w, [r])
+    if error:
+        raise error
+    return tuple(float(v[0]) for v in values)
+
+
 def weight_inf(w: WeightFunction, r: float) -> WeightInf:
     """log Lambda(r) = m(t*) - t* log r with m'(t*) = log r.
 
     Rejects r <= exp(m'(t0)): the stationary point would sit on or below the
     boundary and the sandwich reasoning needs an interior minimizer.
     """
-    _, t_star, log_value, error = _infima(w, [r])
-    if error:
-        raise error
-    return WeightInf(log_value=float(log_value[0]), t_star=float(t_star[0]))
-
-
-def _infima(
-    w: WeightFunction, radii
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, ValidationError | None]:
-    """log r, t* and log Lambda(r) = m(t*) - t* log r over the radii up to
-    the first one the solve rejects, and the solve's error for that radius
-    (or None)."""
-    log_r, t_star, error = _stationary_points(w, radii)
-    log_r = np.array(log_r, dtype=float)
-    with np.errstate(all="ignore"):
-        return log_r, t_star, _m_parts(w, t_star)[0] - t_star * log_r, error
+    t_star, log_value, _, _ = _transform(w, r)
+    return WeightInf(log_value=log_value, t_star=t_star)
 
 
 def omega(w: WeightFunction, r: float) -> float:
     """omega(r) = -log Lambda(r), cross-checked against the parametric forms
     t m'(t) - m(t) and t + t^2 mu'(t) at the stationary point."""
-    return transforms(w, r)[1]
-
-
-def _omegas(w: WeightFunction, radii) -> Iterator[float]:
-    """omega of each row of _transform_rows, errors included."""
-    return (row[1] for row in _transform_rows(w, radii))
-
-
-def _checked_omegas(
-    w: WeightFunction, t: np.ndarray, log_value: np.ndarray
-) -> tuple[np.ndarray, ConditioningError | None]:
-    """omega = -log Lambda at the stationary points t, up to the first that
-    fails a cross-check against t m'(t) - m(t) or t + t^2 mu'(t), and that
-    check's error (or None)."""
-    value = -log_value
-    with np.errstate(all="ignore"):
-        m, m1, _ = _m_parts(w, t)
-        tol = _OMEGA_CHECK_RTOL * np.where(np.abs(value) > 1.0, np.abs(value), 1.0)
-        parametric = t * m1 - m
-        mu_form = t + t * (t * _mu_prime(w, t))  # t * t overflows first
-        off_parametric = np.abs(parametric - value) > tol
-        off = np.flatnonzero(off_parametric | (np.abs(mu_form - value) > tol))
-    if not off.size:
-        return value, None
-    i = off[0]
-    if off_parametric[i]:
-        message = f"{value[i]:g} vs t m'-m = {parametric[i]:g}"
-    else:
-        message = f"{value[i]:g} vs t + t^2 mu' = {mu_form[i]:g}"
-    return value[:i], ConditioningError(f"parametric cross-check failed: {message}")
+    return _transform(w, r)[2]
 
 
 def weight_inf_integer(w: WeightFunction, r: float) -> float:
@@ -324,10 +319,7 @@ def weight_inf_integer(w: WeightFunction, r: float) -> float:
     The continuous objective is unimodal with minimizer t*, so scanning
     integers within two of t* (clipped to >= t0) suffices.
     """
-    log_r, t_star, _, error = _infima(w, [r])
-    if error:
-        raise error
-    return float(_integer_infs(w, log_r, t_star)[0])
+    return _transform(w, r)[3]
 
 
 def _integer_infs(w: WeightFunction, log_r: np.ndarray, t_star: np.ndarray) -> np.ndarray:
@@ -355,20 +347,7 @@ def _integer_infs(w: WeightFunction, log_r: np.ndarray, t_star: np.ndarray) -> n
 def transforms(w: WeightFunction, r: float) -> tuple[float, float, float]:
     """(log Lambda(r), omega(r), log lambda(r)) from one stationary-point
     solve; each equals what weight_inf, omega and weight_inf_integer return."""
-    return next(_transform_rows(w, [r]))
-
-
-def _transform_rows(w: WeightFunction, radii) -> Iterator[tuple[float, float, float]]:
-    """transforms(w, r) for each radius in turn, from one batched solve.  An
-    error for a radius is raised only once every earlier radius has been
-    yielded, so a caller that checks each radius as it comes meets its
-    errors in radius order."""
-    log_r, t_star, log_value, error = _infima(w, radii)
-    omegas, check_error = _checked_omegas(w, t_star, log_value)
-    lam_int = _integer_infs(w, log_r, t_star)
-    yield from zip(log_value.tolist(), omegas.tolist(), lam_int.tolist())
-    if check_error or error:  # a failed check's radius precedes the solve's
-        raise check_error or error
+    return _transform(w, r)[1:]
 
 
 def _start_radius(w: WeightFunction, offset: float, factor: float, reach: float) -> float:
@@ -392,7 +371,9 @@ def transform_grid(w: WeightFunction, r_max: float, samples: int) -> dict:
     if not r_start * 2 < r_max < math.inf:
         raise ValidationError(f"r_max must be finite and exceed {r_start * 2:g} for this t0")
     r_values = np.exp(np.linspace(np.log(r_start), np.log(r_max), samples))
-    lam, omega_values, lam_int = map(np.array, zip(*_transform_rows(w, r_values.tolist())))
+    _, lam, omega_values, lam_int, error = _transforms(w, r_values.tolist())
+    if error:
+        raise error
     return {"r": r_values, "Lambda_log": lam, "omega": omega_values, "lambda_log": lam_int}
 
 
@@ -411,16 +392,16 @@ def invariant_battery(w: WeightFunction, r_max: float) -> dict:
         raise ValidationError(f"r_max must be finite, got {r_max!r}")
     r_lo = _start_radius(w, 1.5, 1.05, 4.0)
     grid = np.exp(np.linspace(np.log(r_lo), np.log(max(r_max, 4 * r_lo)), 100)).tolist()
-    sandwich_ok = True
-    omega_values = []
-    for r, (lam, omega_r, lam_int) in zip(grid, _transform_rows(w, grid)):
-        if not all(map(math.isfinite, (lam, omega_r, lam_int))):
-            raise ValidationError(f"Lambda, omega or lambda at r = {r:g} leaves the float range")
-        omega_values.append(omega_r)
-        tol = 1e-9 + 1e-12 * abs(lam)
-        if not (lam_int - w.delta - tol <= lam <= lam_int + tol):
-            sandwich_ok = False
-    omega_increasing = all(b > a for a, b in zip(omega_values, omega_values[1:]))
+    _, lam, omega_values, lam_int, error = _transforms(w, grid)
+    bad = np.flatnonzero(~np.isfinite([lam, lam_int]).all(axis=0))  # omega is -Lambda
+    if bad.size:
+        r = grid[bad[0]]
+        raise ValidationError(f"Lambda, omega or lambda at r = {r:g} leaves the float range")
+    if error:
+        raise error
+    tol = 1e-9 + 1e-12 * np.abs(lam)
+    sandwich_ok = bool(((lam_int - w.delta - tol <= lam) & (lam <= lam_int + tol)).all())
+    omega_increasing = bool((omega_values[1:] > omega_values[:-1]).all())
     p_hi = max(1000, int(w.t0) + 2)  # never an empty range of p
     shift_ok = all(shift_bound_check(w, j, int(w.t0) + 1, p_hi) for j in (0, 1, 2, 3))
     algebra_ok = algebra_check(w, 200)
@@ -471,10 +452,11 @@ def integral_test(
 
     steps = [(b - a) / (2 * panels) for a, b in zip(edges, edges[1:])]
     nodes = [a + i * h for a, h in zip(edges, steps) for i in range(2 * panels + 1)]
+    _, _, omegas, _, error = _transforms(w, [math.exp(u) for u in nodes])
+    if error:
+        raise error
     # omega(e^u) e^{-u}: the substitution r = e^u absorbs one 1/r
-    integrand = [
-        value * math.exp(-u) for u, value in zip(nodes, _omegas(w, [math.exp(u) for u in nodes]))
-    ]
+    integrand = [value * math.exp(-u) for u, value in zip(nodes, omegas.tolist())]
     increments = []
     for start, h in zip(range(0, len(nodes), 2 * panels + 1), steps):
         values = integrand[start : start + 2 * panels + 1]
@@ -544,9 +526,12 @@ def _extended_m(w: WeightFunction, t: np.ndarray) -> np.ndarray:
 def algebra_check(w: WeightFunction, n_max: int) -> bool:
     """Check M(n-j) M(j) <= M(n) for 0 <= j <= n <= n_max, in the log domain,
     using the convex zero-extension of m (normalized to vanish at t0).
-    Rejects n_max < 1, which leaves nothing to check."""
+    Rejects n_max < 1, which leaves nothing to check, and n_max > 2^14: the
+    O(n_max^2) work took 1.4 s and 94 MB at 2^14 (2-core VM, numpy 2.4)."""
     if n_max < 1:
         raise ValidationError(f"n_max must be at least 1, got {n_max}")
+    if n_max > 2**14:
+        raise ValidationError(f"n_max must be at most {2**14}, got {n_max}")
     ext = _extended_m(w, np.arange(n_max + 1, dtype=float))
     with np.errstate(all="ignore"):
         bound = ext + _SLACK * np.maximum(1.0, np.abs(ext))
@@ -576,9 +561,12 @@ def analytic_criterion(w: WeightFunction, c: float, r_lo: float, p_lo: int, p_hi
     radii = _exp(np.linspace(u_lo, u_lo + 10.0 * math.log(2.0), 33)).tolist()
     if math.inf in radii:
         raise ValidationError(f"r_lo * 2^10 leaves the float range (r_lo = {r_lo!r})")
-    for r, omega_r in zip(radii, _omegas(w, radii)):
+    _, _, omegas, _, error = _transforms(w, radii)
+    for r, omega_r in zip(radii, omegas.tolist()):
         if omega_r < c * r:
             raise ValidationError(f"hypothesis fails: omega({r:g}) = {omega_r:g} < c r = {c * r:g}")
+    if error:
+        raise error
     log_c = math.log(c)
     for p in ps:
         allowed = w.delta + math.lgamma(p + 1) - p * log_c
@@ -601,6 +589,8 @@ def loglog_asymptotics_check(r_max: float) -> tuple[np.ndarray, np.ndarray]:
     w = make_weight("loglog", 10.0)
     r_start = math.exp(_m_parts(w, w.t0 + 1.0)[1]) * 1.01
     grid = np.exp(np.linspace(math.log(r_start), math.log(r_max), 64))
-    omegas = np.fromiter(_omegas(w, grid.tolist()), float, grid.size)
+    _, _, omegas, _, error = _transforms(w, grid.tolist())
+    if error:
+        raise error
     with np.errstate(over="ignore"):
         return grid, omegas * math.e * _libm(math.log, grid) / grid

@@ -240,6 +240,11 @@ class TestBounds:
                 qk.algebra_check(w_zero, n_max)
         assert qk.shift_bound_check(w_zero, 1, 9, 9)  # one p is a sample
 
+    def test_algebra_check_rejects_n_max_past_2_to_14(self, w_zero):
+        # the check's work grows as n_max^2
+        with pytest.raises(qk.ValidationError, match=r"^n_max must be at most 16384, got 16385$"):
+            qk.algebra_check(w_zero, 2**14 + 1)
+
     def test_battery_checks_the_shift_bound_past_p_1000(self):
         w = qk.make_weight("zero", 2000.0)
         assert qk.invariant_battery(w, 1e6)["shift_ok"]
@@ -301,3 +306,17 @@ def test_invariant_battery_holds_at_large_rmax(mu):
     # ulp of the m(t*) that the subtraction cancels
     report = qk.invariant_battery(qk.make_weight(mu, 10.0), 1e9)
     assert report["sandwich_ok"] and report["ok"]
+
+
+def test_invariant_battery_reports_a_failed_sandwich():
+    # a negative delta puts lambda - delta above lambda >= Lambda, and also
+    # breaks the shift bound, whose slope is delta
+    w = qk.make_weight("zero", 10.0)
+    object.__setattr__(w, "delta", -1.0)
+    assert qk.invariant_battery(w, 1e6) == {
+        "sandwich_ok": False,
+        "omega_increasing": True,
+        "shift_ok": False,
+        "algebra_ok": True,
+        "ok": False,
+    }

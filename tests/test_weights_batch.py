@@ -190,9 +190,66 @@ def test_band_absorbs_a_log_two_ulps_off(mu, t0, alpha):
 def test_scalar_entry_points_are_the_batch_of_one():
     w = qk.make_weight("loglog", 10.0)
     radii = _grid(w, 40, 1e12)
-    assert list(W._transform_rows(w, radii)) == [qk.transforms(w, r) for r in radii]
-    assert list(W._omegas(w, radii)) == [qk.omega(w, r) for r in radii]
-    assert W._infima(w, radii)[1].tolist() == [scalar_stationary(w, r) for r in radii]
+    t_star, lam, omegas, lam_int, error = W._transforms(w, radii)
+    assert error is None
+    rows = list(zip(lam.tolist(), omegas.tolist(), lam_int.tolist()))
+    assert rows == [qk.transforms(w, r) for r in radii]
+    assert omegas.tolist() == [qk.omega(w, r) for r in radii]
+    assert t_star.tolist() == [scalar_stationary(w, r) for r in radii]
+    assert [W.WeightInf(v, t) for v, t in zip(lam.tolist(), t_star.tolist())] == [
+        qk.weight_inf(w, r) for r in radii
+    ]
+    assert lam_int.tolist() == [qk.weight_inf_integer(w, r) for r in radii]
+
+
+SCALAR_ENTRY_POINTS = (qk.weight_inf, qk.omega, qk.weight_inf_integer, qk.transforms)
+
+
+def _double_mu_prime_from(t_fail):
+    """A _mu_prime that doubles mu'(t) from t_fail on, where the check of
+    omega against t + t^2 mu'(t) then fails; t m'(t) - m(t) still agrees."""
+    mu_prime = W._mu_prime
+
+    def doubled(w, t):
+        return np.where(t >= t_fail, 2.0, 1.0) * mu_prime(w, t)
+
+    return doubled
+
+
+def _doubled_mu_message(w, r):
+    """The check's message at r under _double_mu_prime_from(t) for t <= t*(r),
+    for loglog, whose mu'(t) is 1 / (t log t)."""
+    t = scalar_stationary(w, r)
+    value = -(W._m_parts(w, t)[0] - t * math.log(r))
+    mu_form = t + t * (t * (2.0 * (1.0 / (t * math.log(t)))))
+    return f"parametric cross-check failed: {value:g} vs t + t^2 mu' = {mu_form:g}"
+
+
+def _raised(call, *args):
+    with pytest.raises(QuasikitError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("fails", ["parametric", "mu", "solve"])
+def test_scalar_entry_points_raise_the_same_error(monkeypatch, fails):
+    # the error of the cross-check, in either form, or of the solve
+    w = qk.make_weight("loglog", 10.0)
+    r = 1e5
+    if fails == "parametric":
+        want = (ConditioningError, "parametric cross-check failed: 4413.88 vs t m'-m = 4413.88")
+        monkeypatch.setattr(W, "_OMEGA_CHECK_RTOL", -1.0)
+    elif fails == "mu":
+        want = (ConditioningError, _doubled_mu_message(w, r))
+        monkeypatch.setattr(W, "_mu_prime", _double_mu_prime_from(w.t0))
+    else:
+        r = 1.0
+        want = (ValidationError, scalar_prefix(w, [r])[1])
+    for entry in SCALAR_ENTRY_POINTS:
+        assert _raised(entry, w, r) == want
+    *arrays, error = W._transforms(w, [r])
+    assert [a.size for a in arrays] == [0] * 4
+    assert (type(error), str(error)) == want
 
 
 def test_callers_meet_errors_in_radius_order(monkeypatch):
@@ -204,12 +261,11 @@ def test_callers_meet_errors_in_radius_order(monkeypatch):
     with pytest.raises(ValidationError, match="bracket failure"):
         W.analytic_criterion(w, 1e-300, math.exp(135.0), 1, 5)
 
-    def failing_check(w, t_star, log_value):
-        return log_value[:0], ConditioningError("first node")
-
-    monkeypatch.setattr(W, "_checked_omegas", failing_check)
-    with pytest.raises(ConditioningError, match="first node"):
-        W.integral_test(w, 10.0, math.exp(150.0))
+    # every radius fails the cross-check, so the error of r0, the first node, is met
+    monkeypatch.setattr(W, "_OMEGA_CHECK_RTOL", -1.0)
+    want = loop_rows(w, [10.0])[1]
+    assert want[0] is ConditioningError and "vs t m'-m" in want[1]
+    assert _raised(W.integral_test, w, 10.0, math.exp(150.0)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -299,24 +355,21 @@ def loop_rows(w, radii, integer=True):
     return rows, None if message is None else (ValidationError, message)
 
 
-def taken(rows):
-    """The items a generator yields before it raises, and its error as
-    (type, message) or None."""
-    got = []
-    try:
-        for row in rows:
-            got.append(row)
-    except (QuasikitError, OverflowError) as exc:
-        return got, (type(exc), str(exc))
-    return got, None
+def batched_rows(w, radii):
+    """_transforms as loop_rows gives it: rows, the omegas alone, t*, and the
+    error as (type, message) or None."""
+    t_star, lam, omegas, lam_int, error = W._transforms(w, radii)
+    rows = list(zip(lam.tolist(), omegas.tolist(), lam_int.tolist()))
+    return rows, omegas.tolist(), t_star.tolist(), error and (type(error), str(error))
 
 
 def assert_rows_equal(w, radii):
-    for integer, batched in ((True, W._transform_rows), (False, W._omegas)):
-        got, got_error = taken(batched(w, radii))
-        want, want_error = loop_rows(w, radii, integer)
-        assert bits(got) == bits(want)
-        assert got_error == want_error
+    rows, omegas, t_star, error = batched_rows(w, radii)
+    want, want_error = loop_rows(w, radii)
+    assert bits(rows) == bits(want)
+    assert bits(omegas) == bits(loop_rows(w, radii, False)[0])
+    assert bits(t_star) == bits(scalar_prefix(w, radii)[0][: len(t_star)])
+    assert error == want_error
 
 
 def _zero_huge_t0():
@@ -405,27 +458,18 @@ def test_every_stationary_point_is_finite(mu, alpha):
     ([math.exp(360.0), 1.0, math.exp(400.0)], "small"),
 ])
 def test_check_failure_and_small_radius_meet_in_radius_order(monkeypatch, radii, fails):
-    # the omega cross-check is made to fail from t*(e^400) on, before or
-    # after a radius that is too small; both row generators meet the
-    # earlier one, after the rows of the radius before it
+    # the omega cross-check against t + t^2 mu' is made to fail from
+    # t*(e^400) on, before or after a radius that is too small; the arrays
+    # stop before the earlier one, and its error is the one returned
     w = qk.make_weight("loglog", 1e150)
+    want_error = ((ConditioningError, _doubled_mu_message(w, math.exp(400.0)))
+                  if fails == "check" else (ValidationError, scalar_prefix(w, radii)[1]))
     t_fail = scalar_stationary(w, math.exp(400.0))
-    checked = W._checked_omegas
-
-    def failing_check(w, t_star, log_value):
-        value, error = checked(w, t_star, log_value)
-        bad = np.flatnonzero(t_star >= t_fail)
-        if bad.size:
-            return value[:bad[0]], ConditioningError("from t*(e^400) on")
-        return value, error
-
-    monkeypatch.setattr(W, "_checked_omegas", failing_check)
-    want_error = ((ConditioningError, "from t*(e^400) on") if fails == "check"
-                  else (ValidationError, scalar_prefix(w, radii)[1]))
-    for integer, batched in ((True, W._transform_rows), (False, W._omegas)):
-        got, got_error = taken(batched(w, radii))
-        assert bits(got) == bits(loop_rows(w, radii[:1], integer)[0])
-        assert got_error == want_error
+    monkeypatch.setattr(W, "_mu_prime", _double_mu_prime_from(t_fail))
+    rows, omegas, _, error = batched_rows(w, radii)
+    assert bits(rows) == bits(loop_rows(w, radii[:1])[0])
+    assert bits(omegas) == bits(loop_rows(w, radii[:1], False)[0])
+    assert error == want_error
 
 
 @settings(max_examples=100)

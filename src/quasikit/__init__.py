@@ -48,24 +48,36 @@ _EXPORTS = {
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 
+def _loading(method):
+    """``method`` of a plain module, called once the body of a _LazyModule
+    has run."""
+
+    def call(module, *args):
+        with _LOAD_LOCK:
+            if type(module) is _LazyModule and module not in _LOADING:
+                _LOADING.append(module)
+                try:
+                    _ModuleType.__getattribute__(module, "__spec__").loader.exec_module(module)
+                    module.__class__ = _ModuleType
+                finally:
+                    _LOADING.remove(module)
+        return method(module, *args)
+
+    return call
+
+
 class _LazyModule(_ModuleType):
-    """A library module whose body has not run yet.  The first access to an
-    attribute runs the body under ``_LOAD_LOCK`` and makes the module a
-    plain module; a thread that comes meanwhile waits for the whole body, and
-    the loading thread's own accesses pass through.  Python 3.13's
+    """A library module whose body has not run yet.  The first read, write
+    or delete of an attribute runs the body under ``_LOAD_LOCK`` and makes
+    the module a plain module, so the body never overwrites an assignment; a
+    thread that comes meanwhile waits for the whole body, and the loading
+    thread's own accesses pass through.  Python 3.13's
     ``importlib.util.LazyLoader`` locks the same way; earlier ones let a
     second thread see the module half-run."""
 
-    def __getattribute__(self, attr):
-        with _LOAD_LOCK:
-            if type(self) is _LazyModule and self not in _LOADING:
-                _LOADING.append(self)
-                try:
-                    _ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
-                    self.__class__ = _ModuleType
-                finally:
-                    _LOADING.remove(self)
-        return _ModuleType.__getattribute__(self, attr)
+    __getattribute__ = _loading(_ModuleType.__getattribute__)
+    __setattr__ = _loading(_ModuleType.__setattr__)
+    __delattr__ = _loading(_ModuleType.__delattr__)
 
 
 _LOAD_LOCK = _thread.RLock()

@@ -35,17 +35,18 @@ class BangVector:
     """Real entries plus the index set P (sorted, contains 0).
 
     ``entries`` is a read-only float64 array, ``index_set`` a read-only intp
-    array.
+    array; an index set of None is every index of the entries.
     """
 
     entries: np.ndarray
-    index_set: np.ndarray
+    index_set: np.ndarray | None = None
 
     def __post_init__(self):
         entries = _frozen(self.entries, "entries")
         if entries.size < 1:
             raise ValidationError("BangVector needs at least one entry")
-        pset = _frozen(self.index_set, "index_set")
+        pset = _frozen(np.arange(entries.size) if self.index_set is None else self.index_set,
+                       "index_set")
         if pset.size == 0 or pset[0] != 0:
             raise ValidationError("index_set must be sorted and contain 0")
         if not (np.diff(pset) > 0).all():
@@ -67,11 +68,7 @@ class BangVector:
     def from_json(cls, doc) -> "BangVector":
         if not isinstance(doc, Mapping) or "entries" not in doc:
             raise ValidationError("bang vector JSON needs an 'entries' field")
-        entries = _frozen(doc["entries"], "entries")
-        index_set = doc.get("index_set")
-        if index_set is None:
-            index_set = np.arange(entries.size)
-        return cls(entries=entries, index_set=index_set)
+        return cls(entries=doc["entries"], index_set=doc.get("index_set"))
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ def _load_inputs(args, manifest: RunManifest) -> None:
             manifest.add_input(path, data)
             try:
                 docs[path] = json.loads(data.decode("utf-8"))
-            except ValueError as exc:  # not UTF-8, or not JSON
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
                 raise ValidationError(f"malformed JSON in {path}: {exc}") from None
         path.doc = docs[path]
 
@@ -181,14 +181,12 @@ def _write_outputs(doc: dict, out: str | None, csv_path: str | None, blocks) -> 
 
 @contextmanager
 def _naming(target: str):
-    """Name ``target`` in an OSError that names no file, as a failed write or
-    close raises."""
+    """A failed write or close as a ValidationError naming its file, or
+    ``target`` where the OSError names none."""
     try:
         yield
     except OSError as exc:
-        if exc.filename is None:
-            exc.filename = target
-        raise
+        raise ValidationError(f"cannot write {exc.filename or target}: {exc.strerror}") from None
 
 
 # rows per write in emit_plotdata
@@ -469,17 +467,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str]) -> int:
     """Parse and run one command; returns the process exit code."""
     log = _logger()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    manifest = RunManifest(command=["quasikit", *argv], seed=getattr(args, "seed", None))
-    started = time.monotonic()
-    try:
+        args = _build_parser().parse_args(argv)
+        manifest = RunManifest(command=["quasikit", *argv], seed=getattr(args, "seed", None))
+        started = time.monotonic()
         _load_inputs(args, manifest)
         doc, blocks = args.handler(args)
+        if log:
+            log.info("completed in %.3f s", time.monotonic() - started)
+        output = {"manifest": manifest.to_json()}
+        output.update(doc)
+        _write_outputs(output, getattr(args, "out", None), getattr(args, "csv", None), blocks)
+    except SystemExit as exc:  # argparse's usage error, --help or --version
+        return int(exc.code or 0)
     except ValidationError as exc:
         print(f"quasikit: {exc}", file=sys.stderr)
         return 2
@@ -491,19 +491,6 @@ def dispatch(argv: list[str]) -> int:
         if log:
             log.debug("traceback of the internal error", exc_info=True)
         return 1
-    if log:
-        log.info("completed in %.3f s", time.monotonic() - started)
-
-    output = {"manifest": manifest.to_json()}
-    output.update(doc)
-    try:
-        _write_outputs(output, getattr(args, "out", None), getattr(args, "csv", None), blocks)
-    except ValidationError as exc:
-        print(f"quasikit: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"quasikit: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
     return 0
 
 

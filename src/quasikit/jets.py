@@ -38,6 +38,8 @@ GRID_MAX = 2**14
 # largest |num| and |den| of a pow node: the exponent num/den is then a
 # nonzero float, and an integer power takes at most 20 squarings
 POW_MAX = 2**20
+# deepest node of a tree (root at depth 0); _propagate recurses once per level
+TREE_DEPTH_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,8 @@ def _propagate(node, t: np.ndarray, k_max: int, path: str) -> np.ndarray:
     reader of expression trees: it checks a node's own fields before its
     children, depth first, so a malformed tree raises the same
     ValidationError over zero points as over many."""
+    if path.count(".") > TREE_DEPTH_MAX:
+        raise ValidationError(f"expression node at {path} is deeper than {TREE_DEPTH_MAX}")
     if not isinstance(node, Mapping) or "op" not in node:
         raise ValidationError(f"expression node at {path} must be a dict with 'op'")
     op = node["op"]

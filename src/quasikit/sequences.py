@@ -101,19 +101,19 @@ class LogSequence:
 class RegularizedSequence:
     """Largest convex minorant of a LogSequence, with its principal indices.
 
-    ``logs_c[n] <= logs[n]`` everywhere, with equality exactly on
-    ``principal``; between consecutive hull vertices the minorant is affine.
+    ``logs_c[n] <= logs[n]`` everywhere, with equality exactly on ``principal``,
+    a read-only int64 array; between consecutive hull vertices logs_c is affine.
     """
 
     logs_c: np.ndarray
-    principal: tuple[int, ...]
+    principal: np.ndarray
 
     @property
     def length(self) -> int:
         return len(self.logs_c)
 
     def to_json(self) -> dict:
-        return {"logs_c": self.logs_c, "principal": np.array(self.principal, dtype=np.int64)}
+        return {"logs_c": self.logs_c, "principal": self.principal}
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,8 @@ def convex_regularize(seq: LogSequence) -> RegularizedSequence:
     hull.flags.writeable = False
 
     tol = _EQ_RTOL * max(1.0, float(np.abs(logs).max()))
-    principal = tuple(np.flatnonzero(hull >= logs - tol).tolist())
+    principal = np.flatnonzero(hull >= logs - tol)
+    principal.flags.writeable = False
     return RegularizedSequence(logs_c=hull, principal=principal)
 
 

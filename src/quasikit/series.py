@@ -31,29 +31,23 @@ INCONCLUSIVE = "inconclusive"
 
 
 def _frozen(values, name: str = "logs") -> np.ndarray:
-    """``values`` as a read-only float64 array of finite numbers: a flat list
-    is copied, a read-only 1-D float64 array that owns its memory is checked
-    and returned as it is (a view may share a writable base).  A string or a
-    bool converts to a float but is no number, so an item that is not
-    ``numbers.Real``, or is a bool, is rejected (``errors.finite_float``'s
-    rule)."""
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1
-            and not values.flags.writeable and values.base is None):
-        arr = values
-    else:
-        try:
-            arr = np.array(values, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"{name} must be a list of numbers") from None
-        if arr.ndim != 1:
-            raise ValidationError(f"{name} must be a flat list of numbers")
-        if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
-            items = values.tolist() if isinstance(values, np.ndarray) else values
-            if not set(map(type, items)) <= {float, int}:
-                for n, item in enumerate(items):
-                    if not isinstance(item, numbers.Real) or isinstance(item, bool):
-                        raise ValidationError(f"{name}[{n}] = {item!r} is not a number")
-        arr.flags.writeable = False
+    """A read-only float64 copy of ``values``, a flat list or 1-D array of
+    finite numbers.  A string or a bool converts to a float but is no number,
+    so an item that is not ``numbers.Real``, or is a bool, is rejected
+    (``errors.finite_float``'s rule)."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a list of numbers") from None
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be a flat list of numbers")
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        items = values.tolist() if isinstance(values, np.ndarray) else values
+        if not set(map(type, items)) <= {float, int}:
+            for n, item in enumerate(items):
+                if not isinstance(item, numbers.Real) or isinstance(item, bool):
+                    raise ValidationError(f"{name}[{n}] = {item!r} is not a number")
+    arr.flags.writeable = False
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         n = int(bad[0])

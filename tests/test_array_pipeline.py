@@ -93,8 +93,8 @@ def assert_matches_references(logs):
     hull, principal = regularize_reference(logs)
     reg = qk.convex_regularize(seq)
     assert same_bits(reg.logs_c, hull)
-    assert reg.principal == principal
-    assert all(type(n) is int for n in reg.principal)
+    assert reg.principal.tolist() == list(principal)
+    assert reg.principal.dtype == np.int64 and not reg.principal.flags.writeable
     assert same_bits(qk.beta_sequence(seq), beta_reference(logs))
     if len(logs) >= 3:
         for tol in (TOL_CONVEX, 0.0):
@@ -260,11 +260,14 @@ class TestReadOnlyArrays:
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
-    def test_index_sets_are_int_tuples(self, objects):
+    def test_index_sets_are_an_int64_array_and_an_int_tuple(self, objects):
         seq, reg, _ = objects
-        for index_set in (seq.filled, reg.principal):
-            assert isinstance(index_set, tuple)
-            assert all(type(n) is int for n in index_set)
+        assert isinstance(reg.principal, np.ndarray) and reg.principal.dtype == np.int64
+        assert reg.principal.ndim == 1
+        with pytest.raises(ValueError):
+            reg.principal[0] = 1
+        assert isinstance(seq.filled, tuple)
+        assert all(type(n) is int for n in seq.filled)
         assert seq.filled == (0, 1, 2)
 
     def test_inputs_are_copied(self):

@@ -248,12 +248,37 @@ def test_from_json_defaults_to_full_index_set():
         qk.BangVector.from_json({"index_set": [0]})
 
 
-def test_entries_are_copied_once():
-    # from_json copies the list; __post_init__ keeps that read-only array
+def test_constructor_defaults_to_full_index_set():
+    v = qk.BangVector(entries=[0.5, 1.0, 0.0])
+    assert v.index_set.tolist() == [0, 1, 2]
+    assert v.index_set.dtype == np.intp and not v.index_set.flags.writeable
+
+
+@pytest.mark.parametrize("index_set, message", [
+    ([0, 2, 2], "index_set must be strictly increasing"),
+    ([0, 2, 1], "index_set must be strictly increasing"),
+    ([0, 3], "index_set exceeds the entry horizon"),
+])
+def test_index_set_outside_the_rules_is_rejected(index_set, message):
+    with pytest.raises(qk.ValidationError, match=f"^{message}$"):
+        qk.BangVector(entries=[0.5, 1.0, 0.0], index_set=index_set)
+
+
+def test_entries_are_copied_once(monkeypatch):
+    # from_json hands the list to the constructor, which copies it once
     entries = np.array([0.5, 1.0, 0.0])
     v = qk.BangVector(entries=entries, index_set=[0, 2])
     assert not np.shares_memory(v.entries, entries) and not v.entries.flags.writeable
-    assert qk.BangVector(entries=v.entries, index_set=[0, 2]).entries is v.entries
+    calls, frozen = [], qk.bang._frozen
+
+    def counting(values, name="logs"):
+        calls.append(name)
+        return frozen(values, name)
+
+    monkeypatch.setattr(qk.bang, "_frozen", counting)
+    v = qk.BangVector.from_json({"entries": [0.5, 1.0, 0.0]})
+    assert calls == ["entries", "index_set"]
+    assert v.entries.tolist() == [0.5, 1.0, 0.0] and v.index_set.tolist() == [0, 1, 2]
 
 
 def test_growth_check_reads_one_table(reg_factorial_40):

@@ -912,3 +912,41 @@ def test_report_with_non_finite_value_is_not_written(tmp_path, value):
     with pytest.raises(qk.ValidationError, match="float range"):
         _write_outputs({"values": [1.0, value]}, str(out), str(csv), [("a", [0.0], [1.0])])
     assert not out.exists() and not csv.exists()
+
+
+def test_internal_error_while_writing_prints_one_line(tmp_path, capsys, monkeypatch):
+    from quasikit import cli
+
+    def broken(blocks, path):
+        raise RuntimeError("writer bug")
+
+    monkeypatch.setattr(cli, "emit_plotdata", broken)
+    out = tmp_path / "w.json"
+    argv = ["weight", "analyze", "--mu", "zero", "--t0", "0.5", "--samples", "4",
+            "--out", str(out), "--csv", str(tmp_path / "w.csv")]
+    assert cli.dispatch(argv) == 1
+    assert capsys.readouterr() == ("", "quasikit: internal error: writer bug\n")
+    assert out.read_text() == ""
+
+
+def test_deeply_nested_json_exits_2_as_malformed(tmp_path, capsys):
+    from quasikit.cli import dispatch
+
+    spec = tmp_path / "deep.json"
+    spec.write_text("[" * 100_000)
+    assert dispatch(["seq", "make", "--spec", str(spec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"quasikit: malformed JSON in {spec}: maximum recursion depth")
+
+
+def test_tree_past_the_depth_bound_exits_2(tmp_path):
+    # 985 neg nodes decode, but recursed past the stack before the bound
+    expr = '{"op": "neg", "arg": ' * 985 + '{"op": "x"}' + "}" * 985
+    fn, out = tmp_path / "deep.json", tmp_path / "env.json"
+    fn.write_text(f'{{"expr": {expr}, "domain": [0.0, 1.0]}}')
+    res = run_cli("lab", "envelope", "--fn", str(fn), "--out", str(out))
+    assert res.returncode == 2 and res.stdout == ""
+    bound = qk.jets.TREE_DEPTH_MAX
+    assert res.stderr == f"quasikit: expression node at root{'.arg' * (bound + 1)} is deeper than {bound}\n"
+    assert not out.exists()

@@ -178,3 +178,22 @@ def test_corrupted_trees_fail_only_by_contract(case):
         except (qk.DomainError, qk.ConditioningError):
             continue
         assert isinstance(derivs, np.ndarray) and derivs.shape == (7,)
+
+
+def neg_chain(depth):
+    """``x`` under ``depth`` neg nodes: its leaf sits at ``depth``."""
+    expr = X
+    for _ in range(depth):
+        expr = {"op": "neg", "arg": expr}
+    return expr
+
+
+def test_tree_depth_is_bounded():
+    bound = qk.jets.TREE_DEPTH_MAX
+    f = qk.FunctionSpec(expr=neg_chain(bound), domain=(0.0, 1.0))
+    assert qk.jet_eval(f, 0.25, 3).coeffs.tolist() == [0.25, 1.0, 0.0, 0.0]  # bound is even
+    path = "root" + ".arg" * (bound + 1)
+    for depth in (bound + 1, 985):
+        with pytest.raises(qk.ValidationError) as info:
+            qk.FunctionSpec(expr=neg_chain(depth), domain=(0.0, 1.0))
+        assert str(info.value) == f"expression node at {path} is deeper than {bound}"

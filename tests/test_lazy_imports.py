@@ -187,3 +187,23 @@ def test_threads_that_first_touch_a_module_together_all_get_it():
     res = subprocess.run([sys.executable, "-W", "error", "-c", THREADS],
                          capture_output=True, text=True, timeout=120)
     assert (res.stdout, res.stderr) == ("0 4\n", "")
+
+
+ASSIGN_FIRST = """\
+import sys, quasikit
+from quasikit import weights as W
+W._OMEGA_CHECK_RTOL = -1.0
+del W._SLACK
+print(W._OMEGA_CHECK_RTOL, hasattr(W, "_SLACK"), type(sys.modules["quasikit.weights"]).__name__)
+try:
+    quasikit.omega(quasikit.make_weight("loglog", 10.0), 1e5)
+except quasikit.ConditioningError as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_an_assignment_before_the_first_read_sticks():
+    # a write or delete runs the body first, so the body does not undo it
+    res = subprocess.run([sys.executable, "-W", "error", "-c", ASSIGN_FIRST],
+                         capture_output=True, text=True, timeout=120)
+    assert (res.stdout, res.stderr) == ("-1.0 False module\nConditioningError\n", "")

@@ -215,6 +215,17 @@ class TestBounds:
         with pytest.raises(qk.ValidationError, match="hypothesis fails"):
             qk.analytic_criterion(w_loglog, 0.3, 1000.0, 11, 100)
 
+    def test_analytic_criterion_fails_where_m_passes_the_bound(self):
+        # omega(r) >= c r holds on the grid from r_lo, but m(p) passes
+        # delta + log p! - p log c first at p = 81
+        w = qk.make_weight("power", 10.0, alpha=0.5)
+        c = 5e-5
+        first = next(p for p in range(10, 101)
+                     if qk.m_eval(w, float(p)).m > w.delta + math.lgamma(p + 1) - p * math.log(c))
+        assert first == 81
+        assert qk.analytic_criterion(w, c, 3200.0, 10, 80) is True
+        assert qk.analytic_criterion(w, c, 3200.0, 10, 81) is False
+
     @pytest.mark.parametrize("r_lo", [0.0, -1.0, math.inf, math.nan])
     def test_analytic_criterion_rejects_bad_r_lo(self, w_zero, r_lo):
         with pytest.raises(qk.ValidationError, match="r_lo must be positive and finite"):

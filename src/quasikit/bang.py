@@ -20,9 +20,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _frozen
 from . import jets, sequences
-from .series import _exp, _frozen
+from .series import _exp
 
 # e^{-k} for k = 0..746 from math.exp, whose rounding the reports carry
 # (numpy's exp differs in the last ulp at some k); from k = 746 on e^{-k}

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one conversion of an
-input document's numbers to floats."""
+"""Exception types shared across the package, and the readers of an input
+document's numbers: ``finite_float`` reads one, ``_frozen`` a list."""
 
 import math
 
@@ -44,3 +44,42 @@ def finite_float(value, message: str) -> float:
         if math.isfinite(number):
             return number
     raise ValidationError(message)
+
+
+def _frozen(values, name: str = "logs"):
+    """A read-only float64 copy of ``values``, a flat list or 1-D array of
+    finite numbers.  A string or a bool converts to a float but is no number,
+    so an item that is not ``numbers.Real``, or is a bool, is rejected
+    (``finite_float``'s rule)."""
+    import numbers
+    import numpy as np  # on the first call, so that --version loads no numpy
+
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a list of numbers") from None
+    if arr.ndim != 1:
+        raise ValidationError(f"{name} must be a flat list of numbers")
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        items = values.tolist() if isinstance(values, np.ndarray) else values
+        if not set(map(type, items)) <= {float, int}:
+            for n, item in enumerate(items):
+                if not isinstance(item, numbers.Real) or isinstance(item, bool):
+                    raise ValidationError(f"{name}[{n}] = {quoted(item)} is not a number")
+    arr.flags.writeable = False
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        n = int(bad[0])
+        raise ValidationError(f"{name}[{n}] = {arr[n].item()!r} is not finite")
+    return arr
+
+
+# longest repr of an input value that a message quotes whole
+QUOTE_MAX = 64
+
+
+def quoted(value) -> str:
+    """``repr(value)``, or its first QUOTE_MAX characters and "..." when it
+    is longer, so that a message echoing an input value stays short."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_MAX else f"{text[:QUOTE_MAX]}..."

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, ValidationError, finite_float
+from .errors import ConditioningError, ValidationError, _frozen, finite_float, quoted
 from . import jets, series
 
 DEGREE_CAP = 30
@@ -104,28 +104,19 @@ def _anchor_chain(nodes: Sequence) -> list[list]:
     return states
 
 
-def _node_list(nodes: Sequence[float]) -> list[float]:
-    try:
-        node_list = list(nodes)
-    except TypeError:
-        raise ValidationError("nodes must be a list of numbers") from None
-    if len(node_list) > DEGREE_CAP:
+def _node_list(nodes: Sequence[float], name: str = "nodes") -> np.ndarray:
+    """``nodes`` read by ``errors._frozen``, at most DEGREE_CAP of them."""
+    arr = _frozen(nodes, name)
+    if arr.size > DEGREE_CAP:
         raise ValidationError(
-            f"degree {len(node_list)} exceeds the cap {DEGREE_CAP}; scaled coefficients "
+            f"degree {arr.size} exceeds the cap {DEGREE_CAP}; scaled coefficients "
             "would leave the well-conditioned range"
         )
-    return _finite(node_list)
-
-
-def _finite(nodes: Sequence[float]) -> list[float]:
-    """Each node as a finite float (errors.finite_float), naming the first
-    that is not one."""
-    return [finite_float(v, f"node {n} must be a finite number, got {v!r}")
-            for n, v in enumerate(nodes)]
+    return arr
 
 
 def _finite_x(x) -> float:
-    return finite_float(x, f"x must be a finite number, got {x!r}")
+    return finite_float(x, f"x must be a finite number, got {quoted(x)}")
 
 
 def build(nodes: Sequence[float]) -> GontcharoffPoly:
@@ -133,15 +124,14 @@ def build(nodes: Sequence[float]) -> GontcharoffPoly:
 
     Rejects nodes whose scaled coefficients leave the float range.
     """
-    node_list = _node_list(nodes)
-    coeffs = np.array(_anchor_chain(node_list)[-1])
+    node_arr = _node_list(nodes)
+    coeffs = np.array(_anchor_chain(node_arr.tolist())[-1])
     if not np.isfinite(coeffs).all():
         raise ValidationError(
             "the scaled coefficients overflow the float range; the nodes are too large"
         )
-    node_arr = np.array(node_list)
-    node_arr.flags.writeable = coeffs.flags.writeable = False
-    return GontcharoffPoly(degree=len(node_list), nodes=node_arr, scaled_coeffs=coeffs)
+    coeffs.flags.writeable = False
+    return GontcharoffPoly(degree=node_arr.size, nodes=node_arr, scaled_coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +167,7 @@ def integral_oracle(nodes: Sequence[float], x: float) -> float:
     Independent of build(); limited to degree <= 4 because each level nests
     a full quadrature.
     """
-    node_list = _finite(nodes)
+    node_list = _frozen(nodes, "nodes").tolist()
     if len(node_list) > 4:
         raise ValidationError("integral oracle is limited to 4 nodes")
     return _oracle_level(node_list, _finite_x(x), 1e-9)
@@ -211,11 +201,11 @@ def swap_identity_residual(
         Q_n(x; nodes) - Q_n(x; nodes with x_k := y)
             = Q_k(x; x_0..x_{k-1}) * Q_{n-k}(y; x_k..x_{n-1}).
     """
-    node_list = _node_list(nodes)
+    node_list = _node_list(nodes).tolist()
     n = len(node_list)
     if not (0 <= k < n):
         raise ValidationError(f"need 0 <= k < n, got k={k}, n={n}")
-    (y,) = _node_list([y])  # the swapped-in node passes the node checks too
+    (y,) = _frozen([y], "y").tolist()  # the swapped-in node is read as the nodes are
     with np.errstate(over="ignore", invalid="ignore"):  # silent inf/NaN, as in Python floats
         return float(_swap_residual(node_list, k, y, x, _anchor_chain(node_list)))
 
@@ -250,8 +240,8 @@ def decomposition_residual(
 
     With ys = 0 this is the standard form of the polynomial.
     """
-    node_list = _node_list(nodes)
-    y_list = _node_list(ys)
+    node_list = _node_list(nodes).tolist()
+    y_list = _node_list(ys, "ys").tolist()
     if len(y_list) != len(node_list):
         raise ValidationError("ys must have the same length as nodes")
     return _decomposition_residual(y_list, x, _anchor_chain(node_list))
@@ -273,7 +263,7 @@ def gontcharoff_bound(nodes: Sequence[float], x: float) -> float:
     The node-difference chain runs over consecutive pairs; the property
     sweeps confirm the bound dominates |Q_n| under this reading.
     """
-    node_list = _finite(nodes)
+    node_list = _frozen(nodes, "nodes").tolist()
     n = len(node_list)
     if n < 1:
         raise ValidationError("bound needs at least one node")
@@ -398,7 +388,7 @@ def abel_expand(
     The grid max is a lower bound of the true sup, so the remainder contract
     carries a small slack factor.
     """
-    node_list, x = _finite(nodes), _finite_x(x)
+    node_list, x = _frozen(nodes, "nodes").tolist(), _finite_x(x)
     if len(node_list) < n + 1:
         raise ValidationError(f"need at least {n + 1} nodes for order {n}")
     if n + 1 > DEGREE_CAP:

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, ValidationError, finite_float
+from .errors import ConditioningError, DomainError, ValidationError, _frozen, finite_float, quoted
 from . import sequences, series
 
 # up to K_MAX each op's c_k is within 5.5e-15 of its recurrence's sum of |terms|
@@ -51,15 +51,10 @@ class FunctionSpec:
 
     def __post_init__(self):
         _rows(self.expr, np.empty(0), 0)  # a malformed tree raises; no point, no domain error
-        message = f"domain must be a finite interval [a,b], got {self.domain!r}"
-        try:
-            a, b = self.domain
-        except (TypeError, ValueError):  # not a pair
-            raise ValidationError(message) from None
-        a, b = finite_float(a, message), finite_float(b, message)
-        if not a < b:
-            raise ValidationError(message)
-        object.__setattr__(self, "domain", (a, b))
+        domain = _frozen(self.domain, "domain")
+        if domain.size != 2 or not domain[0] < domain[1]:
+            raise ValidationError(f"domain must be [a, b] with a < b, got {quoted(self.domain)}")
+        object.__setattr__(self, "domain", tuple(domain.tolist()))
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "FunctionSpec":
@@ -186,7 +181,7 @@ def _propagate(node, t: np.ndarray, k_max: int, path: str) -> np.ndarray:
         if max(abs(num), abs(den)) > POW_MAX:
             raise ValidationError(f"pow at {path} needs |num| and |den| at most {POW_MAX}")
     elif op not in ("neg", "exp", "log", "sin", "cos"):
-        raise ValidationError(f"unknown op {op!r} at {path}")
+        raise ValidationError(f"unknown op {quoted(op)} at {path}")
 
     u = _propagate(node.get("arg"), t, k_max, f"{path}.arg")
     if op == "neg":

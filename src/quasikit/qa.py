@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _frozen
 from .sequences import LogSequence, RegularizedSequence, convex_regularize
-from .series import EPS_CONV, SIGMA_DIV, SeriesReport, _down_scale, _frozen, diagnose_series
+from .series import EPS_CONV, SIGMA_DIV, SeriesReport, _down_scale, diagnose_series
 
 # Flag threshold for the trivial quasianalytic case: the sequence's n-th
 # roots stay below e**LIMINF_CAP on the tail of the horizon.  A flag, not a

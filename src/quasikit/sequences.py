@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, finite_float
-from .series import _frozen, _libm
+from .errors import ValidationError, _frozen, finite_float, quoted
+from .series import _libm
 
 # Log-domain tolerance for convexity checks, relative to max(1, max|L_n|): at
 # large logs the rounding of L_{n-1} + L_{n+1} is an ulp of max|L_n|.
@@ -63,9 +63,9 @@ HORIZON_MAX = 2**22
 def _checked_horizon(horizon) -> int:
     """``horizon`` if it is an integer (not a bool) in [3, HORIZON_MAX]."""
     if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-        raise ValidationError(f"horizon must be an integer, got {horizon!r}")
+        raise ValidationError(f"horizon must be an integer, got {quoted(horizon)}")
     if not 3 <= horizon <= HORIZON_MAX:
-        raise ValidationError(f"horizon must be in [3, {HORIZON_MAX}], got {horizon}")
+        raise ValidationError(f"horizon must be in [3, {HORIZON_MAX}], got {quoted(int(horizon))}")
     return int(horizon)
 
 
@@ -131,7 +131,7 @@ class SequenceSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
+                f"unknown family {quoted(self.family)}; expected one of {FAMILIES}"
             )
         if self.family == "explicit":
             if self.logs is None:
@@ -142,7 +142,7 @@ class SequenceSpec:
         key = _CATALOG.get(self.family, (None,))[0]
         if key is not None:
             value = self.params.get(key)
-            message = f"{self.family} requires parameter {key} > 0, got {value!r}"
+            message = f"{self.family} requires parameter {key} > 0, got {quoted(value)}"
             if finite_float(value, message) <= 0:
                 raise ValidationError(message)
 

@@ -16,43 +16,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .constants import EPS_CONV, SIGMA_DIV
-from .errors import ValidationError
+from .errors import ValidationError, _frozen
 
 DIVERGING = "diverging_trend"
 CONVERGING = "converging_trend"
 INCONCLUSIVE = "inconclusive"
-
-
-def _frozen(values, name: str = "logs") -> np.ndarray:
-    """A read-only float64 copy of ``values``, a flat list or 1-D array of
-    finite numbers.  A string or a bool converts to a float but is no number,
-    so an item that is not ``numbers.Real``, or is a bool, is rejected
-    (``errors.finite_float``'s rule)."""
-    try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a list of numbers") from None
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be a flat list of numbers")
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
-        items = values.tolist() if isinstance(values, np.ndarray) else values
-        if not set(map(type, items)) <= {float, int}:
-            for n, item in enumerate(items):
-                if not isinstance(item, numbers.Real) or isinstance(item, bool):
-                    raise ValidationError(f"{name}[{n}] = {item!r} is not a number")
-    arr.flags.writeable = False
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        n = int(bad[0])
-        raise ValidationError(f"{name}[{n}] = {arr[n].item()!r} is not finite")
-    return arr
 
 
 def _libm(fn, x, *consts):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import MU_FAMILIES, SAMPLES_MAX
-from .errors import ConditioningError, ValidationError
+from .errors import ConditioningError, ValidationError, quoted
 from .series import SeriesReport, _exp, _libm, diagnose_series
 
 _VALIDATION_GRID = 64
@@ -78,7 +78,7 @@ class WeightFunction:
 
     def __post_init__(self):
         if self.mu not in MU_FAMILIES:
-            raise ValidationError(f"unknown mu {self.mu!r}; expected {MU_FAMILIES}")
+            raise ValidationError(f"unknown mu {quoted(self.mu)}; expected {MU_FAMILIES}")
         if self.mu == "power":
             if self.alpha is None or not (0.0 < self.alpha < 1.0):
                 raise ValidationError("power family needs 0 < alpha < 1")

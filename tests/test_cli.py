@@ -388,6 +388,7 @@ NON_NUMBERS = {
                   "index_set[1] = True"),
     "entries-bool": ("bang distance --other {} --vector", {"entries": [0.5, True]},
                      "entries[1] = True"),
+    "nodes-string-and-bool": ("gont build --nodes", {"nodes": ["1.5", True]}, "nodes[0] = '1.5'"),
 }
 
 

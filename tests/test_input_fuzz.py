@@ -5,7 +5,9 @@ the keys its parser reads, with random values.  Whatever the values, a run
 exits 0 with a report, or exits 2 (or 1, for an internal numerical failure)
 with exactly one stderr line and no report; never ``internal error``.  A
 catalog ``seq make`` that exits 0 reports exactly the horizon its spec asked
-for, from a spec whose numbers are not booleans.
+for, from a spec whose numbers are not booleans.  A value of 100 000
+characters gives a stderr line no longer than a constant plus the input
+file's path.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 from quasikit.cli import dispatch
+from quasikit.errors import QUOTE_MAX, quoted
 from quasikit.sequences import FAMILIES
 
 # values a parser could accept; moderate sizes keep every run short (a
@@ -106,14 +109,9 @@ def runs(draw):
     return command, docs
 
 
-@given(runs())
-@example(("lab envelope --nmax 8 --grid 64 --fn {fn}", {"fn": {"expr": {"op": "x"}, "domain": "\rz"}}))
-@example(("seq make --spec {spec}", {"spec": {"family": "factorial", "horizon": 9.7}}))
-@example(("seq make --spec {spec}",
-          {"spec": {"family": "gevrey", "horizon": 9, "params": {"s": True}}}))
-@settings(max_examples=300)
-def test_random_documents_keep_the_exit_contract(tmp_path_factory, run):
-    command, docs = run
+def run_in_process(tmp_path_factory, command, docs):
+    """Exit code, stdout and stderr of ``command`` run on ``docs``, each
+    written to a file of its own, and the longest of the files' paths."""
     workdir = tmp_path_factory.mktemp("fuzz")
     paths = {}
     for name, doc in docs.items():
@@ -122,14 +120,66 @@ def test_random_documents_keep_the_exit_contract(tmp_path_factory, run):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dispatch(command.format(**paths).split())
-    err = err.getvalue()
+    longest = max(len(str(path).encode()) for path in paths.values())
+    return code, out.getvalue(), err.getvalue(), longest
+
+
+@given(runs())
+@example(("lab envelope --nmax 8 --grid 64 --fn {fn}", {"fn": {"expr": {"op": "x"}, "domain": "\rz"}}))
+@example(("seq make --spec {spec}", {"spec": {"family": "factorial", "horizon": 9.7}}))
+@example(("seq make --spec {spec}",
+          {"spec": {"family": "gevrey", "horizon": 9, "params": {"s": True}}}))
+@settings(max_examples=300)
+def test_random_documents_keep_the_exit_contract(tmp_path_factory, run):
+    command, docs = run
+    code, out, err, _ = run_in_process(tmp_path_factory, command, docs)
     assert "internal error:" not in err
     assert code in (0, 2) or (code == 1 and "internal numerical failure" in err), err
     if code:
-        assert out.getvalue() == ""
+        assert out == ""
         assert len(err.strip().splitlines()) == 1 and err.startswith("quasikit: "), err
     elif command.startswith("seq make") and docs["spec"]["family"] != "explicit":
         spec = docs["spec"]
-        assert json.loads(out.getvalue())["length"] == spec["horizon"], spec
+        assert json.loads(out)["length"] == spec["horizon"], spec
         key = PARAM_KEYS.get(spec["family"])
         assert key is None or type(dict(spec["params"])[key]) is not bool, spec
+
+
+# values far longer than a message may quote: text, a numeric string, and
+# integers of 4000 digits (json reads at most 4300); each alone, as the item
+# of a list, as an expression's op and as a catalog parameter
+LONG = st.sampled_from(["x" * 100_000, "1" * 100_000, 10**4000, -(10**4000)])
+LONG_VALUES = (LONG | st.builds(lambda v: [0.0, v], LONG) | st.builds(lambda v: {"op": v}, LONG)
+               | st.builds(lambda v: {"s": v, "C": v}, LONG))
+# longest stderr line, the input file's path aside
+LINE_MAX = 300
+
+
+@st.composite
+def long_runs(draw):
+    """A command and its documents, one value of which is long."""
+    command = draw(st.sampled_from(COMMANDS))
+    docs = {name: draw(DOCS[name]) for name in DOCS if "{" + name + "}" in command}
+    name = draw(st.sampled_from(sorted(docs)))
+    docs[name][draw(st.sampled_from(sorted(docs[name])))] = draw(LONG_VALUES)
+    return command, docs
+
+
+@given(long_runs())
+@example(("gont build --nodes {nodes}", {"nodes": {"nodes": [0.0, "1" * 100_000]}}))
+@example(("seq make --spec {spec}", {"spec": {"family": "x" * 100_000, "horizon": 9}}))
+@example(("lab envelope --nmax 8 --grid 64 --fn {fn}",
+          {"fn": {"expr": {"op": "x" * 100_000}, "domain": [0.0, 1.0]}}))
+@settings(max_examples=100)
+def test_long_input_values_give_short_messages(tmp_path_factory, run):
+    command, docs = run
+    _, _, err, longest = run_in_process(tmp_path_factory, command, docs)
+    for line in err.splitlines():
+        assert len(line.encode()) <= LINE_MAX + longest, line[:LINE_MAX]
+
+
+def test_quoted_is_repr_up_to_its_limit():
+    for value in ("abc", "x" * (QUOTE_MAX - 2), ["x"], None, 10**40, 1.5):
+        assert quoted(value) == repr(value)
+    for value in ("x" * (QUOTE_MAX - 1), 10**4000, ["y" * 100_000]):
+        assert quoted(value) == repr(value)[:QUOTE_MAX] + "..."

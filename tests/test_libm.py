@@ -118,9 +118,9 @@ def test_exp_passes_nan_through():
 
 
 # the functions that may handle OverflowError: a number of an input document
-# past the float range (errors.finite_float, series._frozen), and math.exp
+# past the float range (errors.finite_float, errors._frozen), and math.exp
 # past it (series._exp); every other exit from the log domain calls _exp
-OVERFLOW_HANDLERS = {("errors.py", "finite_float"), ("series.py", "_frozen"),
+OVERFLOW_HANDLERS = {("errors.py", "finite_float"), ("errors.py", "_frozen"),
                      ("series.py", "_exp")}
 
 

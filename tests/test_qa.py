@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasikit as qk
+from quasikit.constants import SIGMA_DIV
 from quasikit.qa import chain_holds
-from quasikit.series import CONVERGING, DIVERGING, diagnose_series
+from quasikit.series import CONVERGING, DIVERGING, INCONCLUSIVE, diagnose_series
 
 from conftest import ones_sequence, random_logsequence
 
@@ -276,3 +277,33 @@ def test_analyze_shares_the_carleman_report_where_the_root_series_equals_it(
 def test_analyze_needs_enough_entries():
     with pytest.raises(qk.ValidationError):
         qk.analyze(ones_sequence(6))
+
+
+@pytest.mark.parametrize("check", [qk.analyze, qk.liminf_check])
+def test_eight_entries_are_enough_and_seven_are_not(check):
+    check(ones_sequence(8))
+    with pytest.raises(qk.ValidationError, match="needs at least 8 entries"):
+        check(ones_sequence(7))
+
+
+# ---------------------------------------------------------------------------
+# the verdicts against the Denjoy-Carleman answer: a class is quasianalytic
+# exactly when sum M_{n-1}/M_n diverges
+
+LETTERS = {DIVERGING: "d", INCONCLUSIVE: "i", CONVERGING: "c"}
+# gevrey s > 1 is not quasianalytic; letters are the carleman, root_c and
+# ratio_c verdicts
+GEVREY_VERDICTS = [(2, 64, "ddd"), (2, 256, "ddi"), (2, 1000, "iic"), (2, 3000, "ccc"),
+                   (3, 16, "ddi"), (3, 64, "iii"), (1.1, 1000, "ddd"), (1.5, 30_000, "ddc")]
+
+
+@pytest.mark.parametrize("s, horizon, letters", GEVREY_VERDICTS)
+def test_converging_gevrey_series_read_diverging_below_n_star(s, horizon, letters):
+    report = qk.analyze(qk.make_sequence(qk.SequenceSpec("gevrey", horizon, {"s": s})))
+    assert "".join(LETTERS[v] for v in report.verdicts()) == letters
+    # for terms c n^-s the slope of the partial sums against log N is about
+    # c N^(1-s), so a series reads diverging_trend below
+    # N* = (c / sigma_div)^(1/(s-1)); c is about e^s for the Carleman and
+    # root series and 1 for the ratio series
+    stars = [(c / SIGMA_DIV) ** (1 / (s - 1)) for c in (math.e**s, math.e**s, 1.0)]
+    assert [v == "d" for v in letters] == [horizon < star for star in stars]

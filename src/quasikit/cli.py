@@ -239,7 +239,7 @@ def _cmd_seq_make(args):
         "length": seq.length,
         "logs": seq.logs,
         "generator": seq.generator,
-        "filled": list(seq.filled),
+        "filled": seq.filled,
     }, None
 
 
@@ -282,12 +282,7 @@ def _cmd_gont_build(args):
 
 def _cmd_gont_eval(args):
     poly = gontcharoff.build(_field(args.nodes, "nodes"))
-    if not math.isfinite(args.x):
-        raise ValidationError(f"--x must be finite, got {args.x!r}")
-    value = poly.eval(args.x)
-    if not math.isfinite(value):
-        raise ValidationError(f"Q_{poly.degree}({args.x!r}) leaves the float range")
-    return {"degree": poly.degree, "x": args.x, "value": value}, None
+    return {"degree": poly.degree, "x": args.x, "value": poly.eval(args.x)}, None
 
 
 def _cmd_gont_check(args):
@@ -314,7 +309,7 @@ def _cmd_lab_monotonic(args):
     result = jets.monotonicity_check(f, seq, args.nmax, grid_size=args.grid)
     return {
         "holds": result.holds,
-        "witness": list(result.witness) if result.witness else None,
+        "witness": result.witness,
     }, None
 
 
@@ -346,10 +341,19 @@ def _cmd_weight_check(args):
 # ---------------------------------------------------------------------------
 # parser wiring
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that cuts a usage error to its first 160 characters, so that
+    an echoed command-line value stays short; its subparsers are _Parsers."""
+
+    def error(self, message):
+        short = message[:160]
+        super().error(short if short == message else f"{short}...")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing does not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quasikit",
         description="Quasianalytic weight-sequence toolkit",
     )

@@ -55,7 +55,7 @@ class GontcharoffPoly:
 
     def eval(self, x: float) -> float:
         """Horner evaluation in the scaled basis; exact for degree 0."""
-        return _horner_scaled(self.scaled_coeffs.tolist(), x)
+        return _horner_scaled(self.scaled_coeffs.tolist(), _finite_x(x))
 
     def eval_magnitude(self, x: float) -> float:
         """sum_i |c_i| |x|^i / i!: the scale against which cancellation in
@@ -205,7 +205,7 @@ def swap_identity_residual(
     n = len(node_list)
     if not (0 <= k < n):
         raise ValidationError(f"need 0 <= k < n, got k={k}, n={n}")
-    (y,) = _frozen([y], "y").tolist()  # the swapped-in node is read as the nodes are
+    y, x = finite_float(y, f"y must be a finite number, got {quoted(y)}"), _finite_x(x)
     with np.errstate(over="ignore", invalid="ignore"):  # silent inf/NaN, as in Python floats
         return float(_swap_residual(node_list, k, y, x, _anchor_chain(node_list)))
 
@@ -244,7 +244,7 @@ def decomposition_residual(
     y_list = _node_list(ys, "ys").tolist()
     if len(y_list) != len(node_list):
         raise ValidationError("ys must have the same length as nodes")
-    return _decomposition_residual(y_list, x, _anchor_chain(node_list))
+    return _decomposition_residual(y_list, _finite_x(x), _anchor_chain(node_list))
 
 
 def _decomposition_residual(ys: list, x, states: list):

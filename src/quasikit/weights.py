@@ -577,8 +577,8 @@ def analytic_criterion(w: WeightFunction, c: float, r_lo: float, p_lo: int, p_hi
 
 
 def loglog_asymptotics_check(r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample omega(s) * e * log(s) / s for the loglog entry (t0 = 10) at 64
-    log-spaced radii.
+    """Sample omega(s) * e * log(s) / s for the loglog entry (t0 = 10) at the
+    64 radii of ``transform_grid``.
 
     The ratio drifts toward 1 as s grows; convergence is logarithmically
     slow (the correction is of order log log s / log s), so callers should
@@ -586,11 +586,7 @@ def loglog_asymptotics_check(r_max: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 1e3 <= r_max < math.inf:
         raise ValidationError(f"r_max must be finite and at least 1e3, got {r_max!r}")
-    w = make_weight("loglog", 10.0)
-    r_start = math.exp(_m_parts(w, w.t0 + 1.0)[1]) * 1.01
-    grid = np.exp(np.linspace(math.log(r_start), math.log(r_max), 64))
-    _, _, omegas, _, error = _transforms(w, grid.tolist())
-    if error:
-        raise error
+    table = transform_grid(make_weight("loglog", 10.0), r_max, 64)
+    grid = table["r"]
     with np.errstate(over="ignore"):
-        return grid, omegas * math.e * _libm(math.log, grid) / grid
+        return grid, table["omega"] * math.e * _libm(math.log, grid) / grid

@@ -951,3 +951,55 @@ def test_tree_past_the_depth_bound_exits_2(tmp_path):
     bound = qk.jets.TREE_DEPTH_MAX
     assert res.stderr == f"quasikit: expression node at root{'.arg' * (bound + 1)} is deeper than {bound}\n"
     assert not out.exists()
+
+
+def test_gont_eval_past_the_float_range_is_the_writers_to_reject(tmp_path, capsys):
+    # Q_2(1e200) = 1e400 / 2 overflows; eval returns it and the writer rejects it
+    from quasikit.cli import dispatch
+
+    nodes, out = tmp_path / "nodes.json", tmp_path / "q.json"
+    nodes.write_text(json.dumps({"nodes": [0.0, 0.0]}))
+    argv = ["gont", "eval", "--nodes", str(nodes), "--x", "1e200", "--out", str(out)]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr() == ("", "quasikit: a report value leaves the float range\n")
+    assert not out.exists()
+
+
+def test_monotonic_past_the_jet_order_bound_exits_2(tmp_path, capsys, fact_spec):
+    # the bound is the jet tables' own, as for lab envelope
+    from quasikit.cli import dispatch
+
+    fn = tmp_path / "exp.json"
+    fn.write_text(json.dumps({"expr": {"op": "exp", "arg": {"op": "x"}}, "domain": [0.0, 1.0]}))
+    argv = ["lab", "monotonic", "--fn", str(fn), "--seq", fact_spec, "--nmax", "65"]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr() == ("", "quasikit: jet order must be in [0, 64], got 65\n")
+
+
+LONG_ARGS = {
+    "sweep": "gont check --nodes {nodes} --sweep " + "9" * 50_000,
+    "mu": "weight check --mu " + "x" * 50_000,
+    "group": "x" * 50_000,
+    "option": "gont build --nodes {nodes} --" + "x" * 50_000,
+    "x": "gont eval --nodes {nodes} --x " + "x" * 50_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_ARGS))
+def test_long_command_line_values_give_short_usage_errors(tmp_path, capsys, case):
+    from quasikit.cli import dispatch
+
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(json.dumps({"nodes": [0.0, 0.5]}))
+    assert dispatch(LONG_ARGS[case].format(nodes=nodes).split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: " in err
+    assert max(len(line.encode()) for line in err.splitlines()) <= 300
+
+
+def test_short_usage_errors_are_printed_whole(capsys):
+    from quasikit.cli import dispatch
+
+    assert dispatch(["weight", "check", "--mu", "x" * 40]) == 2
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line.endswith(f"invalid choice: '{'x' * 40}' (choose from 'zero', 'loglog', 'log', 'power')")

@@ -241,6 +241,29 @@ def test_library_functions_take_finite_nodes_only(call, case):
         LIBRARY_CALLS[call]([0.0, 0.25], math.nan)
 
 
+# the readers of x that LIBRARY_CALLS leaves out, each at nodes [0, 0.25]
+POINT_CALLS = {
+    "eval": lambda x: G.build([0.0, 0.25]).eval(x),
+    "swap": lambda x: G.swap_identity_residual([0.0, 0.25], 1, 0.5, x),
+    "decomposition": lambda x: G.decomposition_residual([0.0, 0.25], [0.5, 0.5], x),
+}
+
+
+@pytest.mark.parametrize("call", sorted(POINT_CALLS))
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
+def test_every_gontcharoff_point_is_read_as_a_finite_number(call, x):
+    with pytest.raises(qk.ValidationError, match="^x must be a finite number"):
+        POINT_CALLS[call](x)
+
+
+@pytest.mark.parametrize("y", [math.nan, "0.5", True, 10**400],
+                         ids=["nan", "string", "bool", "10**400"])
+def test_swapped_in_node_is_read_as_one_number(y):
+    with pytest.raises(qk.ValidationError, match="^y must be a finite number"):
+        G.swap_identity_residual([0.0, 0.25], 1, y, 0.5)
+
+
 def test_library_node_counts_are_unchanged():
     # the bound has no degree cap, the oracle stops at 4 nodes
     assert G.gontcharoff_bound([0.0] * (G.DEGREE_CAP + 1), 1e-3) >= 0.0

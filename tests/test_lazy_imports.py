@@ -104,7 +104,7 @@ INPUTS = {
         (["gont", "eval", "--nodes", "nodes.json", "--x", "0.25"], {"gontcharoff"}),
         # the sweep's magnitude bound leaves the log domain through series._exp
         (["gont", "check", "--nodes", "nodes.json", "--sweep", "4"], {"gontcharoff", "series"}),
-        # jets takes sequences as a module, and series holds _frozen itself
+        # jets takes sequences as a module, and errors holds _frozen
         (["lab", "envelope", "--fn", "fn.json", "--nmax", "4", "--grid", "8"], {"jets"}),
         (["weight", "check", "--mu", "zero"], {"weights", "series"}),
         (["weight", "analyze", "--mu", "zero", "--samples", "4"], {"weights", "series"}),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import quasikit as qk
 from quasikit.constants import SIGMA_DIV
-from quasikit.qa import chain_holds
+from quasikit.qa import CHAIN_RTOL, chain_holds
 from quasikit.series import CONVERGING, DIVERGING, INCONCLUSIVE, diagnose_series
 
 from conftest import ones_sequence, random_logsequence
@@ -307,3 +307,28 @@ def test_converging_gevrey_series_read_diverging_below_n_star(s, horizon, letter
     # root series and 1 for the ratio series
     stars = [(c / SIGMA_DIV) ** (1 / (s - 1)) for c in (math.e**s, math.e**s, 1.0)]
     assert [v == "d" for v in letters] == [horizon < star for star in stars]
+
+
+# ---------------------------------------------------------------------------
+# exact ties: each verdict and chain comparison holds on its own boundary
+
+def test_slope_on_sigma_div_reads_diverging():
+    terms = [1.0] * 20
+    slope = diagnose_series(terms).slope_estimate
+    assert slope > 0.0
+    assert diagnose_series(terms, sigma_div=slope).verdict == DIVERGING
+
+
+def test_last_term_on_eps_conv_share_reads_inconclusive():
+    # the last term is exactly eps_conv times the total, which is not below it
+    assert diagnose_series([1.0, 1.0], sigma_div=10.0, eps_conv=0.5).verdict == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("sums", [(1.0 - CHAIN_RTOL, 1.0, 0.5), (1.0, 1.0 - CHAIN_RTOL, 1.0),
+                                  (math.e * (1.0 + CHAIN_RTOL), 1.0, 1.0)])
+def test_chain_holds_with_sums_on_its_bounds(sums):
+    # root, beta and ratio sums; halving is exact, so each two-term sum is
+    # the value given and sits exactly on one bound of the chain
+    root, beta, ratio = (diagnose_series([v / 2, v / 2]) for v in sums)
+    assert [float(rep.partial_sums[-1]) for rep in (root, beta, ratio)] == list(sums)
+    assert chain_holds(root, beta, ratio)

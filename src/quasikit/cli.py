@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .constants import EPS_CONV, MU_FAMILIES, SAMPLES_MAX, SIGMA_DIV
-from .errors import QuasikitError, ValidationError
+from .errors import QuasikitError, ValidationError, bounded_int
 from .manifest import RunManifest
 from . import bang, gontcharoff, jets, qa, sequences, weights
 
@@ -286,10 +286,7 @@ def _cmd_gont_eval(args):
 
 
 def _cmd_gont_check(args):
-    if not 1 <= args.sweep <= gontcharoff.SWEEP_MAX:
-        raise ValidationError(
-            f"--sweep must be in [1, {gontcharoff.SWEEP_MAX}], got {args.sweep}"
-        )
+    bounded_int(args.sweep, "--sweep", 1, gontcharoff.SWEEP_MAX)
     nodes = _field(args.nodes, "nodes")
     return gontcharoff.identity_sweep(nodes, args.sweep, args.seed, args.tolerance), None
 
@@ -323,8 +320,7 @@ def _cmd_lab_spacing(args):
 
 
 def _cmd_weight_analyze(args):
-    if not 1 <= args.samples <= SAMPLES_MAX:
-        raise ValidationError(f"--samples must be in [1, {SAMPLES_MAX}], got {args.samples}")
+    bounded_int(args.samples, "--samples", 1, SAMPLES_MAX)
     w = weights.make_weight(args.mu, args.t0, alpha=args.alpha)
     doc = {"mu": args.mu, "t0": w.t0, "delta": w.delta}
     doc.update(weights.transform_grid(w, args.rmax, args.samples))
@@ -342,12 +338,14 @@ def _cmd_weight_check(args):
 # parser wiring
 
 class _Parser(argparse.ArgumentParser):
-    """A parser that cuts a usage error to its first 160 characters, so that
-    an echoed command-line value stays short; its subparsers are _Parsers."""
+    """A parser that escapes the line breaks of a usage error's message and
+    cuts it to its first 160 characters, so that an echoed command-line value
+    stays short and starts no line of its own; its subparsers are _Parsers."""
 
     def error(self, message):
-        short = message[:160]
-        super().error(short if short == message else f"{short}...")
+        line = "\\n".join(message.splitlines())
+        short = line[:160]
+        super().error(short if short == line else f"{short}...")
 
 
 @functools.cache

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the readers of an input
-document's numbers: ``finite_float`` reads one, ``_frozen`` a list."""
+"""Exception types shared across the package, and the readers of an input's
+numbers: ``finite_float`` reads one, ``_frozen`` a list and ``bounded_int``
+an integer size, order or index."""
 
 import math
 
@@ -72,6 +73,19 @@ def _frozen(values, name: str = "logs"):
         n = int(bad[0])
         raise ValidationError(f"{name}[{n}] = {arr[n].item()!r} is not finite")
     return arr
+
+
+def bounded_int(value, name: str, lo: int, hi: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) in [lo, hi].
+    Otherwise a ValidationError names ``name`` and quotes the value:
+    "{name} must be an integer, got ..." or "{name} must be in [lo, hi], got ..."."""
+    import numbers  # numpy's integer scalars are numbers.Integral, np.bool_ is not
+
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {quoted(value)}")
+    if not lo <= value <= hi:
+        raise ValidationError(f"{name} must be in [{lo}, {hi}], got {quoted(int(value))}")
+    return int(value)
 
 
 # longest repr of an input value that a message quotes whole

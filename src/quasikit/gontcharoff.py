@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, ValidationError, _frozen, finite_float, quoted
+from .errors import ConditioningError, ValidationError, _frozen, bounded_int, finite_float, quoted
 from . import jets, series
 
 DEGREE_CAP = 30
@@ -64,8 +64,7 @@ class GontcharoffPoly:
 
     def derivative(self, k: int) -> "GontcharoffPoly":
         """k-th derivative: an index shift dropping the first k nodes."""
-        if not (0 <= k <= self.degree):
-            raise ValidationError(f"derivative order {k} outside [0, {self.degree}]")
+        k = bounded_int(k, "derivative order", 0, self.degree)
         return GontcharoffPoly(
             degree=self.degree - k,
             nodes=self.nodes[k:],
@@ -202,9 +201,7 @@ def swap_identity_residual(
             = Q_k(x; x_0..x_{k-1}) * Q_{n-k}(y; x_k..x_{n-1}).
     """
     node_list = _node_list(nodes).tolist()
-    n = len(node_list)
-    if not (0 <= k < n):
-        raise ValidationError(f"need 0 <= k < n, got k={k}, n={n}")
+    k = bounded_int(k, "k", 0, len(node_list) - 1)
     y, x = finite_float(y, f"y must be a finite number, got {quoted(y)}"), _finite_x(x)
     with np.errstate(over="ignore", invalid="ignore"):  # silent inf/NaN, as in Python floats
         return float(_swap_residual(node_list, k, y, x, _anchor_chain(node_list)))
@@ -304,12 +301,11 @@ def identity_sweep(
     n = len(node_list)
     if n < 1:
         raise ValidationError("the identity sweep needs at least one node")
-    if not 1 <= sweep <= SWEEP_MAX:
-        raise ValidationError(f"sweep must be in [1, {SWEEP_MAX}], got {sweep}")
+    sweep = bounded_int(sweep, "sweep", 1, SWEEP_MAX)
     if not math.isfinite(tolerance):
         raise ValidationError(f"tolerance must be finite, got {tolerance!r}")
     if seed is not None and seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+        raise ValidationError(f"seed must be non-negative, got {quoted(seed)}")
     rng = np.random.default_rng(seed)
     lo, hi = min(node_list), max(node_list)
     if hi - lo < 1e-9:
@@ -389,10 +385,7 @@ def abel_expand(
     carries a small slack factor.
     """
     node_list, x = _frozen(nodes, "nodes").tolist(), _finite_x(x)
-    if len(node_list) < n + 1:
-        raise ValidationError(f"need at least {n + 1} nodes for order {n}")
-    if n + 1 > DEGREE_CAP:
-        raise ValidationError(f"order {n} exceeds the degree cap {DEGREE_CAP}")
+    n = bounded_int(n, "order", 0, min(len(node_list), DEGREE_CAP) - 1)
     grid = jets.domain_grid(f, 256)
     # column k holds the derivatives at node x_k, the last column those at x
     at_nodes = jets._derivative_table(f, node_list[: n + 1] + [x], n).tolist()
@@ -416,14 +409,11 @@ def cn_membership_bound(
     Rejects an empty subsequence, which leaves nothing to check."""
     if not (a_const > 0 and b_const > 0):
         raise ValidationError("constants A and B must be positive")
-    ks = [int(v) for v in nbar]
+    ks = [bounded_int(v, "nbar item", 0, envelope.nmax) for v in nbar]
     if not ks:
         raise ValidationError("nbar is empty; nothing to check")
     if any(j <= i for i, j in zip(ks, ks[1:])):
         raise ValidationError("nbar must be strictly increasing")
-    for nk in ks:
-        if not (0 <= nk <= envelope.nmax):
-            raise ValidationError(f"index {nk} outside the envelope range")
     log_a, log_b = math.log(a_const), math.log(b_const)
     return all(
         envelope.m_est_log[nk] <= log_b + nk * log_a + math.lgamma(nk + 1)

@@ -27,7 +27,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, ValidationError, _frozen, finite_float, quoted
+from .errors import (
+    ConditioningError, DomainError, ValidationError, _frozen, bounded_int, finite_float, quoted
+)
 from . import sequences, series
 
 # up to K_MAX each op's c_k is within 5.5e-15 of its recurrence's sum of |terms|
@@ -77,8 +79,7 @@ class Jet:
 
     def derivative(self, n: int) -> float:
         """f^{(n)}(center) = n! * c_n."""
-        if not (0 <= n <= self.order):
-            raise ValidationError(f"derivative order {n} outside jet order {self.order}")
+        n = bounded_int(n, "derivative order", 0, self.order)
         return _FACT[n] * float(self.coeffs[n])
 
     @property
@@ -236,8 +237,7 @@ def _rows(expr, t: np.ndarray, k_max: int) -> np.ndarray:
 def _taylor_table(f: FunctionSpec, points, order: int) -> np.ndarray:
     """Taylor coefficients c_k of f, k = 0..order, at every point: shape
     (order + 1, len(points)).  A failing node reports its first failing point."""
-    if not (0 <= order <= K_MAX):
-        raise ValidationError(f"jet order must be in [0, {K_MAX}], got {order}")
+    order = bounded_int(order, "jet order", 0, K_MAX)
     t = np.asarray(points, dtype=float)
     a, b = f.domain
     outside = t[~((a - 1e-12 <= t) & (t <= b + 1e-12))]
@@ -248,7 +248,7 @@ def _taylor_table(f: FunctionSpec, points, order: int) -> np.ndarray:
 
 def _derivative_table(f: FunctionSpec, points, order: int) -> np.ndarray:
     """f^{(n)} for n = 0..order at every point: shape (order + 1, len(points))."""
-    return np.array(_FACT[: order + 1])[:, None] * _taylor_table(f, points, order)
+    return _taylor_table(f, points, order) * np.array(_FACT[: order + 1])[:, None]
 
 
 def jet_eval(f: FunctionSpec, t: float, order: int) -> Jet:
@@ -265,10 +265,8 @@ def jet_derivatives(f: FunctionSpec, t: float, order: int) -> np.ndarray:
 
 def domain_grid(f: FunctionSpec, grid_size: int) -> np.ndarray:
     """The uniform grid on f's domain that every grid experiment scans."""
-    if not (2 <= grid_size <= GRID_MAX):
-        raise ValidationError(f"grid_size must be in [2, {GRID_MAX}], got {grid_size}")
     a, b = f.domain
-    return np.linspace(a, b, grid_size)
+    return np.linspace(a, b, bounded_int(grid_size, "grid_size", 2, GRID_MAX))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +333,8 @@ def _check_log_convex(weights: sequences.LogSequence) -> None:
 
 
 def _check_horizon(n: int, horizon: int, weights: sequences.LogSequence) -> None:
-    if not (0 <= n <= horizon):
-        raise ValidationError(f"need 0 <= n <= horizon, got n={n}, horizon={horizon}")
-    if horizon >= weights.length:
-        raise ValidationError("horizon exceeds weight sequence length")
+    horizon = bounded_int(horizon, "horizon", 0, weights.length - 1)
+    bounded_int(n, "n", 0, horizon)
 
 
 def _tail_sup(derivs: np.ndarray, n: int, logs: np.ndarray) -> TailSup:
@@ -391,10 +387,8 @@ def translation_estimate_check(
     for any q > n, valid when M is log-convex and sup |f^{(q)}| <= M_q.
     Comparison happens in the log domain with relative slack 1e-9.
     """
-    if not (0 <= n < q):
-        raise ValidationError(f"need 0 <= n < q, got n={n}, q={q}")
-    if q >= weights.length:
-        raise ValidationError("q exceeds weight sequence length")
+    q = bounded_int(q, "q", 1, weights.length - 1)
+    bounded_int(n, "n", 0, q - 1)
     _check_log_convex(weights)
     _check_horizon(n, horizon, weights)
     table = _derivative_table(f, [t, t + tau], horizon)
@@ -519,10 +513,7 @@ def zero_spacing_experiment(
     Requires each f^{(n)}, n <= nmax, to vanish somewhere on the domain, M
     log-convex with |f^{(n)}| <= M_n on the grid, and f not identically zero.
     """
-    if nmax < 1:
-        raise ValidationError(f"nmax must be at least 1, got {nmax}")
-    if nmax >= weights.length:
-        raise ValidationError("nmax exceeds weight sequence length")
+    nmax = bounded_int(nmax, "nmax", 1, weights.length - 1)
     _check_log_convex(weights)
 
     grid = domain_grid(f, grid_size)

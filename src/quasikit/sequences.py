@@ -11,13 +11,12 @@ every n where the hull touches the input.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _frozen, finite_float, quoted
+from .errors import ValidationError, _frozen, bounded_int, finite_float, quoted
 from .series import _libm
 
 # Log-domain tolerance for convexity checks, relative to max(1, max|L_n|): at
@@ -58,15 +57,6 @@ FAMILIES = ("explicit", *_CATALOG)
 
 # Largest horizon; a catalog horizon is checked before anything is allocated.
 HORIZON_MAX = 2**22
-
-
-def _checked_horizon(horizon) -> int:
-    """``horizon`` if it is an integer (not a bool) in [3, HORIZON_MAX]."""
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-        raise ValidationError(f"horizon must be an integer, got {quoted(horizon)}")
-    if not 3 <= horizon <= HORIZON_MAX:
-        raise ValidationError(f"horizon must be in [3, {HORIZON_MAX}], got {quoted(int(horizon))}")
-    return int(horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +128,7 @@ class SequenceSpec:
                 raise ValidationError("explicit family requires 'logs'")
             object.__setattr__(self, "logs", _frozen(self.logs))
             object.__setattr__(self, "horizon", len(self.logs))
-        object.__setattr__(self, "horizon", _checked_horizon(self.horizon))
+        object.__setattr__(self, "horizon", bounded_int(self.horizon, "horizon", 3, HORIZON_MAX))
         key = _CATALOG.get(self.family, (None,))[0]
         if key is not None:
             value = self.params.get(key)
@@ -190,7 +180,7 @@ def make_sequence(spec: SequenceSpec, horizon: int | None = None) -> LogSequence
         logs[0] = 0.0
         return LogSequence(logs=logs, generator="explicit")
 
-    n_total = spec.horizon if horizon is None else _checked_horizon(horizon)
+    n_total = spec.horizon if horizon is None else bounded_int(horizon, "horizon", 3, HORIZON_MAX)
     key, first, term = _CATALOG[spec.family]
     p = None if key is None else float(spec.params[key])
     logs = np.zeros(n_total)

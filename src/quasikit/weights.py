@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import MU_FAMILIES, SAMPLES_MAX
-from .errors import ConditioningError, ValidationError, quoted
+from .errors import ConditioningError, ValidationError, bounded_int, quoted
 from .series import SeriesReport, _exp, _libm, diagnose_series
 
 _VALIDATION_GRID = 64
@@ -365,8 +365,7 @@ def _start_radius(w: WeightFunction, offset: float, factor: float, reach: float)
 def transform_grid(w: WeightFunction, r_max: float, samples: int) -> dict:
     """float64 arrays of log Lambda, omega and log lambda at ``samples`` radii
     ``r``, log-spaced from 1.01 e^{m'(t0 + 1)} to ``r_max`` (1 <= samples <= SAMPLES_MAX)."""
-    if not 1 <= samples <= SAMPLES_MAX:
-        raise ValidationError(f"samples must be in [1, {SAMPLES_MAX}], got {samples}")
+    samples = bounded_int(samples, "samples", 1, SAMPLES_MAX)
     r_start = _start_radius(w, 1.0, 1.01, 2.0)
     if not r_start * 2 < r_max < math.inf:
         raise ValidationError(f"r_max must be finite and exceed {r_start * 2:g} for this t0")

@@ -1003,3 +1003,43 @@ def test_short_usage_errors_are_printed_whole(capsys):
     assert dispatch(["weight", "check", "--mu", "x" * 40]) == 2
     line = capsys.readouterr().err.splitlines()[-1]
     assert line.endswith(f"invalid choice: '{'x' * 40}' (choose from 'zero', 'loglog', 'log', 'power')")
+
+
+LONG_INTS = {
+    "gont check --sweep": "gont check --nodes {nodes} --sweep {digits}",
+    "gont check --seed": "gont check --nodes {nodes} --seed -{digits}",
+    "weight analyze --samples": "weight analyze --mu loglog --samples {digits}",
+    "lab envelope --grid": "lab envelope --fn {fn} --grid {digits}",
+    "lab envelope --nmax": "lab envelope --fn {fn} --nmax {digits}",
+    "lab monotonic --nmax": "lab monotonic --fn {fn} --seq {seq} --nmax {digits}",
+    # below the bound, where the value used to be echoed whole
+    "lab spacing --nmax": "lab spacing --fn {fn} --seq {seq} --nmax -{digits}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_INTS))
+def test_long_integer_values_give_one_short_error_line(tmp_path, capsys, fact_spec, case):
+    # 4000 digits stay under Python's 4300-digit int limit, so argparse reads
+    # the value and quasikit's own bound rejects it, quoted short
+    from quasikit.cli import dispatch
+
+    nodes, fn = tmp_path / "nodes.json", tmp_path / "exp.json"
+    nodes.write_text(json.dumps({"nodes": [0.0, 0.5]}))
+    fn.write_text(json.dumps({"expr": {"op": "exp", "arg": {"op": "x"}}, "domain": [0.0, 1.0]}))
+    argv = LONG_INTS[case].format(nodes=nodes, fn=fn, seq=fact_spec, digits="9" * 4000)
+    assert dispatch(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("quasikit: ") and len(err.rstrip("\n").encode()) <= 200
+
+
+def test_a_line_break_in_an_unknown_argument_starts_no_line(tmp_path, capsys):
+    from quasikit.cli import dispatch
+
+    nodes = tmp_path / "nodes.json"
+    nodes.write_text(json.dumps({"nodes": [0.0, 0.5]}))
+    argv = ["gont", "build", "--nodes", str(nodes), "a\nquasikit: forged line"]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert not any(line.startswith("quasikit: forged") for line in err.splitlines())
+    assert err.splitlines()[-1].endswith("unrecognized arguments: a\\nquasikit: forged line")

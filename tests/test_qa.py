@@ -332,3 +332,9 @@ def test_chain_holds_with_sums_on_its_bounds(sums):
     root, beta, ratio = (diagnose_series([v / 2, v / 2]) for v in sums)
     assert [float(rep.partial_sums[-1]) for rep in (root, beta, ratio)] == list(sums)
     assert chain_holds(root, beta, ratio)
+
+
+def test_equal_abscissae_give_slope_zero_and_read_inconclusive():
+    # the fit's abscissae have no spread, so it has no slope to read
+    rep = diagnose_series([1, 2, 3, 4], xs=[1] * 4)
+    assert rep.slope_estimate == 0.0 and rep.verdict == INCONCLUSIVE

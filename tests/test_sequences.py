@@ -213,6 +213,11 @@ class TestMakeSequence:
         explicit = qk.SequenceSpec.from_json({"family": "explicit", "logs": [0, 1, 2]})
         assert explicit.logs.tolist() == [0.0, 1.0, 2.0]
 
+    def test_a_spec_leaves_comparison_with_a_non_spec_to_the_other_side(self):
+        spec = qk.SequenceSpec(family="factorial", horizon=9)
+        assert spec.__eq__(spec.to_json()) is NotImplemented
+        assert spec != spec.to_json() and spec != 9
+
 
 class TestConvexRegularize:
     def test_nonconvex_example(self):

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the readers of an input's
-numbers: ``finite_float`` reads one, ``_frozen`` a list and ``bounded_int``
-an integer size, order or index."""
+"""Exception types shared across the package, and the four readers of an
+input's numbers: ``finite_float`` reads one, ``bounded_float`` a named real
+argument, ``_frozen`` a list and ``bounded_int`` an integer size, order or
+index."""
 
 import math
 
@@ -75,10 +76,23 @@ def _frozen(values, name: str = "logs"):
     return arr
 
 
+def bounded_float(value, name: str, lo=-math.inf, hi=math.inf, open: bool = False) -> float:
+    """``value`` as a float, if it is a finite number (``finite_float``'s
+    rule) in [lo, hi], or in (lo, hi) when ``open``.  Otherwise a
+    ValidationError names ``name`` and quotes the value: "{name} must be a
+    finite number, got ..." or "{name} must be in [lo, hi], got ...", with
+    "(lo, hi)" when ``open``."""
+    number = finite_float(value, f"{name} must be a finite number, got {quoted(value)}")
+    if not (lo < number < hi if open else lo <= number <= hi):
+        interval = f"({lo!r}, {hi!r})" if open else f"[{lo!r}, {hi!r}]"
+        raise ValidationError(f"{name} must be in {interval}, got {quoted(number)}")
+    return number
+
+
 def bounded_int(value, name: str, lo: int, hi: int) -> int:
-    """``value`` as an int, if it is an integer (not a bool) in [lo, hi].
-    Otherwise a ValidationError names ``name`` and quotes the value:
-    "{name} must be an integer, got ..." or "{name} must be in [lo, hi], got ..."."""
+    """``value`` as an int, if it is an integer (not a bool) in [lo, hi]; hi
+    may be math.inf.  Otherwise a ValidationError names ``name`` and quotes the
+    value: "{name} must be an integer, got ..." or "{name} must be in [lo, hi], got ..."."""
     import numbers  # numpy's integer scalars are numbers.Integral, np.bool_ is not
 
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):

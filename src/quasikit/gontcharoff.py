@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, ValidationError, _frozen, bounded_int, finite_float, quoted
+from .errors import ConditioningError, ValidationError, _frozen, bounded_float, bounded_int
 from . import jets, series
 
 DEGREE_CAP = 30
@@ -55,7 +55,7 @@ class GontcharoffPoly:
 
     def eval(self, x: float) -> float:
         """Horner evaluation in the scaled basis; exact for degree 0."""
-        return _horner_scaled(self.scaled_coeffs.tolist(), _finite_x(x))
+        return _horner_scaled(self.scaled_coeffs.tolist(), bounded_float(x, "x"))
 
     def eval_magnitude(self, x: float) -> float:
         """sum_i |c_i| |x|^i / i!: the scale against which cancellation in
@@ -114,10 +114,6 @@ def _node_list(nodes: Sequence[float], name: str = "nodes") -> np.ndarray:
     return arr
 
 
-def _finite_x(x) -> float:
-    return finite_float(x, f"x must be a finite number, got {quoted(x)}")
-
-
 def build(nodes: Sequence[float]) -> GontcharoffPoly:
     """Construct Q_n for the given nodes by antidifferentiate-and-anchor.
 
@@ -169,7 +165,7 @@ def integral_oracle(nodes: Sequence[float], x: float) -> float:
     node_list = _frozen(nodes, "nodes").tolist()
     if len(node_list) > 4:
         raise ValidationError("integral oracle is limited to 4 nodes")
-    return _oracle_level(node_list, _finite_x(x), 1e-9)
+    return _oracle_level(node_list, bounded_float(x, "x"), 1e-9)
 
 
 def _oracle_level(nodes: list[float], x: float, tol: float) -> float:
@@ -202,7 +198,7 @@ def swap_identity_residual(
     """
     node_list = _node_list(nodes).tolist()
     k = bounded_int(k, "k", 0, len(node_list) - 1)
-    y, x = finite_float(y, f"y must be a finite number, got {quoted(y)}"), _finite_x(x)
+    y, x = bounded_float(y, "y"), bounded_float(x, "x")
     with np.errstate(over="ignore", invalid="ignore"):  # silent inf/NaN, as in Python floats
         return float(_swap_residual(node_list, k, y, x, _anchor_chain(node_list)))
 
@@ -241,7 +237,7 @@ def decomposition_residual(
     y_list = _node_list(ys, "ys").tolist()
     if len(y_list) != len(node_list):
         raise ValidationError("ys must have the same length as nodes")
-    return _decomposition_residual(y_list, _finite_x(x), _anchor_chain(node_list))
+    return _decomposition_residual(y_list, bounded_float(x, "x"), _anchor_chain(node_list))
 
 
 def _decomposition_residual(ys: list, x, states: list):
@@ -264,7 +260,7 @@ def gontcharoff_bound(nodes: Sequence[float], x: float) -> float:
     n = len(node_list)
     if n < 1:
         raise ValidationError("bound needs at least one node")
-    return _power_over_factorial(_spread(node_list, _finite_x(x)), n)
+    return _power_over_factorial(_spread(node_list, bounded_float(x, "x")), n)
 
 
 def _spread(nodes: list, x):
@@ -302,10 +298,9 @@ def identity_sweep(
     if n < 1:
         raise ValidationError("the identity sweep needs at least one node")
     sweep = bounded_int(sweep, "sweep", 1, SWEEP_MAX)
-    if not math.isfinite(tolerance):
-        raise ValidationError(f"tolerance must be finite, got {tolerance!r}")
-    if seed is not None and seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {quoted(seed)}")
+    tolerance = bounded_float(tolerance, "tolerance")
+    if seed is not None:
+        seed = bounded_int(seed, "seed", 0, math.inf)
     rng = np.random.default_rng(seed)
     lo, hi = min(node_list), max(node_list)
     if hi - lo < 1e-9:
@@ -384,7 +379,7 @@ def abel_expand(
     The grid max is a lower bound of the true sup, so the remainder contract
     carries a small slack factor.
     """
-    node_list, x = _frozen(nodes, "nodes").tolist(), _finite_x(x)
+    node_list, x = _frozen(nodes, "nodes").tolist(), bounded_float(x, "x")
     n = bounded_int(n, "order", 0, min(len(node_list), DEGREE_CAP) - 1)
     grid = jets.domain_grid(f, 256)
     # column k holds the derivatives at node x_k, the last column those at x
@@ -407,14 +402,13 @@ def cn_membership_bound(
 ) -> bool:
     """Check M_est[n_k] <= B * A^{n_k} * n_k! along the subsequence, in logs.
     Rejects an empty subsequence, which leaves nothing to check."""
-    if not (a_const > 0 and b_const > 0):
-        raise ValidationError("constants A and B must be positive")
+    log_a = math.log(bounded_float(a_const, "A", 0, open=True))
+    log_b = math.log(bounded_float(b_const, "B", 0, open=True))
     ks = [bounded_int(v, "nbar item", 0, envelope.nmax) for v in nbar]
     if not ks:
         raise ValidationError("nbar is empty; nothing to check")
     if any(j <= i for i, j in zip(ks, ks[1:])):
         raise ValidationError("nbar must be strictly increasing")
-    log_a, log_b = math.log(a_const), math.log(b_const)
     return all(
         envelope.m_est_log[nk] <= log_b + nk * log_a + math.lgamma(nk + 1)
         for nk in ks
@@ -434,13 +428,14 @@ def null_test_bound(
 
         B A^q ((ms+q+1)! / (ms+1)!) (A|x - x_q| + A R_q)^{ms+1}.
 
-    Decreases to -inf as ms grows whenever A(|x - x_q| + R_q) < 1.
+    Decreases to -inf as ms grows whenever A(|x - x_q| + R_q) < 1.  q and ms
+    run to 2^53, past which an integer is not exact as a float.
     """
-    if not (a_const > 0 and b_const > 0):
-        raise ValidationError("constants A and B must be positive")
-    if q < 0 or ms < 0 or r_q < 0:
-        raise ValidationError("q, ms and R_q must be nonnegative")
-    inner = a_const * (abs(x - x_q) + r_q)
+    q, ms = bounded_int(q, "q", 0, 2**53), bounded_int(ms, "ms", 0, 2**53)
+    a_const = bounded_float(a_const, "A", 0, open=True)
+    b_const = bounded_float(b_const, "B", 0, open=True)
+    x, x_q = bounded_float(x, "x"), bounded_float(x_q, "x_q")
+    inner = a_const * (abs(x - x_q) + bounded_float(r_q, "r_q", 0))
     if inner == 0.0:
         return -math.inf
     return (

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _frozen
+from .errors import ValidationError, _frozen, bounded_float
 from .sequences import LogSequence, RegularizedSequence, convex_regularize
 from .series import EPS_CONV, SIGMA_DIV, SeriesReport, _down_scale, diagnose_series
 
@@ -119,6 +119,7 @@ def liminf_check(seq: LogSequence, cap: float = LIMINF_CAP) -> bool:
     Takes the minimum of L_n/n over the second half of the horizon and
     compares it against ``cap``.  Heuristic by construction.
     """
+    cap = bounded_float(cap, "cap")
     if seq.length < 8:
         raise ValidationError("liminf_check needs at least 8 entries")
     half = seq.length // 2

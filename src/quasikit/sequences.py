@@ -16,7 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _frozen, bounded_int, finite_float, quoted
+from .constants import HORIZON_MAX
+from .errors import ValidationError, _frozen, bounded_float, bounded_int, quoted
 from .series import _libm
 
 # Log-domain tolerance for convexity checks, relative to max(1, max|L_n|): at
@@ -54,9 +55,6 @@ _CATALOG = {
     "denjoy2": ("C", 3, _denjoy2),  # validity requires n > e
 }
 FAMILIES = ("explicit", *_CATALOG)
-
-# Largest horizon; a catalog horizon is checked before anything is allocated.
-HORIZON_MAX = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,10 +129,7 @@ class SequenceSpec:
         object.__setattr__(self, "horizon", bounded_int(self.horizon, "horizon", 3, HORIZON_MAX))
         key = _CATALOG.get(self.family, (None,))[0]
         if key is not None:
-            value = self.params.get(key)
-            message = f"{self.family} requires parameter {key} > 0, got {quoted(value)}"
-            if finite_float(value, message) <= 0:
-                raise ValidationError(message)
+            bounded_float(self.params.get(key), f"{self.family} parameter {key}", 0, open=True)
 
     def __eq__(self, other):
         if not isinstance(other, SequenceSpec):
@@ -281,6 +276,7 @@ def convex_regularize(seq: LogSequence) -> RegularizedSequence:
 def is_log_convex(seq: LogSequence, tol: float = TOL_CONVEX) -> bool:
     """True iff 2 L_n <= L_{n-1} + L_{n+1} for every interior n, within
     tol * max(1, max|L_n|)."""
+    tol = bounded_float(tol, "tol")
     if seq.length < 3:
         raise ValidationError("is_log_convex needs at least 3 entries")
     logs = seq.logs

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import EPS_CONV, SIGMA_DIV
-from .errors import ValidationError, _frozen
+from .errors import ValidationError, _frozen, bounded_float
 
 DIVERGING = "diverging_trend"
 CONVERGING = "converging_trend"
@@ -115,9 +115,7 @@ def diagnose_series(
 
     ``xs`` are the fit abscissae; by default log of the 1-based ordinal.
     """
-    for name, value in (("sigma_div", sigma_div), ("eps_conv", eps_conv)):
-        if not np.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+    sigma_div, eps_conv = bounded_float(sigma_div, "sigma_div"), bounded_float(eps_conv, "eps_conv")
     t = _frozen(terms, "terms")
     if t.size < 2:
         raise ValidationError("diagnose_series needs at least 2 terms")

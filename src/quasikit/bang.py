@@ -15,12 +15,12 @@ scan, which stays available as ``bang_norm_bruteforce``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ValidationError, _frozen
+from .errors import ValidationError, _fields_json, _frozen
 from . import jets, sequences
 from .series import _exp
 
@@ -80,8 +80,7 @@ class BangNormResult:
     reduction_bound: int
     truncated: bool
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    to_json = _fields_json
 
 
 def _scan(x: BangVector) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

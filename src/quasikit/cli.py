@@ -250,6 +250,8 @@ def _cmd_seq_regularize(args):
 
 
 def _cmd_seq_analyze(args):
+    import numpy as np  # loaded by qa already; --version loads no numpy
+
     seq = _load_sequence(args.spec, args.horizon)
     doc = qa.analyze(seq, sigma_div=args.sigma_div, eps_conv=args.eps_conv).to_json()
     columns = [
@@ -258,7 +260,7 @@ def _cmd_seq_analyze(args):
         for row, key in (("term", "terms"), ("partial_sum", "partial_sums"))
     ]
     # one x column 1.0, 2.0, ... that all six blocks share
-    xs = list(map(float, range(1, 1 + max(len(values) for _, values in columns))))
+    xs = np.arange(1.0, 1.0 + max(len(values) for _, values in columns))
     return doc, [(series, xs, values) for series, values in columns]
 
 
@@ -303,11 +305,7 @@ def _cmd_lab_envelope(args):
 def _cmd_lab_monotonic(args):
     f = jets.FunctionSpec.from_json(args.fn.doc)
     seq = _load_sequence(args.seq, args.horizon)
-    result = jets.monotonicity_check(f, seq, args.nmax, grid_size=args.grid)
-    return {
-        "holds": result.holds,
-        "witness": result.witness,
-    }, None
+    return jets.monotonicity_check(f, seq, args.nmax, grid_size=args.grid).to_json(), None
 
 
 def _cmd_lab_spacing(args):

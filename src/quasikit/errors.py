@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the four readers of an
-input's numbers: ``finite_float`` reads one, ``bounded_float`` a named real
+"""Exception types shared across the package, the four readers of an
+input's numbers (``finite_float`` reads one, ``bounded_float`` a named real
 argument, ``_frozen`` a list and ``bounded_int`` an integer size, order or
-index."""
+index), and ``_fields_json``, the JSON form of a result that is its fields."""
 
 import math
 
@@ -29,7 +29,7 @@ class DomainError(ValidationError):
 
 
 class ConditioningError(QuasikitError):
-    """Numerical blow-up detected (coefficient cap or non-convergent quadrature)."""
+    """Numerical blow-up detected (coefficient cap or a failed cross-check)."""
 
 
 def finite_float(value, message: str) -> float:
@@ -111,3 +111,15 @@ def quoted(value) -> str:
     is longer, so that a message echoing an input value stays short."""
     text = repr(value)
     return text if len(text) <= QUOTE_MAX else f"{text[:QUOTE_MAX]}..."
+
+
+def _fields_json(result) -> dict:
+    """A result dataclass's fields by name, in declaration order.  A nested
+    result becomes its own ``to_json()``; every other value, an array too,
+    is the same object, so the writer formats an array that two fields
+    share once.  A class assigns ``to_json = _fields_json`` in its own body,
+    so the method is the class's own attribute."""
+    import dataclasses  # loaded by every result module anyway
+
+    values = ((f.name, getattr(result, f.name)) for f in dataclasses.fields(result))
+    return {name: v.to_json() if hasattr(v, "to_json") else v for name, v in values}

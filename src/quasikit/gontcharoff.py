@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, ValidationError, _frozen, bounded_float, bounded_int
+from .errors import ValidationError, _fields_json, _frozen, bounded_float, bounded_int
 from . import jets, series
 
 DEGREE_CAP = 30
@@ -71,12 +71,7 @@ class GontcharoffPoly:
             scaled_coeffs=self.scaled_coeffs[k:],
         )
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "nodes": self.nodes,
-            "scaled_coeffs": self.scaled_coeffs,
-        }
+    to_json = _fields_json
 
 
 def _horner_scaled(coeffs: Sequence, x):
@@ -132,57 +127,26 @@ def build(nodes: Sequence[float]) -> GontcharoffPoly:
 # ---------------------------------------------------------------------------
 # independent quadrature oracle for the defining iterated integral
 
-def _adaptive_simpson(
-    g: Callable[[float], float], a: float, b: float, tol: float, depth: int = 24
-) -> float:
-    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return _simpson_step(g, a, b, fa, fm, fb, whole, tol, depth)
-
-
-def _simpson_step(g, a, b, fa, fm, fb, whole, tol, depth) -> float:
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = g(lm), g(rm)
-    left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-    right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    if depth <= 0:
-        raise ConditioningError("adaptive quadrature failed to converge")
-    return _simpson_step(g, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _simpson_step(
-        g, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
-
-
 def integral_oracle(nodes: Sequence[float], x: float) -> float:
-    """Evaluate the defining iterated integral by nested adaptive Simpson, to
-    an absolute tolerance of 1e-9.
+    """Evaluate the defining iterated integral by nested Simpson quadrature.
 
-    Independent of build(); limited to degree <= 4 because each level nests
-    a full quadrature.
+    Independent of build().  Limited to 4 nodes, so each level's integrand
+    Q_{n-1} has degree <= 3 and one Simpson panel is exact up to rounding.
     """
     node_list = _frozen(nodes, "nodes").tolist()
     if len(node_list) > 4:
         raise ValidationError("integral oracle is limited to 4 nodes")
-    return _oracle_level(node_list, bounded_float(x, "x"), 1e-9)
+    return _oracle_level(node_list, bounded_float(x, "x"))
 
 
-def _oracle_level(nodes: list[float], x: float, tol: float) -> float:
+def _oracle_level(nodes: list[float], x: float) -> float:
     if not nodes:
         return 1.0
-    lower = nodes[0]
-    rest = nodes[1:]
+    lower, rest = nodes[0], nodes[1:]
     if x == lower:
         return 0.0
-    inner_tol = tol / 16.0
-
-    def integrand(t: float) -> float:
-        return _oracle_level(rest, t, inner_tol)
-
-    a, b = (lower, x) if lower <= x else (x, lower)
-    value = _adaptive_simpson(integrand, a, b, tol)
-    return value if lower <= x else -value
+    ends = _oracle_level(rest, lower) + _oracle_level(rest, x)
+    return (x - lower) * (ends + 4.0 * _oracle_level(rest, 0.5 * (lower + x))) / 6.0
 
 
 # ---------------------------------------------------------------------------

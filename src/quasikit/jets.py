@@ -28,7 +28,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
-    ConditioningError, DomainError, ValidationError, _frozen, bounded_int, finite_float, quoted
+    ConditioningError, DomainError, ValidationError, _fields_json, _frozen, bounded_int,
+    finite_float, quoted,
 )
 from . import sequences, series
 
@@ -414,6 +415,8 @@ class MonotonicityResult:
     holds: bool
     witness: tuple[int, float] | None
 
+    to_json = _fields_json
+
 
 def monotonicity_check(
     f: FunctionSpec,
@@ -493,12 +496,7 @@ class SpacingResult:
     lhs_partial: np.ndarray
     rhs_partial: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "lhs_partial": self.lhs_partial,
-            "rhs_partial": self.rhs_partial,
-        }
+    to_json = _fields_json
 
 
 def zero_spacing_experiment(

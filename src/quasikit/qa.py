@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _frozen, bounded_float
+from .errors import ValidationError, _fields_json, _frozen, bounded_float
 from .sequences import LogSequence, RegularizedSequence, convex_regularize
 from .series import EPS_CONV, SIGMA_DIV, SeriesReport, _down_scale, diagnose_series
 
@@ -142,15 +142,7 @@ class QAReport:
     def verdicts(self) -> tuple[str, str, str]:
         return (self.carleman.verdict, self.root_c.verdict, self.ratio_c.verdict)
 
-    def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "carleman": self.carleman.to_json(),
-            "root_c": self.root_c.to_json(),
-            "ratio_c": self.ratio_c.to_json(),
-            "liminf_flag": self.liminf_flag,
-            "chain_ok": self.chain_ok,
-        }
+    to_json = _fields_json
 
 
 def chain_holds(

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .constants import HORIZON_MAX
-from .errors import ValidationError, _frozen, bounded_float, bounded_int, quoted
+from .errors import ValidationError, _fields_json, _frozen, bounded_float, bounded_int, quoted
 from .series import _libm
 
 # Log-domain tolerance for convexity checks, relative to max(1, max|L_n|): at
@@ -100,8 +100,7 @@ class RegularizedSequence:
     def length(self) -> int:
         return len(self.logs_c)
 
-    def to_json(self) -> dict:
-        return {"logs_c": self.logs_c, "principal": self.principal}
+    to_json = _fields_json
 
 
 @dataclass(frozen=True)

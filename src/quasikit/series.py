@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import EPS_CONV, SIGMA_DIV
-from .errors import ValidationError, _frozen, bounded_float
+from .errors import ValidationError, _fields_json, _frozen, bounded_float
 
 DIVERGING = "diverging_trend"
 CONVERGING = "converging_trend"
@@ -67,13 +67,7 @@ class SeriesReport:
     verdict: str
     slope_estimate: float
 
-    def to_json(self) -> dict:
-        return {
-            "terms": self.terms,
-            "partial_sums": self.partial_sums,
-            "verdict": self.verdict,
-            "slope_estimate": self.slope_estimate,
-        }
+    to_json = _fields_json
 
 
 # a sum over finite partial sums below 2**_SUM_TOP cannot overflow
@@ -130,7 +124,7 @@ def diagnose_series(
     if xs is None:
         x = np.log(np.arange(1, t.size + 1, dtype=float))
     else:
-        x = np.asarray(xs, dtype=float)
+        x = _frozen(xs, "xs")
         if x.shape != t.shape:
             raise ValidationError("xs must match terms in length")
 

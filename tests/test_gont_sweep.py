@@ -143,6 +143,32 @@ def test_tolerance_decides_ok():
     assert report["ok"] is False
 
 
+def test_swap_residual_alone_decides_ok(monkeypatch):
+    # a swap residual raised by 1 in both sweeps fails the report with every
+    # other check passing
+    swap_residual, swap = G._swap_residual, _swap
+    monkeypatch.setattr(G, "_swap_residual", lambda *a: swap_residual(*a) + 1.0)
+    monkeypatch.setitem(globals(), "_swap", lambda *a: swap(*a) + 1.0)
+    nodes = [0.0, 0.25, 0.5]
+    report = G.identity_sweep(nodes, 50, 3)
+    assert report == _loop_sweep(nodes, 50, 3)
+    assert report["max_swap_residual_rel"] > 1e-10
+    assert report["max_decomposition_residual_rel"] <= 1e-10
+    assert report["bound_violations"] == 0 and report["ok"] is False
+
+
+def test_bound_violations_are_counted(monkeypatch):
+    # a zero bound in both sweeps is exceeded by every sample whose value is
+    # not ~0
+    monkeypatch.setattr(G, "_power_over_factorial", lambda spread, n: 0.0)
+    monkeypatch.setitem(globals(), "_bound", lambda nodes, x: 0.0)
+    nodes = [0.0, 0.25, 0.5]
+    report = G.identity_sweep(nodes, 50, 3)
+    assert report == _loop_sweep(nodes, 50, 3)
+    assert report["bound_violations"] > 0 and report["ok"] is False
+    assert max(report["max_swap_residual_rel"], report["max_decomposition_residual_rel"]) <= 1e-10
+
+
 @pytest.mark.parametrize("sweep", [0, -5, G.SWEEP_MAX + 1])
 def test_sweep_size_outside_bounds_rejected(sweep):
     with pytest.raises(ValidationError, match="sweep"):

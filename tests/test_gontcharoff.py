@@ -146,6 +146,29 @@ class TestIntegralOracle:
         with pytest.raises(qk.ValidationError):
             G.integral_oracle([0.0] * 5, 1.0)
 
+    @staticmethod
+    def exact_value(nodes, x):
+        coeffs = exact_scaled_coeffs(nodes)
+        return sum(c * Fraction(x) ** i / math.factorial(i) for i, c in enumerate(coeffs))
+
+    def test_million_scale_nodes_within_ulps_of_exact(self):
+        # rounding at this scale is far above any absolute tolerance; the
+        # value is about 1.7e24
+        nodes, x = [1.3e6, 1.1e6, 0.2e6, 0.9e6], 3.7e6
+        exact = float(self.exact_value(nodes, x))
+        assert abs(G.integral_oracle(nodes, x) - exact) <= 4 * math.ulp(exact)
+
+    def test_million_scale_sweep_matches_exact(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            nodes = rng.uniform(-1e6, 1e6, int(rng.integers(1, 5))).tolist()
+            x = float(rng.uniform(-1e6, 1e6))
+            exact = self.exact_value(nodes, x)
+            assert abs(Fraction(G.integral_oracle(nodes, x)) - exact) <= 1e-14 * abs(exact)
+
+    def test_first_node_is_an_exact_zero(self):
+        assert G.integral_oracle([1.3e6, 1.1e6, 0.2e6, 0.9e6], 1.3e6) == 0.0
+
 
 class TestIdentities:
     def test_swap_with_same_value_is_exact(self):

@@ -309,6 +309,24 @@ class TestTranslationEstimate:
         still = qk.translation_estimate_check(sin_spec(), seq, 0.5, 0.0, 1, 2, 3)
         assert still.rhs_log == max(still.lhs_log, -2.0) and still.ok
 
+    @pytest.mark.parametrize("t,tau", [(0.0, 1.0), (1.0, -1.0)], ids=["base", "shifted"])
+    def test_suffix_sup_vanishing_at_one_point_rejected(self, t, tau):
+        # the suffix from n = 1 to the horizon 1 is f' = 2x, which vanishes at
+        # 0 only: one of the two sups is empty, the other is not
+        square = qk.FunctionSpec({"op": "pow", "arg": X, "num": 2}, (0.0, 1.0))
+        with pytest.raises(qk.ValidationError, match="suffix sup vanished"):
+            qk.translation_estimate_check(square, ones_sequence(3), t, tau, 1, 2, 1)
+
+    @pytest.mark.parametrize("t,tau", [(0.0, 1.0), (1.0, -1.0)], ids=["base", "shifted"])
+    def test_truncated_when_one_sup_sits_at_the_horizon(self, t, tau):
+        # f = x^2 with M = 1: at 0 only f'' = 2 survives, so the sup sits at
+        # the horizon 2; at 1 it sits at j = 0, where f = 1 beats 2/e and 2/e^2
+        square = qk.FunctionSpec({"op": "pow", "arg": X, "num": 2}, (0.0, 1.0))
+        seq = ones_sequence(3)
+        ends = [qk.derivative_tail_sup(square, s, 0, seq, 2).truncated for s in (t, t + tau)]
+        assert ends == [t == 0.0, t != 0.0]
+        assert qk.translation_estimate_check(square, seq, t, tau, 0, 1, 2).truncated
+
 
 class TestMonotonicity:
     def test_exp_holds(self):

@@ -334,6 +334,16 @@ def test_chain_holds_with_sums_on_its_bounds(sums):
     assert chain_holds(root, beta, ratio)
 
 
+@pytest.mark.parametrize("xs,message", [
+    (["a", "b"], "xs must be a list of numbers"),
+    ([True, False], r"xs\[0\] = True is not a number"),
+    ([math.nan, 1.0], r"xs\[0\] = nan is not finite"),
+], ids=["strings", "bools", "nan"])
+def test_abscissae_are_read_as_finite_numbers(xs, message):
+    with pytest.raises(qk.ValidationError, match=f"^{message}$"):
+        diagnose_series([1.0, 2.0], xs=xs)
+
+
 def test_equal_abscissae_give_slope_zero_and_read_inconclusive():
     # the fit's abscissae have no spread, so it has no slope to read
     rep = diagnose_series([1, 2, 3, 4], xs=[1] * 4)

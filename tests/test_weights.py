@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import quasikit as qk
+from quasikit import weights as W
 from quasikit.series import CONVERGING, DIVERGING
 
 
@@ -330,6 +331,47 @@ def test_invariant_battery_reports_a_failed_sandwich():
         "sandwich_ok": False,
         "omega_increasing": True,
         "shift_ok": False,
+        "algebra_ok": True,
+        "ok": False,
+    }
+
+
+def _battery_with_corrupted_solve(monkeypatch, change):
+    # ``change`` maps the solve's (Lambda, omega, lambda) arrays to corrupted
+    # ones; the shift and algebra checks read no transform
+    transforms = W._transforms
+
+    def corrupted(w, radii):
+        t_star, lam, omega, lam_int, error = transforms(w, radii)
+        return (t_star, *change(lam, omega, lam_int), error)
+
+    monkeypatch.setattr(W, "_transforms", corrupted)
+    return qk.invariant_battery(qk.make_weight("zero", 10.0), 1e6)
+
+
+def test_invariant_battery_reports_lambda_below_Lambda(monkeypatch):
+    # lambda lowered by 1 breaks the sandwich's upper half, Lambda <= lambda,
+    # and keeps its lower half
+    report = _battery_with_corrupted_solve(
+        monkeypatch, lambda lam, omega, lam_int: (lam, omega, lam_int - 1.0)
+    )
+    assert report == {
+        "sandwich_ok": False,
+        "omega_increasing": True,
+        "shift_ok": True,
+        "algebra_ok": True,
+        "ok": False,
+    }
+
+
+def test_invariant_battery_reports_a_falling_omega(monkeypatch):
+    report = _battery_with_corrupted_solve(
+        monkeypatch, lambda lam, omega, lam_int: (lam, omega[::-1], lam_int)
+    )
+    assert report == {
+        "sandwich_ok": True,
+        "omega_increasing": False,
+        "shift_ok": True,
         "algebra_ok": True,
         "ok": False,
     }

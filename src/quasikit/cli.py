@@ -15,7 +15,6 @@ import functools
 import gc
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -86,13 +85,6 @@ class _Items:
         self.text, self.sep = text, sep
 
 
-def _ndarray():
-    """numpy's array type, or ``()`` while numpy is not loaded, when no value
-    can be an array."""
-    numpy = sys.modules.get("numpy")
-    return numpy.ndarray if numpy else ()
-
-
 def _encode_spans(value) -> tuple[list, dict]:
     """The pieces of ``json.dumps(value, indent=2, allow_nan=False,
     default=numpy.ndarray.tolist)``, in order, and ``spans[id(xs)]``, the
@@ -113,16 +105,19 @@ def _encode_into(value, indent: str, pieces: list, spans: dict) -> None:
     ``tolist`` just before it is joined, so one boxed list is alive at a
     time.  An array met again at the same depth takes its text from
     ``spans``; at another depth it is joined with its own separator, and
-    ``spans`` keeps the first text."""
-    is_array = isinstance(value, _ndarray())
+    ``spans`` keeps the first text.  A float array is checked finite before
+    it is boxed."""
+    import numpy as np  # loaded by every handler that returns a report
+
+    is_array = isinstance(value, np.ndarray)
     inner = indent + "  "
     sep = "," + inner
     if is_array and value.ndim == 1 and value.size and value.dtype.str[1:] in ("f8", "i8"):
         span = spans.get(id(value))
         if span is None or span.sep != sep:
-            items = value.tolist()
-            if value.dtype.kind == "f" and not all(map(math.isfinite, items)):
+            if value.dtype.kind == "f" and not np.isfinite(value).all():
                 raise ValueError("Out of range float values are not JSON compliant")
+            items = value.tolist()
             span = _Items(sep.join(map(repr, items)), sep)
             spans.setdefault(id(value), span)
         pieces.extend(("[" + inner, span.text, indent + "]"))
@@ -199,7 +194,9 @@ def _strings(column):
     array is boxed first: numpy's scalars have reprs of their own."""
     if isinstance(column, _Items):
         return column.text.split(column.sep)
-    if isinstance(column, _ndarray()):
+    import numpy as np  # loaded by every handler that writes a CSV
+
+    if isinstance(column, np.ndarray):
         column = column.tolist()
     strings = map(repr, column)
     return list(strings) if isinstance(column, (list, tuple)) else strings
@@ -356,110 +353,78 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"quasikit {__version__}")
     top = parser.add_subparsers(dest="group", required=True)
 
-    def add_common(p, csv=False):
+    # a command's options, in order: its required input files, the options
+    # it shares with other commands and its own, then --out (and --csv)
+    def group(name, help):
+        return top.add_parser(name, help=help).add_subparsers(dest="command", required=True)
+
+    def command(group, name, help, *inputs):
+        p = group.add_parser(name, help=help)
+        for option in inputs:
+            p.add_argument(option, type=InputFile, required=True)
+        return p
+
+    def done(p, handler, csv=False):
         p.add_argument("--out", help="write the JSON report here (default stdout)")
         if csv:
             p.add_argument("--csv", help="also write flat (x,series,value) rows")
+        p.set_defaults(handler=handler)
 
-    seq = top.add_parser("seq", help="weight-sequence analyses").add_subparsers(
-        dest="command", required=True
-    )
-    p = seq.add_parser("make", help="materialize a catalog sequence")
-    p.add_argument("--spec", type=InputFile, required=True)
-    p.add_argument("--horizon", type=int)
-    add_common(p)
-    p.set_defaults(handler=_cmd_seq_make)
-    p = seq.add_parser("regularize", help="convex regularization")
-    p.add_argument("--spec", type=InputFile, required=True)
-    p.add_argument("--horizon", type=int)
-    add_common(p)
-    p.set_defaults(handler=_cmd_seq_regularize)
-    p = seq.add_parser("analyze", help="criterion series and verdicts")
-    p.add_argument("--spec", type=InputFile, required=True)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--sigma-div", type=float, default=SIGMA_DIV, dest="sigma_div")
-    p.add_argument("--eps-conv", type=float, default=EPS_CONV, dest="eps_conv")
-    add_common(p, csv=True)
-    p.set_defaults(handler=_cmd_seq_analyze)
+    seq = group("seq", "weight-sequence analyses")
+    make = command(seq, "make", "materialize a catalog sequence", "--spec")
+    regularize = command(seq, "regularize", "convex regularization", "--spec")
+    analyze = command(seq, "analyze", "criterion series and verdicts", "--spec")
+    for p in (make, regularize, analyze):
+        p.add_argument("--horizon", type=int)
+    analyze.add_argument("--sigma-div", type=float, default=SIGMA_DIV, dest="sigma_div")
+    analyze.add_argument("--eps-conv", type=float, default=EPS_CONV, dest="eps_conv")
+    done(make, _cmd_seq_make)
+    done(regularize, _cmd_seq_regularize)
+    done(analyze, _cmd_seq_analyze, csv=True)
 
-    bang_group = top.add_parser("bang", help="sequence-space norm").add_subparsers(
-        dest="command", required=True
-    )
-    p = bang_group.add_parser("norm", help="norm of a vector")
-    p.add_argument("--vector", type=InputFile, required=True)
+    bang_group = group("bang", "sequence-space norm")
+    p = command(bang_group, "norm", "norm of a vector", "--vector")
     p.add_argument("--pset", type=InputFile, help="JSON file overriding the index set")
-    add_common(p)
-    p.set_defaults(handler=_cmd_bang_norm)
-    p = bang_group.add_parser("distance", help="norm of the difference")
-    p.add_argument("--vector", type=InputFile, required=True)
-    p.add_argument("--other", type=InputFile, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_bang_distance)
+    done(p, _cmd_bang_norm)
+    done(command(bang_group, "distance", "norm of the difference", "--vector", "--other"),
+         _cmd_bang_distance)
 
-    gont = top.add_parser("gont", help="Abel-Gontcharoff polynomials").add_subparsers(
-        dest="command", required=True
-    )
-    p = gont.add_parser("build", help="construct the polynomial")
-    p.add_argument("--nodes", type=InputFile, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_gont_build)
-    p = gont.add_parser("eval", help="evaluate at a point")
-    p.add_argument("--nodes", type=InputFile, required=True)
+    gont = group("gont", "Abel-Gontcharoff polynomials")
+    done(command(gont, "build", "construct the polynomial", "--nodes"), _cmd_gont_build)
+    p = command(gont, "eval", "evaluate at a point", "--nodes")
     p.add_argument("--x", type=float, required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_gont_eval)
-    p = gont.add_parser("check", help="randomized identity sweep")
-    p.add_argument("--nodes", type=InputFile, required=True)
+    done(p, _cmd_gont_eval)
+    p = command(gont, "check", "randomized identity sweep", "--nodes")
     p.add_argument("--sweep", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-10)
-    add_common(p)
-    p.set_defaults(handler=_cmd_gont_check)
+    done(p, _cmd_gont_check)
 
-    lab = top.add_parser("lab", help="function experiments").add_subparsers(
-        dest="command", required=True
-    )
-    p = lab.add_parser("envelope", help="derivative magnitude envelope")
-    p.add_argument("--fn", type=InputFile, required=True)
+    lab = group("lab", "function experiments")
+    p = command(lab, "envelope", "derivative magnitude envelope", "--fn")
     p.add_argument("--nmax", type=int, default=16)
     p.add_argument("--grid", type=int, default=256)
-    add_common(p, csv=True)
-    p.set_defaults(handler=_cmd_lab_envelope)
-    p = lab.add_parser("monotonic", help="derivative positivity scan")
-    p.add_argument("--fn", type=InputFile, required=True)
-    p.add_argument("--seq", type=InputFile, required=True)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--grid", type=int, default=256)
-    add_common(p)
-    p.set_defaults(handler=_cmd_lab_monotonic)
-    p = lab.add_parser("spacing", help="zero-spacing experiment")
-    p.add_argument("--fn", type=InputFile, required=True)
-    p.add_argument("--seq", type=InputFile, required=True)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--grid", type=int, default=1024)
-    add_common(p, csv=True)
-    p.set_defaults(handler=_cmd_lab_spacing)
+    done(p, _cmd_lab_envelope, csv=True)
+    monotonic = command(lab, "monotonic", "derivative positivity scan", "--fn", "--seq")
+    spacing = command(lab, "spacing", "zero-spacing experiment", "--fn", "--seq")
+    for p, grid in ((monotonic, 256), (spacing, 1024)):
+        p.add_argument("--horizon", type=int)
+        p.add_argument("--nmax", type=int, default=20)
+        p.add_argument("--grid", type=int, default=grid)
+    done(monotonic, _cmd_lab_monotonic)
+    done(spacing, _cmd_lab_spacing, csv=True)
 
-    weight = top.add_parser("weight", help="continuous weight functions").add_subparsers(
-        dest="command", required=True
-    )
-    p = weight.add_parser("analyze", help="sample the transforms")
-    p.add_argument("--mu", required=True, choices=MU_FAMILIES)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--t0", type=float, default=10.0)
-    p.add_argument("--rmax", type=float, default=1e6)
-    p.add_argument("--samples", type=int, default=64)
-    add_common(p, csv=True)
-    p.set_defaults(handler=_cmd_weight_analyze)
-    p = weight.add_parser("check", help="invariant battery")
-    p.add_argument("--mu", required=True, choices=MU_FAMILIES)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--t0", type=float, default=10.0)
-    p.add_argument("--rmax", type=float, default=1e6)
-    add_common(p)
-    p.set_defaults(handler=_cmd_weight_check)
+    weight = group("weight", "continuous weight functions")
+    analyze = command(weight, "analyze", "sample the transforms")
+    check = command(weight, "check", "invariant battery")
+    for p in (analyze, check):
+        p.add_argument("--mu", required=True, choices=MU_FAMILIES)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--t0", type=float, default=10.0)
+        p.add_argument("--rmax", type=float, default=1e6)
+    analyze.add_argument("--samples", type=int, default=64)
+    done(analyze, _cmd_weight_analyze, csv=True)
+    done(check, _cmd_weight_check)
 
     return parser
 

@@ -224,7 +224,8 @@ def gontcharoff_bound(nodes: Sequence[float], x: float) -> float:
     n = len(node_list)
     if n < 1:
         raise ValidationError("bound needs at least one node")
-    return _power_over_factorial(_spread(node_list, bounded_float(x, "x")), n)
+    spread = np.array([_spread(node_list, bounded_float(x, "x"))])
+    return float(_power_over_factorial(spread, n)[0])
 
 
 def _spread(nodes: list, x):
@@ -234,10 +235,12 @@ def _spread(nodes: list, x):
     return spread
 
 
-def _power_over_factorial(spread: float, n: int) -> float:
-    if spread == 0.0:
-        return 0.0
-    return series._exp(n * math.log(spread) - math.lgamma(n + 1))
+def _power_over_factorial(spread: np.ndarray, n: int) -> np.ndarray:
+    """spread^n / n! of each item through its log, math.inf past the float
+    range and 0.0 at a zero spread, whose log math.log rejects."""
+    zero = spread == 0.0
+    logs = series._libm(math.log, np.where(zero, 1.0, spread))
+    return np.where(zero, 0.0, series._exp(n * logs - math.lgamma(n + 1)))
 
 
 def identity_sweep(
@@ -314,7 +317,7 @@ def _sweep_block(columns: list, ks: np.ndarray, n: int) -> tuple:
     swap = _swap_residual(nodes, ks, y, x, states)
     decomp = _decomposition_residual(ys, x, states)
     magnitude = _horner_scaled([abs(c) for c in poly], abs(x))
-    bound = np.array([_power_over_factorial(s, n) for s in _spread(nodes, x).tolist()])
+    bound = _power_over_factorial(_spread(nodes, x), n)
     return swap, decomp, _horner_scaled(poly, x), magnitude, bound
 
 
@@ -373,10 +376,9 @@ def cn_membership_bound(
         raise ValidationError("nbar is empty; nothing to check")
     if any(j <= i for i, j in zip(ks, ks[1:])):
         raise ValidationError("nbar must be strictly increasing")
-    return all(
-        envelope.m_est_log[nk] <= log_b + nk * log_a + math.lgamma(nk + 1)
-        for nk in ks
-    )
+    k = np.array(ks, dtype=float)
+    log_factorial = series._libm(math.lgamma, k + 1.0)
+    return bool((envelope.m_est_log[ks] <= log_b + k * log_a + log_factorial).all())
 
 
 def null_test_bound(

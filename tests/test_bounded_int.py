@@ -12,7 +12,7 @@ import pytest
 
 import quasikit as qk
 from quasikit import gontcharoff, jets, weights
-from quasikit.errors import QUOTE_MAX, bounded_float, bounded_int
+from quasikit.errors import QUOTE_MAX, bounded_float, bounded_int, quoted
 
 from conftest import exp_spec
 
@@ -227,6 +227,25 @@ def test_bounded_float_returns_a_float():
     assert [bounded_float(v, "x", 2, 5) for v in (2, 5)] == [2.0, 5.0]
     with pytest.raises(qk.ValidationError, match=r"^x must be a finite number, got 1000000"):
         bounded_float(10**400, "x")
+
+
+RADIUS_ENTRY_POINTS = (qk.weight_inf, qk.omega, qk.weight_inf_integer, qk.transforms)
+
+
+@pytest.mark.parametrize("entry", RADIUS_ENTRY_POINTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", ["x", None, True, [1e3], 10**400, math.nan, math.inf],
+                         ids=lambda v: quoted(v)[:8])
+def test_every_radius_entry_point_reads_r(entry, value):
+    # a radius that is no finite number never reaches the solve
+    message = f"r must be a finite number, got {quoted(value)}"
+    with pytest.raises(qk.ValidationError, match=f"^{re.escape(message)}$"):
+        entry(W, value)
+
+
+@pytest.mark.parametrize("entry", RADIUS_ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_a_radius_below_zero_is_still_not_positive(entry):
+    with pytest.raises(qk.ValidationError, match=r"^r must be positive$"):
+        entry(W, -1.0)
 
 
 # each size cap of weights and gontcharoff, as (name, its bound, call with the

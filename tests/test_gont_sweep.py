@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasikit import gontcharoff as G
 from quasikit.errors import ValidationError
+from quasikit.series import _exp
 
 BLOCK = G.SWEEP_BLOCK
 
@@ -239,3 +240,61 @@ def test_degree_cap_draws_every_swap_index():
         ks.add(int(rng.integers(0, n)))
     assert ks == set(range(n))
     assert G.identity_sweep(nodes, sweep, seed) == _loop_sweep(nodes, sweep, seed)
+
+
+def _spread(nodes, x):
+    spread = abs(x - nodes[0])
+    for j in range(len(nodes) - 1):
+        spread += abs(nodes[j] - nodes[j + 1])
+    return spread
+
+
+def loop_power_over_factorial(spread, n):
+    """The sweep's former per-sample bound: spread^n / n! through logs."""
+    if spread == 0.0:
+        return 0.0
+    return _exp(n * math.log(spread) - math.lgamma(n + 1))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+@st.composite
+def bound_blocks(draw):
+    """Columns of a block, few distinct values so that some samples have a
+    zero spread (all nodes and x equal), and magnitudes up to 1e300, where
+    spread^n overflows."""
+    n = draw(st.integers(1, G.DEGREE_CAP))
+    size = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e10, 1e300]))
+    point = st.sampled_from([0.0, 0.5, -1.0, 2.0]).map(lambda v: v * scale)
+    columns = [np.array(draw(st.lists(point, min_size=size, max_size=size)))
+               for _ in range(2 * n + 2)]
+    return columns, np.array(draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
+
+
+@given(bound_blocks())
+@settings(max_examples=200)
+def test_sweep_bound_equals_its_per_sample_loop(block):
+    columns, ks = block
+    n = (len(columns) - 2) // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = G._sweep_block(columns, ks, n)[4]
+    samples = [[float(c[s]) for c in columns] for s in range(ks.size)]
+    want = [loop_power_over_factorial(_spread(v[:n], v[2 * n]), n) for v in samples]
+    assert _bits(bound) == _bits(want)
+    for v, w in zip(samples, want):
+        got = G.gontcharoff_bound(v[:n], v[2 * n])
+        assert type(got) is float and _bits([got]) == _bits([w])
+
+
+def test_sweep_bound_reaches_zero_and_overflow():
+    # sample 0 has every node at x, a zero spread; sample 1 a spread of
+    # 5e300, whose cube leaves the float range
+    nodes = [np.array([1.0, 1e300]), np.array([1.0, -1e300]), np.array([1.0, 1e300])]
+    x, zeros = np.array([1.0, 0.0]), np.zeros(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = G._sweep_block(nodes + [zeros] * 3 + [x, zeros], np.array([0, 1]), 3)[4]
+    want = [loop_power_over_factorial(s, 3) for s in (0.0, 5e300)]
+    assert bound.tolist() == [0.0, math.inf] == want

@@ -218,3 +218,44 @@ def test_spacing_partial_sums_equal_their_loop(family, params):
         seq = qk.make_sequence(qk.SequenceSpec(family=family, horizon=26, params=params))
     res = qk.zero_spacing_experiment(sin_spec((0.0, 4.0 * math.pi)), seq, 20, grid_size=128)
     assert bits(res.rhs_partial) == bits(loop_spacing_rhs(seq.logs, 20))
+
+
+# ---------------------------------------------------------------------------
+# weights and gontcharoff evaluate m and the math library over arrays
+
+
+# calls that evaluate one item: m at one point, a math-library function of
+# one float, and the integer rounding of one float
+PER_ITEM_CALLS = {"_m_parts", "math.log", "math.exp", "math.lgamma", "math.floor", "math.ceil"}
+
+# _stationary_points brackets each radius by doubling, and once fewer than
+# _ARRAY_MIN radii are live it finishes each on its own, where a float call
+# costs less than an array call (see the timings at weights._ARRAY_MIN)
+LOOPED_CALLS_ALLOWED = {("weights.py", "_stationary_points")}
+
+
+def _looped_calls(tree):
+    """The functions of ``tree`` with a PER_ITEM_CALLS call in the body of a
+    for or while loop or in a comprehension."""
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(func):
+            if isinstance(loop, (ast.For, ast.While)):
+                parts = loop.body + loop.orelse
+            elif isinstance(loop, comprehensions):
+                parts = [loop]
+            else:
+                continue
+            calls = (c for p in parts for c in ast.walk(p) if isinstance(c, ast.Call))
+            if any(ast.unparse(c.func) in PER_ITEM_CALLS for c in calls):
+                yield func.name
+
+
+def test_no_loop_evaluates_m_or_the_math_library_item_by_item():
+    found = set()
+    for name in ("weights.py", "gontcharoff.py"):
+        path = Path(qk.__file__).parent / name
+        found.update((name, f) for f in _looped_calls(ast.parse(path.read_text())))
+    assert found == LOOPED_CALLS_ALLOWED

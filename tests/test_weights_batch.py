@@ -18,7 +18,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import quasikit as qk
 from quasikit import weights as W
-from quasikit.errors import ConditioningError, QuasikitError, ValidationError
+from quasikit.errors import (
+    ConditioningError, QuasikitError, ValidationError, bounded_float, bounded_int
+)
 
 
 def _m1(w, t):
@@ -549,3 +551,153 @@ def test_algebra_check_equals_its_loop(n_max, monkeypatch):
 
     monkeypatch.setattr(W, "_extended_m", broken)
     assert W.algebra_check(w, n_max) is loop_algebra_check(w, n_max, broken) is (n_max < 300)
+
+
+# ---------------------------------------------------------------------------
+# the integral test and the analytic criterion against their former loops
+
+
+def _left_sum(values):
+    """Python's sum before 3.12, which adds left to right from 0; from 3.12
+    on, sum compensates the rounding of float additions."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def loop_integral_test(w, r0, r_max, panels=64):
+    """integral_test's former per-node and per-doubling lists, as
+    (integral, increments, xs)."""
+    r0 = bounded_float(r0, "r0")
+    r_max = bounded_float(r_max, "r_max", r0)
+    qk.weight_inf(w, r0)
+    edges = [math.log(r0)]
+    u_max = math.log(r_max)
+    while edges[-1] + math.log(2.0) < u_max - 1e-12:
+        edges.append(edges[-1] + math.log(2.0))
+    edges.append(u_max)
+    panels = bounded_int(panels, "panels", 1, (W.INTEGRAL_RADII_MAX // (len(edges) - 1) - 1) // 2)
+    if r_max == r0:
+        return 0.0, [0.0, 0.0], None
+    if r_max < 2.0 * r0:
+        raise ValidationError("need at least one doubling between r0 and r_max")
+    steps = [(b - a) / (2 * panels) for a, b in zip(edges, edges[1:])]
+    nodes = [a + i * h for a, h in zip(edges, steps) for i in range(2 * panels + 1)]
+    _, _, omegas, _, error = W._transforms(w, [math.exp(u) for u in nodes])
+    if error:
+        raise error
+    integrand = [value * math.exp(-u) for u, value in zip(nodes, omegas.tolist())]
+    increments = []
+    for start, h in zip(range(0, len(nodes), 2 * panels + 1), steps):
+        values = integrand[start : start + 2 * panels + 1]
+        acc = values[0] + values[-1]
+        acc += 4.0 * _left_sum(values[1:-1:2]) + 2.0 * _left_sum(values[2:-2:2])
+        increments.append(acc * h / 3.0)
+    return math.fsum(increments), increments, edges[1:]
+
+
+def _outcome(call, *args):
+    """call(*args), or the (type, message) of what it raised."""
+    try:
+        return call(*args)
+    except (QuasikitError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _report_bits(integral, report):
+    return (bits([integral, report.slope_estimate]), bits(report.terms),
+            bits(report.partial_sums), report.verdict)
+
+
+def _trend(w, r0, r_max, panels):
+    trend = W.integral_test(w, r0, r_max, panels)
+    return _report_bits(trend.integral, trend.report)
+
+
+def _loop_trend(w, r0, r_max, panels):
+    integral, increments, xs = loop_integral_test(w, r0, r_max, panels)
+    return _report_bits(integral, qk.diagnose_series(increments, xs=xs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights, st.floats(1e-9, 3.0), st.just(0.0) | st.floats(0.9, 45.0), st.integers(1, 12))
+def test_integral_test_equals_its_loop(w, above, doublings, panels):
+    # from just past the boundary exp(m'(t0)), over no doubling (r_max = r0),
+    # part of one, and up to 45, with panels = 1 among the cases
+    assume(w is not None)
+    m1 = _m1(w, w.t0)
+    assume(m1 + 32.0 < 709.0)
+    r0 = math.exp(m1) * (1.0 + above)
+    r_max = r0 * 2.0**doublings
+    got, want = _outcome(_trend, w, r0, r_max, panels), _outcome(_loop_trend, w, r0, r_max, panels)
+    assert got == want
+
+
+@pytest.mark.parametrize("mu,t0,alpha,r0,r_max,panels", [
+    ("zero", 2.0, None, 10.0, 1e6, 1),
+    ("zero", 2.0, None, 10.0, 1e6, 64),
+    ("loglog", 10.0, None, 1e5, 1e40, 1),
+    ("power", 1.5, 0.37, 50.0, 1e300, 2),
+    ("log", 2.0, None, 100.0, 150.0, 4),  # less than one doubling
+    ("zero", 2.0, None, 10.0, 10.0, 4),  # no doubling
+    ("zero", 0.5, None, 10.0, sys.float_info.max, 1),
+])
+def test_integral_test_equals_its_loop_at_the_ends(mu, t0, alpha, r0, r_max, panels):
+    w = qk.make_weight(mu, t0, alpha=alpha)
+    want = _outcome(_loop_trend, w, r0, r_max, panels)
+    assert _outcome(_trend, w, r0, r_max, panels) == want
+
+
+def loop_analytic_criterion(w, c, r_lo, p_lo, p_hi):
+    """analytic_criterion's former per-p loop, after the same hypothesis check."""
+    ps = W._p_range(w, p_lo, p_hi)
+    u_lo = math.log(r_lo)
+    radii = W._exp(np.linspace(u_lo, u_lo + 10.0 * math.log(2.0), 33)).tolist()
+    _, _, omegas, _, error = W._transforms(w, radii)
+    for r, omega_r in zip(radii, omegas.tolist()):
+        if omega_r < c * r:
+            raise ValidationError(f"hypothesis fails: omega({r:g}) = {omega_r:g} < c r = {c * r:g}")
+    if error:
+        raise error
+    log_c = math.log(c)
+    for p in ps:
+        allowed = w.delta + math.lgamma(p + 1) - p * log_c
+        tol = W._SLACK * max(1.0, abs(allowed))
+        if W._m_parts(w, float(p))[0] > allowed + tol:
+            return False
+    return True
+
+
+# first p of a range: just past t0, and just below 2^53 and 2^60, where
+# float(p) + 1 is not the float of the int p + 1
+P_STARTS = [None, 2**53 - 40, 2**60 - 40]
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights, st.floats(-3.0, 0.1), st.floats(0.01, 5.0), st.sampled_from(P_STARTS),
+       st.integers(0, 2000))
+def test_analytic_criterion_equals_its_loop(w, log_scale, above, start, span):
+    # c near omega(r) / r at the top radius, so that the hypothesis mostly
+    # holds and the bound holds for some ranges and fails for others
+    assume(w is not None)
+    m1 = _m1(w, w.t0)
+    assume(m1 + above + 8.0 < 700.0)
+    r_lo, r_top = math.exp(m1 + above), math.exp(m1 + above + 10.0 * math.log(2.0))
+    c = math.exp(log_scale) * qk.omega(w, r_top) / r_top
+    p_lo = math.ceil(w.t0) if start is None else start
+    args = (w, c, r_lo, p_lo, p_lo + span)
+    assert _outcome(W.analytic_criterion, *args) == _outcome(loop_analytic_criterion, *args)
+
+
+@pytest.mark.parametrize("mu,t0,alpha,c,r_lo,p_lo,p_hi", [
+    ("zero", 0.5, None, 0.35, 50.0, 1, 10_000),
+    ("zero", 2.0, None, 1.0 / 3.0, 3200.0, 10, 200),  # the bound fails from p = 81 on
+    ("zero", 2.0, None, 0.3, 3200.0, 2**53 - 3, 2**53 + 3000),
+    ("power", 1.5, 0.37, 1e-3, 100.0, 2**60, 2**60 + 500),
+    ("loglog", 10.0, None, 0.3, 1000.0, 11, 100),  # omega grows sublinearly
+])
+def test_analytic_criterion_equals_its_loop_at_the_ends(mu, t0, alpha, c, r_lo, p_lo, p_hi):
+    w = qk.make_weight(mu, t0, alpha=alpha)
+    args = (w, c, r_lo, p_lo, p_hi)
+    assert _outcome(W.analytic_criterion, *args) == _outcome(loop_analytic_criterion, *args)
